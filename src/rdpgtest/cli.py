@@ -16,31 +16,26 @@ success and nonzero with a diagnostic on error.
 import argparse
 import sys
 
+import numpy as np
+
 from . import harness, io, mmd
+from .embed import ase
 from .testing import TestConfig, two_sample_test
 
 
 def _add_kernel_args(parser):
-    parser.add_argument("--kernel", default="gaussian", choices=["gaussian", "imq", "energy"])
+    parser.add_argument("--kernel", default="gaussian", help="gaussian, imq or energy")
     parser.add_argument("--sigma", default="0.5", help="gaussian bandwidth, or 'median'")
     parser.add_argument("--c", type=float, default=1.0, help="inverse multiquadric offset")
     parser.add_argument("--beta", type=float, default=0.5, help="inverse multiquadric exponent")
     parser.add_argument("--q", type=float, default=1.0, help="energy kernel exponent")
 
 
-def _kernel_from_args(args):
-    if args.kernel == "gaussian":
-        return mmd.GaussianKernel(None if args.sigma == "median" else float(args.sigma))
-    if args.kernel == "imq":
-        return mmd.InverseMultiquadricKernel(c=args.c, beta=args.beta)
-    return mmd.EnergyKernel(exponent=args.q)
-
-
 def _cmd_test(args):
     config = TestConfig(
         variant=args.variant,
         d=args.d,
-        kernel=_kernel_from_args(args),
+        kernel=mmd.kernel_from_params(args.kernel, vars(args)),
         permutations=args.B,
         alpha_level=args.alpha,
         seed=args.seed,
@@ -61,8 +56,6 @@ def _cmd_test(args):
 
 def _cmd_embed(args):
     graph = io.read_edge_list(args.graph)
-    from .embed import ase
-
     embedding = ase(graph.dense(), args.d)
     io.write_embedding_csv(embedding.coordinates, args.output)
     print(f"wrote {embedding.n} x {embedding.d} embedding to {args.output}")
@@ -93,8 +86,6 @@ def _cmd_w_compare(args):
     cfg.pop("output", None)
     result = harness.w_comparison_experiment(**cfg)
     result.to_csv(output)
-    import numpy as np
-
     print(
         f"median |delta| random alignment: {np.median(np.abs(result.delta_random)):.17g}\n"
         f"median |delta| fixed alignment:  {np.median(np.abs(result.delta_fixed)):.17g}\n"
@@ -125,9 +116,8 @@ def _read_manifest(path):
 def _cmd_dissim(args):
     paths, labels = _read_manifest(args.manifest)
     graphs = [io.read_edge_list(p) for p in paths]
-    matrix = harness.pairwise_dissimilarity(
-        graphs, args.d, _kernel_from_args(args), floor=not args.raw, labels=labels
-    )
+    spec = mmd.kernel_from_params(args.kernel, vars(args))
+    matrix = harness.pairwise_dissimilarity(graphs, args.d, spec, floor=not args.raw, labels=labels)
     io.write_matrix_csv(matrix.values, args.output, labels=matrix.labels)
     print(f"wrote {len(graphs)} x {len(graphs)} dissimilarity matrix to {args.output}")
     return 0

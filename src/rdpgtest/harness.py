@@ -329,10 +329,12 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
         except Exception as exc:
             raise ValueError(f"embedding graph {idx} failed: {exc}") from exc
     count = len(embeddings)
+    within = [mmd.off_diagonal_sum(mmd.gram(spec, e, e)) for e in embeddings]
     values = np.zeros((count, count))
     for g in range(count):
         for h in range(g + 1, count):
-            u = mmd.u_statistic(spec, embeddings[g], embeddings[h])
+            cross = mmd.gram(spec, embeddings[g], embeddings[h]).sum()
+            u = mmd.u_from_sums(within[g], cross, within[h], len(embeddings[g]), len(embeddings[h]))
             if floor:
                 u = max(u, 0.0)
             values[g, h] = values[h, g] = u
@@ -434,25 +436,11 @@ def knn_classify(dissimilarity, labels, k, folds=10, seed=0):
 _FAMILIES = ("two_block", "uniform_box", "custom")
 
 
-def _kernel_from_section(section):
-    name = section.get("kernel", "gaussian").strip()
-    if name == "gaussian":
-        sigma = section.get("sigma", "0.5").strip()
-        return mmd.GaussianKernel(None if sigma == "median" else float(sigma))
-    if name in ("inverse_multiquadric", "imq"):
-        return mmd.InverseMultiquadricKernel(
-            c=float(section.get("c", 1.0)), beta=float(section.get("beta", 0.5))
-        )
-    if name == "energy":
-        return mmd.EnergyKernel(exponent=float(section.get("q", 1.0)))
-    raise ValueError(f"unknown kernel {name!r}")
-
-
 def _test_config_from_section(section, seed):
-    cfg = TestConfig(
+    return TestConfig(
         variant=section.get("variant", "identity").strip(),
         d=int(section.get("d", 2)),
-        kernel=_kernel_from_section(section),
+        kernel=mmd.kernel_from_params(section.get("kernel", "gaussian"), section),
         permutations=int(section.get("b", section.get("permutations", 200))),
         alpha_level=float(section.get("alpha_level", 0.05)),
         seed=seed,
@@ -461,7 +449,6 @@ def _test_config_from_section(section, seed):
         sparsity_x=float(section["sparsity_x"]) if "sparsity_x" in section else None,
         sparsity_y=float(section["sparsity_y"]) if "sparsity_y" in section else None,
     )
-    return cfg
 
 
 def _pairs_from_config(parser, experiment):
@@ -525,24 +512,16 @@ def load_wcompare_config(path):
         raise FileNotFoundError(path)
     experiment = parser["experiment"]
     test = parser["test"] if parser.has_section("test") else {}
-    family = experiment.get("family", "custom").strip()
-    if family == "custom":
-        f = _io.parse_distribution(parser["F"])
-        g = _io.parse_distribution(parser["G"])
-    else:
-        eps = float(experiment.get("epsilon", 0.0))
-        row = _pairs_from_config(
-            parser, dict(experiment, family=family, sweep=str(eps))
-        )[0]
-        f, g = row[1], row[2]
+    eps = float(experiment.get("epsilon", 0.0))
+    _, f, g = _pairs_from_config(parser, dict(experiment, sweep=str(eps)))[0]
     n = int(experiment["n"])
     return {
         "f_dist": f,
         "g_dist": g,
         "n": n,
         "m": int(experiment.get("m", n)),
-        "d": int(test.get("d", 2)) if test else 2,
-        "spec": _kernel_from_section(test),
+        "d": int(test.get("d", 2)),
+        "spec": mmd.kernel_from_params(test.get("kernel", "gaussian"), test),
         "replicates": int(experiment.get("replicates", 100)),
         "master_seed": int(experiment.get("seed", 0)),
         "surrogate_size": int(experiment.get("surrogate_size", 10**6)),

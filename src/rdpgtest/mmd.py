@@ -24,8 +24,11 @@ __all__ = [
     "GaussianKernel",
     "InverseMultiquadricKernel",
     "EnergyKernel",
+    "kernel_from_params",
     "kernel_eval",
     "gram",
+    "off_diagonal_sum",
+    "u_from_sums",
     "u_statistic",
     "v_statistic",
     "median_heuristic",
@@ -160,6 +163,23 @@ class EnergyKernel(KernelSpec):
         return f"energy(q={self.exponent:g})"
 
 
+def kernel_from_params(name, params):
+    """Kernel ``gaussian`` (``sigma``: a number or ``median``), ``imq`` or
+    ``inverse_multiquadric`` (``c``, ``beta``) or ``energy`` (``q``), with
+    parameters read from a mapping of numbers or strings."""
+    name = name.strip()
+    if name == "gaussian":
+        sigma = str(params.get("sigma", "0.5")).strip()
+        return GaussianKernel(None if sigma == "median" else float(sigma))
+    if name in ("inverse_multiquadric", "imq"):
+        return InverseMultiquadricKernel(
+            c=float(params.get("c", 1.0)), beta=float(params.get("beta", 0.5))
+        )
+    if name == "energy":
+        return EnergyKernel(exponent=float(params.get("q", 1.0)))
+    raise ValueError(f"unknown kernel {name!r}")
+
+
 def _as_points(x, name):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -185,6 +205,17 @@ def gram(spec, a, b):
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     return spec.pairwise(a, b)
+
+
+def off_diagonal_sum(k):
+    """Sum of a square kernel matrix without its diagonal."""
+    return k.sum() - np.trace(k)
+
+
+def u_from_sums(sxx, sxy, syy, n, m):
+    """:func:`u_statistic` from the off-diagonal within sums of samples of
+    sizes ``n`` and ``m`` and the sum of their cross block."""
+    return float(sxx / (n * (n - 1)) - 2.0 * sxy / (n * m) + syy / (m * (m - 1)))
 
 
 def u_statistic(spec, x, y):
@@ -217,12 +248,9 @@ def u_statistic(spec, x, y):
         raise InsufficientSampleError(
             f"u_statistic needs at least 2 points per sample, got n={n}, m={m}"
         )
-    kxx = gram(spec, x, x)
-    kyy = gram(spec, y, y)
-    kxy = gram(spec, x, y)
-    sxx = kxx.sum() - np.trace(kxx)
-    syy = kyy.sum() - np.trace(kyy)
-    return float(sxx / (n * (n - 1)) - 2.0 * kxy.sum() / (n * m) + syy / (m * (m - 1)))
+    sxx = off_diagonal_sum(gram(spec, x, x))
+    syy = off_diagonal_sum(gram(spec, y, y))
+    return u_from_sums(sxx, gram(spec, x, y).sum(), syy, n, m)
 
 
 def v_statistic(spec, x, y):

@@ -190,6 +190,8 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     remaining ``m`` to a pseudo second sample, and the unbiased two-sample
     statistic is recorded. The kernel matrix of the pool is computed once;
     each round only re-aggregates its entries. Deterministic given ``rng``.
+    :func:`two_sample_test` draws the same null from the one kernel matrix
+    that also serves its reflection search and statistic.
 
     Returns
     -------
@@ -203,8 +205,12 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
         raise ValueError(f"pool has {total} rows but n + m = {n + m}")
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
+    return _null_from_gram(mmd.gram(spec, pooled, pooled), n, m, permutations, rng)
 
-    k = mmd.gram(spec, pooled, pooled)
+
+def _null_from_gram(k, n, m, permutations, rng):
+    """:func:`permutation_null` on the pooled kernel matrix ``k``."""
+    total = n + m
     diag = np.diagonal(k).copy()
     row_sums = k.sum(axis=1)
     total_off = float(k.sum() - diag.sum())
@@ -234,49 +240,43 @@ def p_value(observed, null_values):
     return float((1 + int(np.sum(null_values >= observed))) / (null_values.size + 1))
 
 
-def _reflection_search(spec, x, y):
-    """Sign pattern for the columns of ``y`` minimizing the statistic.
-
-    Within-sample kernel values are invariant to per-column sign flips, so
-    only the cross term is recomputed for each of the 2^d patterns.
-    Exhaustive; intended for the small embedding dimensions this package
-    targets.
-    """
-    n, d = x.shape
-    m = y.shape[0]
-    kxx = mmd.gram(spec, x, x)
-    kyy = mmd.gram(spec, y, y)
-    within = (kxx.sum() - np.trace(kxx)) / (n * (n - 1)) + (kyy.sum() - np.trace(kyy)) / (
-        m * (m - 1)
-    )
-    best_signs, best_u = None, np.inf
-    for bits in range(2**d):
-        signs = np.array([1.0 if bits & (1 << j) == 0 else -1.0 for j in range(d)])
-        u = within - 2.0 * mmd.gram(spec, x, y * signs).sum() / (n * m)
-        if u < best_u:
-            best_signs, best_u = signs, u
-    return best_signs, float(best_u)
-
-
-def _resolve_kernel(kernel, pooled):
-    if isinstance(kernel, mmd.GaussianKernel) and kernel.sigma is None:
-        return mmd.GaussianKernel(mmd.median_heuristic(pooled))
-    return kernel
-
-
 def _calibrate(px, py, config, rng):
-    """Shared tail of the pipeline: align, statistic, permutation, report."""
+    """Shared tail of the pipeline: align, statistic, permutation, report.
+
+    Each kernel block is computed once. The reflection search tries all
+    2^d column sign patterns of ``py`` (only the identity when alignment
+    is off); within-sample values do not depend on them, so only the
+    cross block is computed per pattern.
+    """
     n, m = px.shape[0], py.shape[0]
-    kernel = _resolve_kernel(config.kernel, np.vstack([px, py]))
-    info = {}
-    if config.align_reflections:
-        signs, _ = _reflection_search(kernel, px, py)
-        py = py * signs
-        info["reflection"] = signs.tolist()
-    observed = mmd.u_statistic(kernel, px, py)
+    if n < 2 or m < 2:
+        raise InsufficientSampleError(f"need at least 2 rows per sample, got n={n}, m={m}")
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise ValueError("rows must be finite")
+    kernel = config.kernel
+    if isinstance(kernel, mmd.GaussianKernel) and kernel.sigma is None:
+        kernel = mmd.GaussianKernel(mmd.median_heuristic(np.vstack([px, py])))
+    kxx = mmd.gram(kernel, px, px)
+    kyy = mmd.gram(kernel, py, py)
+    sxx = mmd.off_diagonal_sum(kxx)
+    syy = mmd.off_diagonal_sum(kyy)
+    within = sxx / (n * (n - 1)) + syy / (m * (m - 1))
+    d, best_u = px.shape[1], np.inf
+    for bits in range(2**d if config.align_reflections else 1):
+        signs = np.array([1.0 if bits & (1 << j) == 0 else -1.0 for j in range(d)])
+        cross = mmd.gram(kernel, px, py * signs)
+        u = within - 2.0 * cross.sum() / (n * m)
+        if u < best_u:
+            best_signs, best_u, kxy = signs, u, cross
+    del cross
+    py = py * best_signs
+    info = {"reflection": best_signs.tolist()} if config.align_reflections else {}
+    observed = mmd.u_from_sums(sxx, kxy.sum(), syy, n, m)
+    k = np.block([[kxx, kxy], [kxy.T, kyy]])
+    del kxx, kyy, kxy
     if rng is None:
         rng = substream(config.seed)
-    null_values = permutation_null(np.vstack([px, py]), n, m, kernel, config.permutations, rng)
+    null_values = _null_from_gram(k, n, m, config.permutations, rng)
     p = p_value(observed, null_values)
     return TestReport(
         statistic=float(observed),
@@ -303,8 +303,10 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     according to ``config.variant``, align the second embedding over
     per-column reflections (see :class:`TestConfig`), compute the unbiased
     kernel statistic, and compare it against a permutation null built from
-    the pooled rows. All randomness derives from ``config.seed`` unless an
-    explicit ``rng`` is supplied.
+    the pooled rows. One kernel matrix serves the reflection search, the
+    statistic and the null; each of its blocks is computed once. All
+    randomness derives from ``config.seed`` unless an explicit ``rng`` is
+    supplied.
 
     Parameters
     ----------

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from rdpgtest import cli
 from rdpgtest.cli import main
-from rdpgtest.harness import two_block_pair
+from rdpgtest.harness import load_power_config, two_block_pair
 from rdpgtest.io import read_matrix_csv, write_edge_list
+from rdpgtest.mmd import EnergyKernel, GaussianKernel, InverseMultiquadricKernel
 from rdpgtest.model import sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 
@@ -163,3 +165,52 @@ class TestDissimClassifyCommands:
         main(["dissim", str(manifest), "--d", "2", "--output", str(matrix_path)])
         assert main(["classify", str(matrix_path)]) == 1
         assert "labels" in capsys.readouterr().err
+
+
+class TestKernelOptions:
+    """The command line and the INI loaders build kernels with one factory."""
+
+    def _from_cli(self, name, params, graph_files, monkeypatch, capsys):
+        seen = []
+
+        def capture(graph_a, graph_b, config):
+            seen.append(config.kernel)
+            raise RuntimeError("kernel captured")
+
+        monkeypatch.setattr(cli, "two_sample_test", capture)
+        argv = ["test", str(graph_files[0]), str(graph_files[1]), "--d", "2", "--kernel", name]
+        for key, value in params.items():
+            argv += [f"--{key}", value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        return (seen[0] if seen else None), err
+
+    def _from_ini(self, name, params, tmp_path):
+        lines = ["[experiment]", "family = two_block", "n = 20", "[test]", f"kernel = {name}"]
+        lines += [f"{key} = {value}" for key, value in params.items()]
+        path = tmp_path / "kernel.ini"
+        path.write_text("\n".join(lines) + "\n")
+        return load_power_config(path).test.kernel
+
+    def test_every_name_gives_one_spec_and_one_error(
+        self, graph_files, tmp_path, monkeypatch, capsys
+    ):
+        params = {"sigma": "0.7", "c": "2", "beta": "0.3", "q": "1.5"}
+        imq = InverseMultiquadricKernel(c=2.0, beta=0.3)
+        cases = [
+            ("gaussian", params, GaussianKernel(0.7)),
+            ("gaussian", {"sigma": "median"}, GaussianKernel(None)),
+            ("imq", params, imq),
+            ("inverse_multiquadric", params, imq),
+            ("energy", params, EnergyKernel(1.5)),
+        ]
+        for name, values, expected in cases:
+            spec, _ = self._from_cli(name, values, graph_files, monkeypatch, capsys)
+            assert spec == expected
+            assert self._from_ini(name, values, tmp_path) == expected
+
+        spec, err = self._from_cli("cubic", {}, graph_files, monkeypatch, capsys)
+        assert spec is None
+        with pytest.raises(ValueError) as exc:
+            self._from_ini("cubic", {}, tmp_path)
+        assert err == f"error: {exc.value}" == "error: unknown kernel 'cubic'"

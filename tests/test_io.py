@@ -1,3 +1,7 @@
+import configparser
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from rdpgtest.io import (
     write_embedding_csv,
     write_matrix_csv,
 )
+from rdpgtest.mmd import GaussianKernel
 from rdpgtest.model import (
     DegreeCorrected,
     DirichletLatent,
@@ -22,6 +27,8 @@ from rdpgtest.model import (
     sample_rdpg,
 )
 from rdpgtest.streams import substream
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestEdgeList:
@@ -216,6 +223,28 @@ class TestConfigFiles:
         assert cfg["replicates"] == 3
         assert cfg["output"] == "out.csv"
         assert isinstance(cfg["f_dist"], PointMassMixture)
+
+    def test_readme_examples_load(self, tmp_path):
+        blocks = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+        assert len(blocks) == 2
+        for index, block in enumerate(blocks):
+            parser = configparser.ConfigParser()
+            parser.read_string(block)
+            if parser.has_section("experiment"):
+                path = tmp_path / f"readme{index}.ini"
+                path.write_text(block)
+                config = load_power_config(path)
+                assert config.test.kernel == GaussianKernel(0.5)
+                assert config.oracle_arm is False
+            else:
+                f = parse_distribution(parser["F"])
+                assert isinstance(f, PointMassMixture) and f.atoms.shape == (2, 2)
+
+    def test_demo_configs_load(self):
+        power = load_power_config(ROOT / "demos" / "power_two_block.ini")
+        assert [p[0] for p in power.pairs] == [0.0, 0.05, 0.1]
+        wcompare = load_wcompare_config(ROOT / "demos" / "w_compare_null.ini")
+        assert wcompare["n"] == 300 and wcompare["spec"] == GaussianKernel(0.5)
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):

@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from rdpgtest.embed import ase
 from rdpgtest.errors import DegenerateRowError, InsufficientSampleError
 from rdpgtest.harness import two_block_pair, uniform_box_pair
-from rdpgtest.mmd import GaussianKernel, u_statistic
+from rdpgtest.mmd import (
+    EnergyKernel,
+    GaussianKernel,
+    InverseMultiquadricKernel,
+    median_heuristic,
+    u_statistic,
+)
 from rdpgtest.model import sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 from rdpgtest.testing import (
     TestConfig,
-    _reflection_search,
+    _calibrate,
     p_value,
     permutation_null,
     preprocess,
@@ -148,14 +155,78 @@ class TestReflectionSearch:
         x = sample_latent(f, 150, rng).X
         y = sample_latent(f, 150, rng).X
         mirrored = y * np.array([1.0, -1.0])
-        signs, _ = _reflection_search(SPEC, x, mirrored)
+        report = _calibrate(x, mirrored, TestConfig(kernel=SPEC, permutations=1), None)
+        signs = np.array(report.preprocessing["reflection"])
         assert np.array_equal(signs, [1.0, -1.0])
         aligned = u_statistic(SPEC, x, mirrored * signs)
+        assert report.statistic == aligned
         assert aligned == pytest.approx(u_statistic(SPEC, x, y), abs=1e-12)
         assert aligned < u_statistic(SPEC, x, mirrored)
 
 
+ORACLE_CASES = [
+    (kernel, variant, d)
+    for kernel in (
+        GaussianKernel(0.5),
+        GaussianKernel(None),
+        InverseMultiquadricKernel(c=1.3, beta=0.7),
+        EnergyKernel(1.2),
+    )
+    for variant in ("identity", "projection")
+    for d in (1, 2, 3)
+    # one-dimensional projected rows are all +-1: the median distance is 0
+    if not (kernel == GaussianKernel(None) and variant == "projection" and d == 1)
+]
+
+
+class TestSharedKernelBlocks:
+    """The tests build each kernel block once; the public per-piece
+    functions on the aligned rows must give the same bits."""
+
+    @staticmethod
+    def _assert_matches_public_path(report, px, py, config):
+        kernel = config.kernel
+        if kernel == GaussianKernel(None):
+            kernel = GaussianKernel(median_heuristic(np.vstack([px, py])))
+        py = py * np.array(report.preprocessing.get("reflection", np.ones(px.shape[1])))
+        assert report.statistic == u_statistic(kernel, px, py)
+        null = permutation_null(
+            np.vstack([px, py]), len(px), len(py), kernel, config.permutations,
+            substream(config.seed),
+        )
+        assert np.array_equal(report.null_values, null)
+
+    @pytest.mark.parametrize("kernel, variant, d", ORACLE_CASES)
+    def test_graph_and_point_tests(self, kernel, variant, d):
+        f, g = two_block_pair(0.05)
+        rng = substream(95, d)
+        x = sample_latent(f, 40, rng)
+        y = sample_latent(g, 55, rng)
+        a, b = sample_rdpg(x, 1.0, rng), sample_rdpg(y, 1.0, rng)
+        px = preprocess(ase(a.dense(), d), variant)[0]
+        py = preprocess(ase(b.dense(), d), variant)[0]
+        for align in (True, False):
+            cfg = TestConfig(
+                variant=variant, d=d, kernel=kernel, permutations=30, seed=96,
+                align_reflections=align,
+            )
+            report = two_sample_test(a, b, cfg)
+            assert ("reflection" in report.preprocessing) == align
+            self._assert_matches_public_path(report, px, py, cfg)
+        cols = rng.random((2, 3))[:, :d] + 0.1
+        report = two_sample_point_test(x.X @ cols, y.X @ cols, cfg)
+        px = preprocess(x.X @ cols, variant)[0]
+        py = preprocess(y.X @ cols, variant)[0]
+        self._assert_matches_public_path(report, px, py, cfg)
+
+
 class TestTwoSampleTest:
+    def test_rejects_non_finite_rows(self):
+        x, y = random_cloud(20, 2, substream(97)), random_cloud(25, 2, substream(98))
+        y[3, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            two_sample_point_test(x, y, TestConfig(permutations=20))
+
     def test_report_fields_and_determinism(self):
         a, b = _two_graphs(0.0, 60, seed=80)
         cfg = TestConfig(d=2, permutations=99, seed=81)
