@@ -18,32 +18,21 @@ import sys
 
 import numpy as np
 
-from . import harness, io, mmd
+from . import harness, io
 from .embed import ase
-from .testing import TestConfig, two_sample_test
+from .testing import VARIANTS, two_sample_test
 
 
 def _add_kernel_args(parser):
-    parser.add_argument("--kernel", default="gaussian", help="gaussian, imq or energy")
-    parser.add_argument("--sigma", default="0.5", help="gaussian bandwidth, or 'median'")
-    parser.add_argument("--c", type=float, default=1.0, help="inverse multiquadric offset")
-    parser.add_argument("--beta", type=float, default=0.5, help="inverse multiquadric exponent")
-    parser.add_argument("--q", type=float, default=1.0, help="energy kernel exponent")
+    parser.add_argument("--kernel", help="gaussian, imq or energy")
+    parser.add_argument("--sigma", help="gaussian bandwidth, or 'median'")
+    parser.add_argument("--c", type=float, help="inverse multiquadric offset")
+    parser.add_argument("--beta", type=float, help="inverse multiquadric exponent")
+    parser.add_argument("--q", type=float, help="energy kernel exponent")
 
 
 def _cmd_test(args):
-    config = TestConfig(
-        variant=args.variant,
-        d=args.d,
-        kernel=mmd.kernel_from_params(args.kernel, vars(args)),
-        permutations=args.B,
-        alpha_level=args.alpha,
-        seed=args.seed,
-        sparsity_x=args.sparsity_a,
-        sparsity_y=args.sparsity_b,
-        eps_floor=args.eps_floor,
-        align_reflections=not args.no_align,
-    )
+    config = harness.build_test_config(vars(args))
     graph_a = io.read_edge_list(args.graph_a)
     graph_b = io.read_edge_list(args.graph_b)
     report = two_sample_test(graph_a, graph_b, config)
@@ -73,7 +62,6 @@ def _cmd_simulate_power(args):
             f"power={cell.power:.17g} se={cell.se:.17g}"
         )
     if config.output_path:
-        table.to_csv(config.output_path)
         print(f"wrote {config.output_path}")
     return 0
 
@@ -94,29 +82,10 @@ def _cmd_w_compare(args):
     return 0
 
 
-def _read_manifest(path):
-    paths, labels = [], []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "," in text:
-                p, label = text.rsplit(",", 1)
-                paths.append(p.strip())
-                labels.append(label.strip())
-            else:
-                paths.append(text)
-                labels.append(None)
-    if any(l is None for l in labels):
-        labels = None
-    return paths, labels
-
-
 def _cmd_dissim(args):
-    paths, labels = _read_manifest(args.manifest)
+    spec = harness.build_test_config(vars(args)).kernel
+    paths, labels = io.read_manifest(args.manifest)
     graphs = [io.read_edge_list(p) for p in paths]
-    spec = mmd.kernel_from_params(args.kernel, vars(args))
     matrix = harness.pairwise_dissimilarity(graphs, args.d, spec, floor=not args.raw, labels=labels)
     io.write_matrix_csv(matrix.values, args.output, labels=matrix.labels)
     print(f"wrote {len(graphs)} x {len(graphs)} dissimilarity matrix to {args.output}")
@@ -145,15 +114,19 @@ def build_parser():
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.add_argument("--d", type=int, required=True, help="embedding dimension")
-    p.add_argument("--variant", default="identity", choices=["identity", "scaling", "projection", "sparse"])
+    p.add_argument("--variant", choices=VARIANTS)
     _add_kernel_args(p)
-    p.add_argument("--B", type=int, default=200, help="permutation count")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sparsity-a", type=float, default=None, help="known sparsity of graph A")
-    p.add_argument("--sparsity-b", type=float, default=None, help="known sparsity of graph B")
-    p.add_argument("--eps-floor", type=float, default=1e-6)
-    p.add_argument("--no-align", action="store_true", help="skip the reflection alignment search")
+    p.add_argument("--B", dest="b", type=int, help="permutation count")
+    p.add_argument("--alpha", dest="alpha_level", metavar="ALPHA", type=float,
+                   help="significance level")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--sparsity-a", dest="sparsity_x", metavar="SPARSITY_A", type=float,
+                   help="known sparsity of graph A")
+    p.add_argument("--sparsity-b", dest="sparsity_y", metavar="SPARSITY_B", type=float,
+                   help="known sparsity of graph B")
+    p.add_argument("--eps-floor", type=float)
+    p.add_argument("--no-align", dest="align_reflections", action="store_false", default=None,
+                   help="skip the reflection alignment search")
     p.add_argument("--output", default=None, help="write the report as JSON")
     p.set_defaults(func=_cmd_test)
 

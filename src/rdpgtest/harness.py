@@ -39,6 +39,7 @@ __all__ = [
     "pairwise_dissimilarity",
     "KnnReport",
     "knn_classify",
+    "build_test_config",
     "load_power_config",
     "load_wcompare_config",
 ]
@@ -436,19 +437,35 @@ def knn_classify(dissimilarity, labels, k, folds=10, seed=0):
 _FAMILIES = ("two_block", "uniform_box", "custom")
 
 
-def _test_config_from_section(section, seed):
-    return TestConfig(
-        variant=section.get("variant", "identity").strip(),
-        d=int(section.get("d", 2)),
-        kernel=mmd.kernel_from_params(section.get("kernel", "gaussian"), section),
-        permutations=int(section.get("b", section.get("permutations", 200))),
-        alpha_level=float(section.get("alpha_level", 0.05)),
-        seed=seed,
-        eps_floor=float(section.get("eps_floor", 1e-6)),
-        align_reflections=section.get("align_reflections", "true").strip().lower() != "false",
-        sparsity_x=float(section["sparsity_x"]) if "sparsity_x" in section else None,
-        sparsity_y=float(section["sparsity_y"]) if "sparsity_y" in section else None,
-    )
+def _boolean(value):
+    text = str(value).strip().lower()
+    if text not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"expected true/false, yes/no, on/off or 1/0, got {value!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text]
+
+
+def _converted(params, converters):
+    return {k: convert(params[k]) for k, convert in converters.items() if params.get(k) is not None}
+
+
+_TEST_KEYS = dict(
+    variant=str, d=int, permutations=int, b=int, alpha_level=float, seed=int,
+    sparsity_x=float, sparsity_y=float, eps_floor=float, align_reflections=_boolean,
+)
+
+
+def build_test_config(params):
+    """:class:`TestConfig` from a mapping keyed like the INI ``[test]``
+    section (``b`` wins over ``permutations``; the kernel keys are those of
+    :func:`rdpgtest.mmd.kernel_from_params`), with values given as strings
+    or numbers. Absent or None keys keep the defaults; others are ignored."""
+    fields = _converted(params, _TEST_KEYS)
+    if "b" in fields:
+        fields["permutations"] = fields.pop("b")
+    kernel = mmd.kernel_from_params(params)
+    if kernel is not None:
+        fields["kernel"] = kernel
+    return TestConfig(**fields)
 
 
 def _pairs_from_config(parser, experiment):
@@ -456,62 +473,43 @@ def _pairs_from_config(parser, experiment):
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     if family == "custom":
-        f = _io.parse_distribution(parser["F"])
-        g = _io.parse_distribution(parser["G"])
-        return [("custom", f, g)]
-    sweep = [float(t) for t in experiment.get("sweep", "0").split()]
-    pairs = []
-    for eps in sweep:
-        if family == "two_block":
-            f, g = two_block_pair(
-                eps,
-                base=float(experiment.get("base", 0.5)),
-                cross=float(experiment.get("cross", 0.2)),
-                weights=_io._parse_vector(experiment.get("weights", "0.4 0.6")),
-            )
-        else:
-            f, g = uniform_box_pair(
-                eps,
-                f_upper=float(experiment.get("f_upper", 1.0 / np.sqrt(2.0))),
-                g_upper=float(experiment.get("g_upper", 1.0 / np.sqrt(3.0))),
-                dim=int(experiment.get("dim", 2)),
-            )
-        pairs.append((eps, f, g))
-    return pairs
+        return [("custom", *map(_io.parse_distribution, (parser["F"], parser["G"])))]
+    if family == "two_block":
+        pair, keys = two_block_pair, {"base": float, "cross": float, "weights": _io._parse_vector}
+    else:
+        pair, keys = uniform_box_pair, {"f_upper": float, "g_upper": float, "dim": int}
+    params = _converted(experiment, keys)
+    return [(eps, *pair(eps, **params)) for eps in map(float, experiment.get("sweep", "0").split())]
 
 
-def load_power_config(path):
-    """Read a power-study configuration file (INI format, see README)."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(path)
-    experiment = parser["experiment"]
-    seed = int(experiment.get("seed", 0))
-    test_cfg = _test_config_from_section(
-        parser["test"] if parser.has_section("test") else {}, seed
-    )
-    n_grid = [int(t) for t in experiment.get("n", "").split()]
-    m_grid = [int(t) for t in experiment.get("m", "").split()] or None
-    return ExperimentConfig(
-        pairs=_pairs_from_config(parser, experiment),
-        n_grid=n_grid,
-        m_grid=m_grid,
-        replicates=int(experiment.get("replicates", 100)),
-        test=test_cfg,
-        master_seed=seed,
-        oracle_arm=experiment.get("oracle_arm", "false").strip().lower() == "true",
-        sparsity=float(experiment.get("sparsity", 1.0)),
-        output_path=experiment.get("output", "").strip() or None,
-    )
-
-
-def load_wcompare_config(path):
-    """Read an alignment-comparison configuration file (INI format)."""
+def _read_experiment(path):
+    """Parser, ``[experiment]`` section and seeded test configuration of a file."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(path)
     experiment = parser["experiment"]
     test = parser["test"] if parser.has_section("test") else {}
+    return parser, experiment, build_test_config(dict(test, seed=experiment.get("seed")))
+
+
+def load_power_config(path):
+    """Read a power-study configuration file (INI format, see README)."""
+    parser, experiment, test_cfg = _read_experiment(path)
+    return ExperimentConfig(
+        pairs=_pairs_from_config(parser, experiment),
+        n_grid=[int(t) for t in experiment.get("n", "").split()],
+        m_grid=[int(t) for t in experiment.get("m", "").split()] or None,
+        replicates=int(experiment.get("replicates", 100)),
+        test=test_cfg,
+        master_seed=test_cfg.seed,
+        output_path=experiment.get("output", "").strip() or None,
+        **_converted(experiment, {"oracle_arm": _boolean, "sparsity": float}),
+    )
+
+
+def load_wcompare_config(path):
+    """Read an alignment-comparison configuration file (INI format)."""
+    parser, experiment, test_cfg = _read_experiment(path)
     eps = float(experiment.get("epsilon", 0.0))
     _, f, g = _pairs_from_config(parser, dict(experiment, sweep=str(eps)))[0]
     n = int(experiment["n"])
@@ -520,10 +518,10 @@ def load_wcompare_config(path):
         "g_dist": g,
         "n": n,
         "m": int(experiment.get("m", n)),
-        "d": int(test.get("d", 2)),
-        "spec": mmd.kernel_from_params(test.get("kernel", "gaussian"), test),
+        "d": test_cfg.d,
+        "spec": test_cfg.kernel,
         "replicates": int(experiment.get("replicates", 100)),
-        "master_seed": int(experiment.get("seed", 0)),
+        "master_seed": test_cfg.seed,
         "surrogate_size": int(experiment.get("surrogate_size", 10**6)),
         "output": experiment.get("output", "").strip() or None,
     }

@@ -32,6 +32,7 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
     "read_labels",
+    "read_manifest",
     "parse_distribution",
 ]
 
@@ -160,6 +161,24 @@ def read_labels(path):
     """One label per line; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as handle:
         return [line.strip() for line in handle if line.strip()]
+
+
+def read_manifest(path):
+    """``(paths, labels)`` from one graph path per line, each followed by
+    ``,label`` on every line or on none (then ``labels`` is None). Blank
+    lines and ``#`` comments are skipped."""
+    paths, labels = [], []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            entry, comma, label = text.rpartition(",")
+            if labels and (labels[0] is None) == bool(comma):
+                raise ValueError(f"{path}, line {lineno}: label every graph or none")
+            paths.append(entry.strip() if comma else text)
+            labels.append(label.strip() if comma else None)
+    return paths, (labels if labels and labels[0] is not None else None)
 
 
 def _parse_vector(text):

@@ -71,14 +71,16 @@ class GaussianKernel(KernelSpec):
 
     name = "gaussian"
 
+    def __post_init__(self):
+        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"gaussian bandwidth must be finite and > 0, got {self.sigma}")
+
     def _check(self):
         if self.sigma is None:
             raise ValueError(
                 "gaussian bandwidth is unresolved; set sigma or use "
                 "median_heuristic on the pooled sample first"
             )
-        if self.sigma <= 0:
-            raise ValueError(f"gaussian bandwidth must be > 0, got {self.sigma}")
 
     def pairwise(self, a, b):
         self._check()
@@ -108,8 +110,8 @@ class InverseMultiquadricKernel(KernelSpec):
     name = "inverse_multiquadric"
 
     def __post_init__(self):
-        if self.c <= 0 or self.beta <= 0:
-            raise ValueError(f"c and beta must be > 0, got c={self.c}, beta={self.beta}")
+        if not (0.0 < self.c < np.inf and 0.0 < self.beta < np.inf):
+            raise ValueError(f"c and beta must be finite and > 0, got c={self.c}, beta={self.beta}")
 
     def pairwise(self, a, b):
         sq = cdist(a, b, "sqeuclidean")
@@ -163,20 +165,28 @@ class EnergyKernel(KernelSpec):
         return f"energy(q={self.exponent:g})"
 
 
-def kernel_from_params(name, params):
-    """Kernel ``gaussian`` (``sigma``: a number or ``median``), ``imq`` or
-    ``inverse_multiquadric`` (``c``, ``beta``) or ``energy`` (``q``), with
-    parameters read from a mapping of numbers or strings."""
-    name = name.strip()
-    if name == "gaussian":
-        sigma = str(params.get("sigma", "0.5")).strip()
-        return GaussianKernel(None if sigma == "median" else float(sigma))
-    if name in ("inverse_multiquadric", "imq"):
-        return InverseMultiquadricKernel(
-            c=float(params.get("c", 1.0)), beta=float(params.get("beta", 0.5))
-        )
-    if name == "energy":
-        return EnergyKernel(exponent=float(params.get("q", 1.0)))
+def kernel_from_params(params):
+    """Kernel named by ``params["kernel"]``, gaussian if absent: ``gaussian``
+    (``sigma``: a number or ``median``), ``imq`` or ``inverse_multiquadric``
+    (``c``, ``beta``) or ``energy`` (``q``), from a mapping of numbers or
+    strings. Absent or None keys keep the kernel's defaults; None if all are."""
+    keys = ("kernel", "sigma", "c", "beta", "q")
+    given = {key: str(params[key]).strip() for key in keys if params.get(key) is not None}
+    if not given:
+        return None
+    name = given.get("kernel", GaussianKernel.name)
+
+    def numbers(**fields):
+        return {field: float(given[key]) for field, key in fields.items() if key in given}
+
+    if name == GaussianKernel.name:
+        if given.get("sigma") == "median":
+            return GaussianKernel(None)
+        return GaussianKernel(**numbers(sigma="sigma"))
+    if name in ("imq", InverseMultiquadricKernel.name):
+        return InverseMultiquadricKernel(**numbers(c="c", beta="beta"))
+    if name == EnergyKernel.name:
+        return EnergyKernel(**numbers(exponent="q"))
     raise ValueError(f"unknown kernel {name!r}")
 
 
@@ -214,8 +224,8 @@ def off_diagonal_sum(k):
 
 def u_from_sums(sxx, sxy, syy, n, m):
     """:func:`u_statistic` from the off-diagonal within sums of samples of
-    sizes ``n`` and ``m`` and the sum of their cross block."""
-    return float(sxx / (n * (n - 1)) - 2.0 * sxy / (n * m) + syy / (m * (m - 1)))
+    sizes ``n`` and ``m`` and the sum of their cross block; elementwise on arrays."""
+    return sxx / (n * (n - 1)) - 2.0 * sxy / (n * m) + syy / (m * (m - 1))
 
 
 def u_statistic(spec, x, y):
@@ -250,7 +260,7 @@ def u_statistic(spec, x, y):
         )
     sxx = off_diagonal_sum(gram(spec, x, x))
     syy = off_diagonal_sum(gram(spec, y, y))
-    return u_from_sums(sxx, gram(spec, x, y).sum(), syy, n, m)
+    return float(u_from_sums(sxx, gram(spec, x, y).sum(), syy, n, m))
 
 
 def v_statistic(spec, x, y):

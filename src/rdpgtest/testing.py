@@ -141,7 +141,7 @@ class TestReport:
         return "\n".join(lines)
 
 
-def preprocess(embedding, variant, *, sparsity=None, eps_floor=1e-6):
+def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_floor):
     """Apply the variant-specific normalization to embedded rows.
 
     Parameters
@@ -225,7 +225,7 @@ def _null_from_gram(k, n, m, permutations, rng):
     sxx = quad - diag_x
     cross = lin - quad
     syy = total_off - sxx - 2.0 * cross
-    return sxx / (n * (n - 1)) - 2.0 * cross / (n * m) + syy / (m * (m - 1))
+    return mmd.u_from_sums(sxx, cross, syy, n, m)
 
 
 def p_value(observed, null_values):

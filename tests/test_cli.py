@@ -10,6 +10,7 @@ from rdpgtest.io import read_matrix_csv, write_edge_list
 from rdpgtest.mmd import EnergyKernel, GaussianKernel, InverseMultiquadricKernel
 from rdpgtest.model import sample_latent, sample_rdpg
 from rdpgtest.streams import substream
+from rdpgtest.testing import TestConfig
 
 
 @pytest.fixture
@@ -65,6 +66,11 @@ class TestTestCommand:
         code = main(["test", str(tmp_path / "absent.edges"), str(tmp_path / "b.edges"), "--d", "2"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_bad_kernel_parameter_fails_before_reading(self, tmp_path, capsys):
+        missing = [str(tmp_path / "missing_a.edges"), str(tmp_path / "missing_b.edges")]
+        assert main(["test", *missing, "--d", "2", "--sigma", "nan"]) == 1
+        assert capsys.readouterr().err == "error: gaussian bandwidth must be finite and > 0, got nan\n"
 
     def test_bad_edge_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
@@ -168,29 +174,61 @@ class TestDissimClassifyCommands:
 
 
 class TestKernelOptions:
-    """The command line and the INI loaders build kernels with one factory."""
+    """`rdpgtest test` options and INI `[test]` keys build one `TestConfig`."""
 
-    def _from_cli(self, name, params, graph_files, monkeypatch, capsys):
+    FLAGS = {"b": "--B", "alpha_level": "--alpha", "sparsity_x": "--sparsity-a",
+             "sparsity_y": "--sparsity-b", "eps_floor": "--eps-floor"}
+
+    def _from_cli(self, settings, graph_files, monkeypatch, capsys):
         seen = []
 
         def capture(graph_a, graph_b, config):
-            seen.append(config.kernel)
-            raise RuntimeError("kernel captured")
+            seen.append(config)
+            raise RuntimeError("config captured")
 
         monkeypatch.setattr(cli, "two_sample_test", capture)
-        argv = ["test", str(graph_files[0]), str(graph_files[1]), "--d", "2", "--kernel", name]
-        for key, value in params.items():
-            argv += [f"--{key}", value]
+        argv = ["test", str(graph_files[0]), str(graph_files[1]), "--d", "2"]
+        for key, value in settings.items():
+            if key == "align_reflections":
+                argv += ["--no-align"]
+            else:
+                argv += [self.FLAGS.get(key, f"--{key}"), value]
         assert main(argv) == 1
         err = capsys.readouterr().err.strip()
         return (seen[0] if seen else None), err
 
-    def _from_ini(self, name, params, tmp_path):
-        lines = ["[experiment]", "family = two_block", "n = 20", "[test]", f"kernel = {name}"]
-        lines += [f"{key} = {value}" for key, value in params.items()]
-        path = tmp_path / "kernel.ini"
+    def _from_ini(self, settings, tmp_path):
+        test = {key: value for key, value in settings.items() if key != "seed"}
+        lines = ["[experiment]", "family = two_block", "n = 20", f"seed = {settings.get('seed', 0)}"]
+        lines += ["[test]"] + [f"{key} = {value}" for key, value in test.items()]
+        path = tmp_path / "test.ini"
         path.write_text("\n".join(lines) + "\n")
-        return load_power_config(path).test.kernel
+        return load_power_config(path).test
+
+    @pytest.mark.parametrize(
+        "settings, expected",
+        [
+            ({}, TestConfig()),
+            (
+                {"variant": "projection", "d": "3", "kernel": "imq", "c": "2", "beta": "0.3",
+                 "b": "30", "alpha_level": "0.1", "seed": "5", "eps_floor": "1e-5",
+                 "align_reflections": "false"},
+                TestConfig(variant="projection", d=3, kernel=InverseMultiquadricKernel(2.0, 0.3),
+                           permutations=30, alpha_level=0.1, seed=5, eps_floor=1e-5,
+                           align_reflections=False),
+            ),
+            (
+                {"variant": "sparse", "sparsity_x": "0.5", "sparsity_y": "0.25", "sigma": "0.7"},
+                TestConfig(variant="sparse", sparsity_x=0.5, sparsity_y=0.25,
+                           kernel=GaussianKernel(0.7)),
+            ),
+        ],
+    )
+    def test_cli_and_ini_give_one_config(
+        self, settings, expected, graph_files, tmp_path, monkeypatch, capsys
+    ):
+        config, _ = self._from_cli(settings, graph_files, monkeypatch, capsys)
+        assert config == self._from_ini(settings, tmp_path) == expected
 
     def test_every_name_gives_one_spec_and_one_error(
         self, graph_files, tmp_path, monkeypatch, capsys
@@ -203,14 +241,15 @@ class TestKernelOptions:
             ("imq", params, imq),
             ("inverse_multiquadric", params, imq),
             ("energy", params, EnergyKernel(1.5)),
+            ("energy", {}, EnergyKernel()),
         ]
         for name, values, expected in cases:
-            spec, _ = self._from_cli(name, values, graph_files, monkeypatch, capsys)
-            assert spec == expected
-            assert self._from_ini(name, values, tmp_path) == expected
+            settings = {"kernel": name, **values}
+            config, _ = self._from_cli(settings, graph_files, monkeypatch, capsys)
+            assert config == self._from_ini(settings, tmp_path) == TestConfig(kernel=expected)
 
-        spec, err = self._from_cli("cubic", {}, graph_files, monkeypatch, capsys)
-        assert spec is None
+        config, err = self._from_cli({"kernel": "cubic"}, graph_files, monkeypatch, capsys)
+        assert config is None
         with pytest.raises(ValueError) as exc:
-            self._from_ini("cubic", {}, tmp_path)
+            self._from_ini({"kernel": "cubic"}, tmp_path)
         assert err == f"error: {exc.value}" == "error: unknown kernel 'cubic'"

@@ -6,6 +6,7 @@ from rdpgtest.harness import (
     DissimilarityMatrix,
     ExperimentConfig,
     WComparison,
+    build_test_config,
     knn_classify,
     pairwise_dissimilarity,
     run_power_experiment,
@@ -13,7 +14,7 @@ from rdpgtest.harness import (
     uniform_box_pair,
     w_comparison_experiment,
 )
-from rdpgtest.mmd import GaussianKernel, u_statistic
+from rdpgtest.mmd import EnergyKernel, GaussianKernel, u_statistic
 from rdpgtest.model import sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 from rdpgtest.testing import TestConfig
@@ -41,6 +42,32 @@ class TestFamilies:
         f, g = uniform_box_pair(0.1)
         assert np.allclose(f.lower, 0.1) and np.allclose(f.upper, 1 / np.sqrt(2))
         assert np.allclose(g.lower, 0.0) and np.allclose(g.upper, 1 / np.sqrt(3))
+
+
+class TestBuildTestConfig:
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            ({}, TestConfig()),
+            ({"d": None, "b": None, "kernel": None, "sigma": None, "other": "x"}, TestConfig()),
+            (
+                {"variant": "sparse", "d": "3", "kernel": "energy", "q": "0.5", "b": "40",
+                 "alpha_level": "0.01", "seed": "9", "sparsity_x": "0.5", "sparsity_y": "0.25",
+                 "eps_floor": "0.001", "align_reflections": "no"},
+                TestConfig(variant="sparse", d=3, kernel=EnergyKernel(0.5), permutations=40,
+                           alpha_level=0.01, seed=9, sparsity_x=0.5, sparsity_y=0.25,
+                           eps_floor=1e-3, align_reflections=False),
+            ),
+            ({"d": 4, "permutations": 50, "alpha_level": 0.1, "align_reflections": False},
+             TestConfig(d=4, permutations=50, alpha_level=0.1, align_reflections=False)),
+            ({"b": "30", "permutations": "70"}, TestConfig(permutations=30)),
+            ({"permutations": "70"}, TestConfig(permutations=70)),
+            ({"sigma": "median"}, TestConfig(kernel=GaussianKernel(None))),
+            ({"kernel": "gaussian", "sigma": 0.25}, TestConfig(kernel=GaussianKernel(0.25))),
+        ],
+    )
+    def test_table(self, params, expected):
+        assert build_test_config(params) == expected
 
 
 class TestPowerExperiment:

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from rdpgtest.errors import EdgeListFormatError
-from rdpgtest.harness import load_power_config, load_wcompare_config, two_block_pair
+from rdpgtest.harness import (
+    load_power_config,
+    load_wcompare_config,
+    two_block_pair,
+    uniform_box_pair,
+)
 from rdpgtest.io import (
     parse_distribution,
     read_edge_list,
     read_labels,
+    read_manifest,
     read_matrix_csv,
     write_edge_list,
     write_embedding_csv,
@@ -115,6 +121,28 @@ class TestCsv:
         assert read_labels(path) == ["a", "b"]
 
 
+class TestManifest:
+    def test_labelled_with_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("# graphs\n\n g0.edges , a\n# more\ndir,x/g1.edges,b\n\n")
+        assert read_manifest(path) == (["g0.edges", "dir,x/g1.edges"], ["a", "b"])
+
+    def test_unlabelled(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("# graphs\ng0.edges\n\ng1.edges\n")
+        assert read_manifest(path) == (["g0.edges", "g1.edges"], None)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("g0.edges,a\n# c\ng1.edges\n", 3), ("\ng0.edges\ng1.edges,b\ng2.edges,c\n", 3)],
+    )
+    def test_labels_on_some_lines_rejected(self, tmp_path, text, line):
+        path = tmp_path / "manifest.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: label every graph or none"):
+            read_manifest(path)
+
+
 class TestParseDistribution:
     def test_point_mass(self):
         dist = parse_distribution(
@@ -214,6 +242,44 @@ class TestConfigFiles:
         assert config.oracle_arm is True
         assert config.test.permutations == 15
         assert config.master_seed == 7
+
+    @pytest.mark.parametrize(
+        "value, align",
+        [("no", False), ("0", False), ("off", False), ("Yes", True), ("1", True), ("on", True)],
+    )
+    def test_booleans(self, tmp_path, value, align):
+        path = tmp_path / "power.ini"
+        path.write_text(
+            POWER_INI.replace("oracle_arm = true", f"oracle_arm = {value}")
+            + f"align_reflections = {value}\n"
+        )
+        config = load_power_config(path)
+        assert config.test.align_reflections is align and config.oracle_arm is align
+
+    @pytest.mark.parametrize(
+        "section, key", [("experiment", "oracle_arm"), ("test", "align_reflections")]
+    )
+    def test_other_boolean_spellings_rejected(self, tmp_path, section, key):
+        path = tmp_path / "power.ini"
+        text = POWER_INI.replace("oracle_arm = true\n", "")
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = maybe\n"))
+        with pytest.raises(ValueError, match="'maybe'"):
+            load_power_config(path)
+
+    def test_family_keys(self, tmp_path):
+        path = tmp_path / "power.ini"
+        head = "[experiment]\nn = 20\nsweep = 0.1\n"
+        path.write_text(head + "family = two_block\nbase = 0.6\nweights = 0.5 0.5\n")
+        [(eps, f, g)] = load_power_config(path).pairs
+        expected = two_block_pair(0.1, base=0.6, weights=(0.5, 0.5))
+        assert eps == 0.1
+        for got, want in zip((f, g), expected):
+            assert np.array_equal(got.atoms, want.atoms)
+            assert np.array_equal(got.weights, want.weights)
+        path.write_text(head + "family = uniform_box\nf_upper = 0.5\ndim = 3\n")
+        [(eps, f, g)] = load_power_config(path).pairs
+        expected = uniform_box_pair(0.1, f_upper=0.5, dim=3)
+        assert np.array_equal(f.upper, expected[0].upper) and np.array_equal(g.upper, expected[1].upper)
 
     def test_wcompare_config(self, tmp_path):
         path = tmp_path / "w.ini"

@@ -55,6 +55,20 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             EnergyKernel(exponent=2.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: GaussianKernel(v),
+            lambda v: InverseMultiquadricKernel(c=v),
+            lambda v: InverseMultiquadricKernel(beta=v),
+        ],
+        ids=["sigma", "c", "beta"],
+    )
+    def test_parameters_checked_at_construction(self, make, value):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            make(value)
+
     def test_unresolved_median_bandwidth_raises(self):
         with pytest.raises(ValueError, match="unresolved"):
             GaussianKernel(None).pairwise(np.zeros((2, 2)), np.zeros((2, 2)))
