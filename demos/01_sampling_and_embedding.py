@@ -37,7 +37,7 @@ print(f"second-moment eigenvalues: {np.round(diag.eigenvalues, 4)}, gap {diag.ga
       f"{' (FLAGGED)' if diag.flagged else ''}")
 
 embedding = ase(graph.dense(), d=2)
-aligned = procrustes_align(embedding.coordinates, latent.X)
+aligned = procrustes_align(embedding.coordinates, latent)
 print(f"\nembedding spectrum: {np.round(embedding.eigenvalues, 2)}")
 print(f"Procrustes residual: Frobenius {aligned.frobenius_error:.4f}, "
       f"worst row {aligned.two_to_infinity_error:.4f}")
@@ -47,5 +47,5 @@ print(f"Procrustes residual: Frobenius {aligned.frobenius_error:.4f}, "
 from rdpgtest import edge_prob_matrix
 
 noiseless = ase(edge_prob_matrix(latent), d=2)
-exact = procrustes_align(noiseless.coordinates, latent.X)
+exact = procrustes_align(noiseless.coordinates, latent)
 print(f"noiseless-input residual: {exact.frobenius_error:.2e}")

@@ -56,8 +56,8 @@ from rdpgtest import two_sample_point_test
 directions = PointMassMixture([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5])
 dc_strong = DegreeCorrected(directions, theta_low=0.8, theta_high=1.0)
 dc_weak = DegreeCorrected(directions, theta_low=0.5, theta_high=0.7)
-x = sample_latent(dc_strong, 500, rng).X
-y = sample_latent(dc_weak, 500, rng).X
+x = sample_latent(dc_strong, 500, rng)
+y = sample_latent(dc_weak, 500, rng)
 show("identity on true degree-corrected positions (degree laws differ):",
      two_sample_point_test(x, y, TestConfig(variant="identity", d=2, seed=12)))
 show("projection on the same positions (directions agree):",

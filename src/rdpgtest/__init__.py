@@ -29,7 +29,7 @@ from .harness import (
     uniform_box_pair,
     w_comparison_experiment,
 )
-from .io import read_edge_list, write_edge_list, write_embedding_csv
+from .io import read_edge_list, write_edge_list
 from .mmd import (
     EnergyKernel,
     GaussianKernel,
@@ -48,7 +48,6 @@ from .model import (
     DirichletLatent,
     Graph,
     LatentDistribution,
-    LatentSample,
     LogitNormalMixture,
     MomentDiagnostic,
     PointMassMixture,

@@ -46,7 +46,7 @@ def _cmd_test(args):
 def _cmd_embed(args):
     graph = io.read_edge_list(args.graph)
     embedding = ase(graph.dense(), args.d)
-    io.write_embedding_csv(embedding.coordinates, args.output)
+    io.write_matrix_csv(embedding.coordinates, args.output)
     print(f"wrote {embedding.n} x {embedding.d} embedding to {args.output}")
     return 0
 

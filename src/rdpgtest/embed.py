@@ -29,13 +29,11 @@ class Embedding:
     """Estimated latent positions with the retained spectrum.
 
     ``coordinates`` is ``n x d``; ``eigenvalues`` holds the corresponding
-    absolute eigenvalues in descending order; ``flips`` records the per
-    column sign applied by the convention.
+    absolute eigenvalues in descending order.
     """
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray
-    flips: np.ndarray
 
     @property
     def n(self):
@@ -122,7 +120,7 @@ def ase(m, d):
     u = vecs[:, top]
     flips = _sign_flips(u)
     coords = (u * flips) * np.sqrt(np.abs(lam))
-    return Embedding(coords, np.abs(lam), flips)
+    return Embedding(coords, np.abs(lam))
 
 
 def procrustes_align(xhat, x):

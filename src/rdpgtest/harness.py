@@ -7,7 +7,7 @@ evaluated in any order (or in parallel) with bit-identical results.
 """
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -158,8 +158,6 @@ def run_power_experiment(config):
     PowerTable
     """
     test_cfg = config.test
-    if test_cfg.variant == "sparse" and test_cfg.sparsity_x is None:
-        test_cfg = replace(test_cfg, sparsity_x=config.sparsity, sparsity_y=config.sparsity)
     m_grid = config.m_grid if config.m_grid is not None else list(config.n_grid)
 
     table = PowerTable(
@@ -190,7 +188,7 @@ def run_power_experiment(config):
             report = two_sample_test(graph_a, graph_b, test_cfg, rng=rng)
             rejections += int(report.reject)
             if config.oracle_arm:
-                oracle = two_sample_point_test(x.X, y.X, test_cfg, rng=rng)
+                oracle = two_sample_point_test(x, y, test_cfg, rng=rng)
                 oracle_rejections += int(oracle.reject)
         cell = PowerCell(
             n=n,
@@ -274,8 +272,8 @@ def w_comparison_experiment(
     delta_fixed = np.empty(replicates)
     for r in range(replicates):
         rng = substream(master_seed, r)
-        x = sample_latent(f_dist, n, rng).X
-        y = sample_latent(g_dist, m, rng).X
+        x = sample_latent(f_dist, n, rng)
+        y = sample_latent(g_dist, m, rng)
         xhat = ase(sample_rdpg(x, 1.0, rng).dense(), d).coordinates
         yhat = ase(sample_rdpg(y, 1.0, rng).dense(), d).coordinates
         w_random = second_moment_rotation(y) @ second_moment_rotation(x).T
@@ -298,7 +296,6 @@ class DissimilarityMatrix:
 
     values: np.ndarray
     labels: list | None = None
-    floored: bool = True
 
 
 def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
@@ -339,7 +336,7 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
             if floor:
                 u = max(u, 0.0)
             values[g, h] = values[h, g] = u
-    return DissimilarityMatrix(values, labels=list(labels) if labels is not None else None, floored=floor)
+    return DissimilarityMatrix(values, labels=list(labels) if labels is not None else None)
 
 
 @dataclass(eq=False)
@@ -434,9 +431,6 @@ def knn_classify(dissimilarity, labels, k, folds=10, seed=0):
     )
 
 
-_FAMILIES = ("two_block", "uniform_box", "custom")
-
-
 def _boolean(value):
     text = str(value).strip().lower()
     if text not in configparser.ConfigParser.BOOLEAN_STATES:
@@ -468,35 +462,59 @@ def build_test_config(params):
     return TestConfig(**fields)
 
 
-def _pairs_from_config(parser, experiment):
+_FAMILIES = {
+    "two_block": (two_block_pair, {"base": float, "cross": float, "weights": _io._parse_vector}),
+    "uniform_box": (uniform_box_pair, {"f_upper": float, "g_upper": float, "dim": int}),
+    "custom": (None, {}),
+}
+
+
+def _family(experiment):
+    """Pair function (None for ``custom``) and parameter keys of the family."""
     family = experiment.get("family", "custom").strip()
     if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-    if family == "custom":
+        raise ValueError(f"family must be one of {tuple(_FAMILIES)}, got {family!r}")
+    return _FAMILIES[family]
+
+
+def _pairs_from_config(parser, experiment, sweep):
+    pair, keys = _family(experiment)
+    if pair is None:
         return [("custom", *map(_io.parse_distribution, (parser["F"], parser["G"])))]
-    if family == "two_block":
-        pair, keys = two_block_pair, {"base": float, "cross": float, "weights": _io._parse_vector}
-    else:
-        pair, keys = uniform_box_pair, {"f_upper": float, "g_upper": float, "dim": int}
     params = _converted(experiment, keys)
-    return [(eps, *pair(eps, **params)) for eps in map(float, experiment.get("sweep", "0").split())]
+    return [(eps, *pair(eps, **params)) for eps in sweep]
 
 
-def _read_experiment(path):
-    """Parser, ``[experiment]`` section and seeded test configuration of a file."""
+def _check_keys(section, name, known):
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in [{name}]")
+
+
+def _read_experiment(path, keys):
+    """Parser, ``[experiment]`` section and seeded test configuration of a
+    file. ``[experiment]`` may hold ``family``, ``seed``, the family's keys
+    and ``keys``; its ``sparsity`` fills in ``[test]`` sparsities left out."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(path)
     experiment = parser["experiment"]
+    _check_keys(experiment, "experiment", {"family", "seed", *_family(experiment)[1], *keys})
     test = parser["test"] if parser.has_section("test") else {}
-    return parser, experiment, build_test_config(dict(test, seed=experiment.get("seed")))
+    _check_keys(test, "test", {*_TEST_KEYS, *mmd.KERNEL_KEYS} - {"seed"})
+    sparsity = experiment.get("sparsity")
+    params = {"sparsity_x": sparsity, "sparsity_y": sparsity, **test, "seed": experiment.get("seed")}
+    return parser, experiment, build_test_config(params)
 
 
 def load_power_config(path):
     """Read a power-study configuration file (INI format, see README)."""
-    parser, experiment, test_cfg = _read_experiment(path)
+    parser, experiment, test_cfg = _read_experiment(
+        path, ("sweep", "n", "m", "replicates", "output", "oracle_arm", "sparsity")
+    )
+    sweep = [float(t) for t in experiment.get("sweep", "0").split()]
     return ExperimentConfig(
-        pairs=_pairs_from_config(parser, experiment),
+        pairs=_pairs_from_config(parser, experiment, sweep),
         n_grid=[int(t) for t in experiment.get("n", "").split()],
         m_grid=[int(t) for t in experiment.get("m", "").split()] or None,
         replicates=int(experiment.get("replicates", 100)),
@@ -509,9 +527,10 @@ def load_power_config(path):
 
 def load_wcompare_config(path):
     """Read an alignment-comparison configuration file (INI format)."""
-    parser, experiment, test_cfg = _read_experiment(path)
-    eps = float(experiment.get("epsilon", 0.0))
-    _, f, g = _pairs_from_config(parser, dict(experiment, sweep=str(eps)))[0]
+    parser, experiment, test_cfg = _read_experiment(
+        path, ("epsilon", "n", "m", "replicates", "surrogate_size", "output")
+    )
+    _, f, g = _pairs_from_config(parser, experiment, [float(experiment.get("epsilon", 0.0))])[0]
     n = int(experiment["n"])
     return {
         "f_dist": f,

@@ -27,7 +27,6 @@ from .model import (
 __all__ = [
     "read_edge_list",
     "write_edge_list",
-    "write_embedding_csv",
     "write_table_csv",
     "write_matrix_csv",
     "read_matrix_csv",
@@ -107,14 +106,6 @@ def _fmt(value):
     return str(value)
 
 
-def write_embedding_csv(coordinates, path):
-    """One row per vertex, one column per dimension, full precision."""
-    coordinates = np.atleast_2d(np.asarray(coordinates, dtype=float))
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in coordinates:
-            handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def write_table_csv(path, columns, rows, comments=()):
     """Write a CSV table with optional '#' comment lines before the header."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -126,7 +117,7 @@ def write_table_csv(path, columns, rows, comments=()):
 
 
 def write_matrix_csv(matrix, path, labels=None):
-    """Write a square numeric matrix, optionally tagged with row labels."""
+    """Write a numeric matrix in full precision, optionally tagged with row labels."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     with open(path, "w", encoding="utf-8") as handle:
         if labels is not None:

@@ -38,21 +38,25 @@ __all__ = [
 
 
 class KernelSpec:
-    """Base class for kernel families usable with the two-sample statistics."""
+    """Base class for kernel families usable with the two-sample statistics.
+
+    A family states its formula once, in ``_from_sq``: ``k(x, y)`` from the
+    squared distances ``sq`` between the points ``a`` and ``b``, which hold
+    one point per entry of ``sq`` along their last axis.
+    """
 
     name = "kernel"
 
+    def _from_sq(self, sq, a, b):
+        raise NotImplementedError
+
     def pairwise(self, a, b):
         """Kernel matrix with entry ``(i, j) = k(a_i, b_j)``."""
-        raise NotImplementedError
+        return self._from_sq(cdist(a, b, "sqeuclidean"), a[:, None, :], b[None, :, :])
 
     def rowwise(self, a, b):
         """Vector of ``k(a_i, b_i)`` for row-aligned inputs."""
-        raise NotImplementedError
-
-    def self_value(self):
-        """Value of ``k(x, x)``, or None when it depends on ``x``."""
-        return None
+        return self._from_sq(np.sum((a - b) ** 2, axis=1), a, b)
 
     def describe(self):
         raise NotImplementedError
@@ -82,18 +86,9 @@ class GaussianKernel(KernelSpec):
                 "median_heuristic on the pooled sample first"
             )
 
-    def pairwise(self, a, b):
+    def _from_sq(self, sq, a, b):
         self._check()
-        sq = cdist(a, b, "sqeuclidean")
         return np.exp(-sq / (2.0 * self.sigma**2))
-
-    def rowwise(self, a, b):
-        self._check()
-        sq = np.sum((a - b) ** 2, axis=1)
-        return np.exp(-sq / (2.0 * self.sigma**2))
-
-    def self_value(self):
-        return 1.0
 
     def describe(self):
         s = "median" if self.sigma is None else f"{self.sigma:g}"
@@ -113,16 +108,8 @@ class InverseMultiquadricKernel(KernelSpec):
         if not (0.0 < self.c < np.inf and 0.0 < self.beta < np.inf):
             raise ValueError(f"c and beta must be finite and > 0, got c={self.c}, beta={self.beta}")
 
-    def pairwise(self, a, b):
-        sq = cdist(a, b, "sqeuclidean")
+    def _from_sq(self, sq, a, b):
         return (self.c**2 + sq) ** (-self.beta)
-
-    def rowwise(self, a, b):
-        sq = np.sum((a - b) ** 2, axis=1)
-        return (self.c**2 + sq) ** (-self.beta)
-
-    def self_value(self):
-        return self.c ** (-2.0 * self.beta)
 
     def describe(self):
         return f"inverse_multiquadric(c={self.c:g}, beta={self.beta:g})"
@@ -147,47 +134,45 @@ class EnergyKernel(KernelSpec):
         if not 0.0 < self.exponent < 2.0:
             raise ValueError(f"energy exponent must lie in (0, 2), got {self.exponent}")
 
-    def pairwise(self, a, b):
+    def _from_sq(self, sq, a, b):
         q = self.exponent
-        na = np.sum(a * a, axis=1) ** (q / 2.0)
-        nb = np.sum(b * b, axis=1) ** (q / 2.0)
-        dist = cdist(a, b)
-        return 0.5 * (na[:, None] + nb[None, :] - dist**q)
-
-    def rowwise(self, a, b):
-        q = self.exponent
-        na = np.sum(a * a, axis=1) ** (q / 2.0)
-        nb = np.sum(b * b, axis=1) ** (q / 2.0)
-        dist = np.sqrt(np.sum((a - b) ** 2, axis=1))
-        return 0.5 * (na + nb - dist**q)
+        na = np.sum(a * a, axis=-1) ** (q / 2.0)
+        nb = np.sum(b * b, axis=-1) ** (q / 2.0)
+        return 0.5 * (na + nb - np.sqrt(sq) ** q)
 
     def describe(self):
         return f"energy(q={self.exponent:g})"
+
+
+KERNEL_KEYS = ("kernel", "sigma", "c", "beta", "q")
+
+_KERNELS = {
+    GaussianKernel.name: (GaussianKernel, {"sigma": "sigma"}),
+    "imq": (InverseMultiquadricKernel, {"c": "c", "beta": "beta"}),
+    InverseMultiquadricKernel.name: (InverseMultiquadricKernel, {"c": "c", "beta": "beta"}),
+    EnergyKernel.name: (EnergyKernel, {"q": "exponent"}),
+}
 
 
 def kernel_from_params(params):
     """Kernel named by ``params["kernel"]``, gaussian if absent: ``gaussian``
     (``sigma``: a number or ``median``), ``imq`` or ``inverse_multiquadric``
     (``c``, ``beta``) or ``energy`` (``q``), from a mapping of numbers or
-    strings. Absent or None keys keep the kernel's defaults; None if all are."""
-    keys = ("kernel", "sigma", "c", "beta", "q")
-    given = {key: str(params[key]).strip() for key in keys if params.get(key) is not None}
+    strings. Absent or None keys keep the kernel's defaults; None if all are.
+    A parameter of another kernel is an error."""
+    given = {key: str(params[key]).strip() for key in KERNEL_KEYS if params.get(key) is not None}
     if not given:
         return None
-    name = given.get("kernel", GaussianKernel.name)
-
-    def numbers(**fields):
-        return {field: float(given[key]) for field, key in fields.items() if key in given}
-
-    if name == GaussianKernel.name:
-        if given.get("sigma") == "median":
-            return GaussianKernel(None)
-        return GaussianKernel(**numbers(sigma="sigma"))
-    if name in ("imq", InverseMultiquadricKernel.name):
-        return InverseMultiquadricKernel(**numbers(c="c", beta="beta"))
-    if name == EnergyKernel.name:
-        return EnergyKernel(**numbers(exponent="q"))
-    raise ValueError(f"unknown kernel {name!r}")
+    name = given.pop("kernel", GaussianKernel.name)
+    if name not in _KERNELS:
+        raise ValueError(f"unknown kernel {name!r}")
+    kernel, fields = _KERNELS[name]
+    for key in given:
+        if key not in fields:
+            raise ValueError(f"the {name} kernel does not take {key!r}")
+    if given.get("sigma") == "median":
+        return GaussianKernel(None)
+    return kernel(**{fields[key]: float(value) for key, value in given.items()})
 
 
 def _as_points(x, name):

@@ -5,8 +5,8 @@ every vertex and then connects vertices ``i < j`` independently with
 probability ``alpha * <X_i, X_j>``, where ``alpha`` in ``(0, 1]`` is an
 optional sparsity factor. Distributions must therefore be supported on a
 set whose pairwise inner products lie in ``[0, 1]``. This module provides
-the distribution families used throughout the package, graph and sample
-containers, and a diagnostic for the distinct-eigenvalue condition that
+the distribution families used throughout the package, the graph
+container, and a diagnostic for the distinct-eigenvalue condition that
 spectral embedding relies on.
 """
 
@@ -24,7 +24,6 @@ __all__ = [
     "UniformBox",
     "LogitNormalMixture",
     "DegreeCorrected",
-    "LatentSample",
     "Graph",
     "MomentDiagnostic",
     "sbm_to_latent",
@@ -94,9 +93,6 @@ class LatentDistribution:
         """Analytic ``E[X X^T]`` when available, else None."""
         return None
 
-    def describe(self):
-        return self.kind
-
 
 @dataclass(eq=False)
 class PointMassMixture(LatentDistribution):
@@ -132,9 +128,6 @@ class PointMassMixture(LatentDistribution):
     def second_moment(self):
         return self.atoms.T @ (self.weights[:, None] * self.atoms)
 
-    def describe(self):
-        return f"point_mass_mixture(K={self.atoms.shape[0]}, d={self.d})"
-
 
 @dataclass(eq=False)
 class DirichletLatent(LatentDistribution):
@@ -166,9 +159,6 @@ class DirichletLatent(LatentDistribution):
         a = self.concentration
         a0 = a.sum()
         return (np.outer(a, a) + np.diag(a)) / (a0 * (a0 + 1.0))
-
-    def describe(self):
-        return f"dirichlet(d={self.d})"
 
 
 @dataclass(eq=False)
@@ -208,9 +198,6 @@ class UniformBox(LatentDistribution):
         lo, up = self.lower, self.upper
         np.fill_diagonal(m, (lo * lo + lo * up + up * up) / 3.0)
         return m
-
-    def describe(self):
-        return f"uniform_box(d={self.d})"
 
 
 @dataclass(eq=False)
@@ -271,9 +258,6 @@ class LogitNormalMixture(LatentDistribution):
         # the corner scale * (1, ..., 1).
         return x @ np.full(self.d, self.scale) <= 1.0
 
-    def describe(self):
-        return f"logit_normal_mixture(K={self.means.shape[0]}, d={self.d}, scale={self.scale:g})"
-
 
 @dataclass(eq=False)
 class DegreeCorrected(LatentDistribution):
@@ -311,46 +295,12 @@ class DegreeCorrected(LatentDistribution):
         a, b = self.theta_low, self.theta_high
         return (a * a + a * b + b * b) / 3.0 * self.directions.second_moment()
 
-    def describe(self):
-        return (
-            f"degree_corrected(K={self.directions.atoms.shape[0]}, d={self.d}, "
-            f"theta=[{self.theta_low:g}, {self.theta_high:g}])"
-        )
-
-
-@dataclass(eq=False)
-class LatentSample:
-    """An ``n x d`` matrix of latent positions with provenance."""
-
-    X: np.ndarray
-    distribution: LatentDistribution | None = None
-    provenance: str | None = None
-
-    def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-
-    @property
-    def n(self):
-        return self.X.shape[0]
-
-    @property
-    def d(self):
-        return self.X.shape[1]
-
-    def validate(self, tol=1e-12):
-        """Check every pairwise inner product lies in [0, 1] within ``tol``."""
-        products = self.X @ self.X.T
-        lo, hi = float(products.min()), float(products.max())
-        if lo < -tol or hi > 1.0 + tol:
-            raise ModelError(f"pairwise inner products span [{lo:.3g}, {hi:.3g}]")
-
 
 @dataclass(eq=False)
 class Graph:
     """Simple undirected graph held as a dense symmetric 0/1 matrix."""
 
     adjacency: np.ndarray
-    sparsity: float = 1.0
 
     def __post_init__(self):
         a = np.asarray(self.adjacency)
@@ -362,8 +312,6 @@ class Graph:
             raise ModelError("adjacency must have a zero diagonal (no self-loops)")
         if not np.isin(a, (0, 1)).all():
             raise ModelError("adjacency entries must be 0 or 1")
-        if not 0.0 < self.sparsity <= 1.0:
-            raise ModelError(f"sparsity must lie in (0, 1], got {self.sparsity}")
         self.adjacency = a.astype(np.int8)
 
     @property
@@ -442,7 +390,7 @@ def sbm_to_latent(block_probabilities, weights):
 
 
 def sample_latent(dist, n, rng, max_retries=100):
-    """Sample ``n`` i.i.d. latent positions from ``dist``.
+    """Sample an ``(n, d)`` array of ``n`` i.i.d. latent positions from ``dist``.
 
     Deterministic given the state of ``rng``; rows that could produce inner
     products outside [0, 1] are resampled up to ``max_retries`` times, after
@@ -450,12 +398,11 @@ def sample_latent(dist, n, rng, max_retries=100):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x = dist.sample(n, rng, max_retries=max_retries)
-    return LatentSample(x, distribution=dist, provenance=dist.describe())
+    return dist.sample(n, rng, max_retries=max_retries)
 
 
 def _positions(latent):
-    return latent.X if isinstance(latent, LatentSample) else np.atleast_2d(np.asarray(latent, float))
+    return np.atleast_2d(np.asarray(latent, float))
 
 
 def edge_prob_matrix(latent, sparsity=1.0):
@@ -490,7 +437,7 @@ def sample_rdpg(latent, sparsity=1.0, rng=None):
     a = np.zeros((n, n), dtype=np.int8)
     a[iu] = draws
     a += a.T
-    return Graph(a, sparsity=sparsity)
+    return Graph(a)
 
 
 def check_moment_assumption(latent, gap_tol=1e-3):

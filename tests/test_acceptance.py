@@ -177,7 +177,7 @@ def test_criterion_07_consistency_decay():
             rng = substream(4700, n, rep)
             x = sample_latent(f, n, rng)
             emb = ase(sample_rdpg(x, 1.0, rng).dense(), 2)
-            residuals.append(procrustes_align(emb.coordinates, x.X).two_to_infinity_error)
+            residuals.append(procrustes_align(emb.coordinates, x).two_to_infinity_error)
         medians[n] = float(np.median(residuals))
     ratio = medians[800] / medians[200]
     _report(

@@ -6,7 +6,8 @@ import pytest
 from rdpgtest import cli
 from rdpgtest.cli import main
 from rdpgtest.harness import load_power_config, two_block_pair
-from rdpgtest.io import read_matrix_csv, write_edge_list
+from rdpgtest.embed import ase
+from rdpgtest.io import read_edge_list, read_matrix_csv, write_edge_list
 from rdpgtest.mmd import EnergyKernel, GaussianKernel, InverseMultiquadricKernel
 from rdpgtest.model import sample_latent, sample_rdpg
 from rdpgtest.streams import substream
@@ -86,6 +87,8 @@ class TestEmbedCommand:
         assert main(["embed", str(graph_files[0]), "--d", "2", "--output", str(out)]) == 0
         coords = np.loadtxt(out, delimiter=",")
         assert coords.shape == (40, 2)
+        expected = ase(read_edge_list(graph_files[0]).dense(), 2).coordinates
+        assert np.array_equal(coords, expected)
 
 
 class TestSimulatePowerCommand:
@@ -233,14 +236,14 @@ class TestKernelOptions:
     def test_every_name_gives_one_spec_and_one_error(
         self, graph_files, tmp_path, monkeypatch, capsys
     ):
-        params = {"sigma": "0.7", "c": "2", "beta": "0.3", "q": "1.5"}
+        imq_params = {"c": "2", "beta": "0.3"}
         imq = InverseMultiquadricKernel(c=2.0, beta=0.3)
         cases = [
-            ("gaussian", params, GaussianKernel(0.7)),
+            ("gaussian", {"sigma": "0.7"}, GaussianKernel(0.7)),
             ("gaussian", {"sigma": "median"}, GaussianKernel(None)),
-            ("imq", params, imq),
-            ("inverse_multiquadric", params, imq),
-            ("energy", params, EnergyKernel(1.5)),
+            ("imq", imq_params, imq),
+            ("inverse_multiquadric", imq_params, imq),
+            ("energy", {"q": "1.5"}, EnergyKernel(1.5)),
             ("energy", {}, EnergyKernel()),
         ]
         for name, values, expected in cases:
@@ -248,8 +251,22 @@ class TestKernelOptions:
             config, _ = self._from_cli(settings, graph_files, monkeypatch, capsys)
             assert config == self._from_ini(settings, tmp_path) == TestConfig(kernel=expected)
 
-        config, err = self._from_cli({"kernel": "cubic"}, graph_files, monkeypatch, capsys)
-        assert config is None
-        with pytest.raises(ValueError) as exc:
-            self._from_ini({"kernel": "cubic"}, tmp_path)
-        assert err == f"error: {exc.value}" == "error: unknown kernel 'cubic'"
+        errors = [
+            ({"kernel": "cubic"}, "unknown kernel 'cubic'"),
+            ({"kernel": "energy", "sigma": "0.3"}, "the energy kernel does not take 'sigma'"),
+            ({"kernel": "imq", "sigma": "0.3"}, "the imq kernel does not take 'sigma'"),
+            ({"kernel": "inverse_multiquadric", "q": "1"},
+             "the inverse_multiquadric kernel does not take 'q'"),
+            ({"c": "2"}, "the gaussian kernel does not take 'c'"),
+            ({"kernel": "gaussian", "beta": "0.3"}, "the gaussian kernel does not take 'beta'"),
+        ]
+        for settings, message in errors:
+            config, err = self._from_cli(settings, graph_files, monkeypatch, capsys)
+            assert config is None
+            with pytest.raises(ValueError) as exc:
+                self._from_ini(settings, tmp_path)
+            assert err == f"error: {exc.value}" == f"error: {message}"
+            argv = ["dissim", str(tmp_path / "missing.txt"), "--d", "2", "--output", "x.csv"]
+            argv += [arg for key, value in settings.items() for arg in (f"--{key}", value)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"

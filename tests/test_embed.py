@@ -156,7 +156,7 @@ class TestProcrustes:
                 x = sample_latent(f, n, rng)
                 graph = sample_rdpg(x, 1.0, rng)
                 emb = ase(graph.dense(), 2)
-                residuals.append(procrustes_align(emb.coordinates, x.X).two_to_infinity_error)
+                residuals.append(procrustes_align(emb.coordinates, x).two_to_infinity_error)
             constants.append(np.median(residuals) / np.sqrt(np.log(n) / n))
         assert max(constants) / min(constants) <= 2.0
 
@@ -193,7 +193,7 @@ class TestSecondMomentRotation:
         f, _ = two_block_pair(0.0)
         n = 10**4
         x = sample_latent(f, n, substream(62))
-        w = second_moment_rotation(x.X)
+        w = second_moment_rotation(x)
         _, vecs = np.linalg.eigh(f.second_moment())
         t = fix_signs(vecs[:, ::-1])
         assert np.linalg.norm(w - t) <= 5.0 / np.sqrt(n)

@@ -164,7 +164,7 @@ class TestWComparison:
         # the identity, so both difference flavors coincide.
         f, _ = two_block_pair(0.0)
         rng = substream(105)
-        x = sample_latent(f, 80, rng).X
+        x = sample_latent(f, 80, rng)
         graph = sample_rdpg(x, 1.0, rng)
         xhat = ase(graph.dense(), 2).coordinates
         w_random = second_moment_rotation(x) @ second_moment_rotation(x).T

@@ -9,6 +9,7 @@ from rdpgtest.errors import EdgeListFormatError
 from rdpgtest.harness import (
     load_power_config,
     load_wcompare_config,
+    run_power_experiment,
     two_block_pair,
     uniform_box_pair,
 )
@@ -19,7 +20,6 @@ from rdpgtest.io import (
     read_manifest,
     read_matrix_csv,
     write_edge_list,
-    write_embedding_csv,
     write_matrix_csv,
 )
 from rdpgtest.mmd import GaussianKernel
@@ -104,9 +104,10 @@ class TestCsv:
         rng = substream(121)
         coords = rng.standard_normal((20, 3))
         path = tmp_path / "emb.csv"
-        write_embedding_csv(coords, path)
+        write_matrix_csv(coords, path)
         back = np.loadtxt(path, delimiter=",")
         assert np.array_equal(back, coords)
+        assert read_matrix_csv(path)[1] is None
 
     def test_matrix_with_labels(self, tmp_path):
         m = np.array([[0.0, 0.25], [0.25, 0.0]])
@@ -280,6 +281,42 @@ class TestConfigFiles:
         [(eps, f, g)] = load_power_config(path).pairs
         expected = uniform_box_pair(0.1, f_upper=0.5, dim=3)
         assert np.array_equal(f.upper, expected[0].upper) and np.array_equal(g.upper, expected[1].upper)
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("experiment", "replicats = 3"),
+            ("experiment", "epsilon = 0.1"),
+            ("experiment", "f_upper = 0.5"),
+            ("test", "alpha = 0.01"),
+            ("test", "kernal = energy"),
+            ("test", "seed = 3"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, section, line):
+        path = tmp_path / "power.ini"
+        path.write_text(POWER_INI.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=re.escape(f"unknown key '{key}' in [{section}]")):
+            load_power_config(path)
+
+    @pytest.mark.parametrize("line", ["sweep = 0 0.1", "sparsity = 0.5", "base = 0.6"])
+    def test_unknown_wcompare_keys_rejected(self, tmp_path, line):
+        path = tmp_path / "w.ini"
+        path.write_text(WCOMP_INI.replace("[experiment]\n", f"[experiment]\n{line}\n"))
+        with pytest.raises(ValueError, match=re.escape(f"unknown key '{line.split()[0]}'")):
+            load_wcompare_config(path)
+
+    def test_sparse_variant_takes_the_experiment_sparsity(self, tmp_path):
+        path = tmp_path / "power.ini"
+        text = POWER_INI.replace("oracle_arm = true", "sparsity = 0.5").replace("n = 20 30", "n = 20")
+        path.write_text(text.replace("variant = identity", "variant = sparse"))
+        config = load_power_config(path)
+        assert (config.test.sparsity_x, config.test.sparsity_y) == (0.5, 0.5)
+        assert [cell.replicates for cell in run_power_experiment(config).cells] == [2, 2]
+        path.write_text(text.replace("variant = identity", "variant = sparse\nsparsity_y = 0.25"))
+        config = load_power_config(path)
+        assert (config.test.sparsity_x, config.test.sparsity_y) == (0.5, 0.25)
 
     def test_wcompare_config(self, tmp_path):
         path = tmp_path / "w.ini"

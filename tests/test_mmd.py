@@ -110,6 +110,19 @@ class TestGram:
         with pytest.raises(ValueError, match="dimension"):
             gram(GaussianKernel(0.5), np.zeros((3, 2)), np.zeros((3, 4)))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [GaussianKernel(0.5), InverseMultiquadricKernel(1.3, 0.7)]
+        + [EnergyKernel(q) for q in (0.5, 1.0, 1.5)],
+        ids=lambda s: s.describe(),
+    )
+    def test_rowwise_is_the_diagonal_of_pairwise(self, spec):
+        rng = substream(4)
+        for d in (1, 2, 3, 5):
+            a = random_cloud(60, d, rng)
+            b = random_cloud(60, d, rng)
+            assert np.array_equal(spec.rowwise(a, b), np.diagonal(spec.pairwise(a, b)))
+
 
 class TestUStatistic:
     def test_all_points_equal_gives_zero(self):
@@ -175,7 +188,7 @@ class TestVStatistic:
                 y = random_cloud(int(m), 2, rng)
                 a = gram(spec, x, x).sum() / n**2
                 c = gram(spec, y, y).sum() / m**2
-                k0 = spec.self_value()
+                k0 = kernel_eval(spec, x[0], x[0])
                 expected = v_statistic(spec, x, y) + (a - k0) / (n - 1) + (c - k0) / (m - 1)
                 assert u_statistic(spec, x, y) == pytest.approx(expected, abs=1e-12)
 

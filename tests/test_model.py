@@ -11,7 +11,6 @@ from rdpgtest.model import (
     DegreeCorrected,
     DirichletLatent,
     Graph,
-    LatentSample,
     LogitNormalMixture,
     PointMassMixture,
     UniformBox,
@@ -108,35 +107,36 @@ class TestSampleLatent:
     def test_single_atom_rows_identical(self):
         dist = PointMassMixture([[0.3, 0.4]], [1.0])
         sample = sample_latent(dist, 3, substream(21))
-        assert np.array_equal(sample.X, np.tile([0.3, 0.4], (3, 1)))
+        assert np.array_equal(sample, np.tile([0.3, 0.4], (3, 1)))
 
     def test_uniform_box_mean(self):
         b = 1.0 / np.sqrt(3.0)
         dist = UniformBox([0.0, 0.0], [b, b])
         sample = sample_latent(dist, 10**4, substream(22))
         se = b / np.sqrt(12.0 * 10**4)
-        assert np.all(np.abs(sample.X.mean(axis=0) - b / 2.0) <= 3.0 * se)
+        assert np.all(np.abs(sample.mean(axis=0) - b / 2.0) <= 3.0 * se)
 
     def test_two_block_atom_frequencies(self):
         f, _ = two_block_pair(0.0)
         sample = sample_latent(f, 10**4, substream(23))
-        frac_first = np.mean(sample.X[:, 1] > 0)
+        frac_first = np.mean(sample[:, 1] > 0)
         se = np.sqrt(0.4 * 0.6 / 10**4)
         assert abs(frac_first - 0.4) <= 3.0 * se
 
     def test_bit_reproducible_per_seed_and_replicate(self):
         f, _ = two_block_pair(0.0)
-        a = sample_latent(f, 50, substream(24, 3)).X
-        b = sample_latent(f, 50, substream(24, 3)).X
-        c = sample_latent(f, 50, substream(24, 4)).X
+        a = sample_latent(f, 50, substream(24, 3))
+        b = sample_latent(f, 50, substream(24, 3))
+        c = sample_latent(f, 50, substream(24, 4))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_dirichlet_rows_on_simplex(self):
         sample = sample_latent(DirichletLatent([2.0, 1.0, 1.0]), 200, substream(25))
-        assert np.all(sample.X >= 0)
-        assert np.allclose(sample.X.sum(axis=1), 1.0)
-        sample.validate(tol=1e-9)
+        assert np.all(sample >= 0)
+        assert np.allclose(sample.sum(axis=1), 1.0)
+        products = sample @ sample.T
+        assert products.min() >= -1e-9 and products.max() <= 1.0 + 1e-9
 
     def test_logit_normal_default_scale_valid(self):
         dist = LogitNormalMixture(
@@ -145,9 +145,10 @@ class TestSampleLatent:
             weights=[0.4, 0.6],
         )
         sample = sample_latent(dist, 500, substream(26))
-        assert sample.X.min() > 0
-        assert sample.X.max() < 1.0 / np.sqrt(2.0)
-        sample.validate()
+        assert sample.min() > 0
+        assert sample.max() < 1.0 / np.sqrt(2.0)
+        products = sample @ sample.T
+        assert products.min() >= -1e-12 and products.max() <= 1.0 + 1e-12
 
     def test_logit_normal_retry_cap(self):
         # With scale 1 in two dimensions almost every row violates the
@@ -162,7 +163,7 @@ class TestSampleLatent:
         directions = PointMassMixture([[0.7, 0.0], [0.0, 0.7]], [0.5, 0.5])
         dist = DegreeCorrected(directions, theta_low=0.2, theta_high=0.9)
         sample = sample_latent(dist, 300, substream(28))
-        norms = np.linalg.norm(sample.X, axis=1)
+        norms = np.linalg.norm(sample, axis=1)
         assert np.all(norms <= 0.7 * 0.9 + 1e-12)
         assert np.all(norms >= 0.7 * 0.2 - 1e-12)
 
@@ -215,7 +216,6 @@ class TestSampleRdpg:
         graph = sample_rdpg(x, 0.3, substream(37))
         pairs = 80 * 79 // 2
         assert abs(graph.edge_count / pairs - 0.3) <= 4.0 * np.sqrt(0.3 * 0.7 / pairs)
-        assert graph.sparsity == 0.3
 
     def test_invalid_probability_raises_not_clamps(self):
         x = np.array([[1.2, 0.0], [1.0, 0.0]])
@@ -269,13 +269,13 @@ class TestGraphContainer:
 
 class TestMomentDiagnostic:
     def test_tied_eigenvalues_flagged(self):
-        diag = check_moment_assumption(LatentSample([[1.0, 0.0], [0.0, 1.0]]), gap_tol=1e-3)
+        diag = check_moment_assumption(np.array([[1.0, 0.0], [0.0, 1.0]]), gap_tol=1e-3)
         assert np.allclose(diag.eigenvalues, [0.5, 0.5])
         assert diag.gap == 0.0 and diag.flagged
 
     def test_repeated_atom_passes(self):
         x = np.tile([1.0, 0.0], (5, 1))
-        diag = check_moment_assumption(LatentSample(x), gap_tol=1e-3)
+        diag = check_moment_assumption(x, gap_tol=1e-3)
         assert np.allclose(diag.eigenvalues, [1.0, 0.0], atol=1e-12)
         assert diag.gap == pytest.approx(1.0) and not diag.flagged
 
@@ -288,7 +288,7 @@ class TestMomentDiagnostic:
         assert not diag.flagged
 
     def test_one_dimension_never_flagged(self):
-        diag = check_moment_assumption(LatentSample(np.full((4, 1), 0.5)), gap_tol=1e-3)
+        diag = check_moment_assumption(np.full((4, 1), 0.5), gap_tol=1e-3)
         assert diag.gap == np.inf and not diag.flagged
 
 

@@ -152,8 +152,8 @@ class TestReflectionSearch:
     def test_finds_mirroring(self):
         f, _ = two_block_pair(0.0)
         rng = substream(79)
-        x = sample_latent(f, 150, rng).X
-        y = sample_latent(f, 150, rng).X
+        x = sample_latent(f, 150, rng)
+        y = sample_latent(f, 150, rng)
         mirrored = y * np.array([1.0, -1.0])
         report = _calibrate(x, mirrored, TestConfig(kernel=SPEC, permutations=1), None)
         signs = np.array(report.preprocessing["reflection"])
@@ -214,9 +214,9 @@ class TestSharedKernelBlocks:
             assert ("reflection" in report.preprocessing) == align
             self._assert_matches_public_path(report, px, py, cfg)
         cols = rng.random((2, 3))[:, :d] + 0.1
-        report = two_sample_point_test(x.X @ cols, y.X @ cols, cfg)
-        px = preprocess(x.X @ cols, variant)[0]
-        py = preprocess(y.X @ cols, variant)[0]
+        report = two_sample_point_test(x @ cols, y @ cols, cfg)
+        px = preprocess(x @ cols, variant)[0]
+        py = preprocess(y @ cols, variant)[0]
         self._assert_matches_public_path(report, px, py, cfg)
 
 
