@@ -36,7 +36,7 @@ diag = check_moment_assumption(latent)
 print(f"second-moment eigenvalues: {np.round(diag.eigenvalues, 4)}, gap {diag.gap:.4f}"
       f"{' (FLAGGED)' if diag.flagged else ''}")
 
-embedding = ase(graph.dense(), d=2)
+embedding = ase(graph, d=2)
 aligned = procrustes_align(embedding.coordinates, latent)
 print(f"\nembedding spectrum: {np.round(embedding.eigenvalues, 2)}")
 print(f"Procrustes residual: Frobenius {aligned.frobenius_error:.4f}, "

@@ -10,10 +10,12 @@ Subcommands::
     rdpgtest classify dissim.csv --labels labels.txt --k 3
 
 All numeric output is written in full precision; the exit code is 0 on
-success and nonzero with a diagnostic on error.
+success and nonzero with a diagnostic on error. When the reader closes
+stdout (``rdpgtest test ... | head -3``) the exit code is 1, with no diagnostic.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -40,15 +42,13 @@ def _cmd_test(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report.to_json() + "\n")
-    return 0
 
 
 def _cmd_embed(args):
     graph = io.read_edge_list(args.graph)
-    embedding = ase(graph.dense(), args.d)
+    embedding = ase(graph, args.d)
     io.write_matrix_csv(embedding.coordinates, args.output)
     print(f"wrote {embedding.n} x {embedding.d} embedding to {args.output}")
-    return 0
 
 
 def _cmd_simulate_power(args):
@@ -63,7 +63,6 @@ def _cmd_simulate_power(args):
         )
     if config.output_path:
         print(f"wrote {config.output_path}")
-    return 0
 
 
 def _cmd_w_compare(args):
@@ -79,7 +78,6 @@ def _cmd_w_compare(args):
         f"median |delta| fixed alignment:  {np.median(np.abs(result.delta_fixed)):.17g}\n"
         f"wrote {output}"
     )
-    return 0
 
 
 def _cmd_dissim(args):
@@ -89,7 +87,6 @@ def _cmd_dissim(args):
     matrix = harness.pairwise_dissimilarity(graphs, args.d, spec, floor=not args.raw, labels=labels)
     io.write_matrix_csv(matrix.values, args.output, labels=matrix.labels)
     print(f"wrote {len(graphs)} x {len(graphs)} dissimilarity matrix to {args.output}")
-    return 0
 
 
 def _cmd_classify(args):
@@ -100,7 +97,6 @@ def _cmd_classify(args):
         raise ValueError("no labels: pass --labels or embed them in the matrix CSV")
     report = harness.knn_classify(matrix, labels, args.k, folds=args.folds, seed=args.seed)
     print(report.format())
-    return 0
 
 
 def build_parser():
@@ -168,10 +164,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

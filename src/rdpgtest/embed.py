@@ -95,7 +95,8 @@ def ase(m, d):
     Parameters
     ----------
     m : (n, n) array_like
-        Symmetric matrix; asymmetry beyond 1e-12 raises.
+        Symmetric matrix, such as a :class:`~rdpgtest.model.Graph`;
+        asymmetry beyond 1e-12 raises.
     d : int
         Embedding dimension, ``1 <= d <= n``.
 
@@ -111,7 +112,8 @@ def ase(m, d):
     if asym > 1e-12:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3g})")
     if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+        got = f"d={d} exceeds the graph size n={n}" if d > n else f"got d={d}"
+        raise ValueError(f"need 1 <= d <= n: {got}")
     vals, vecs = np.linalg.eigh(m)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     order = np.lexsort((np.arange(n), -np.sign(vals), -np.abs(vals)))

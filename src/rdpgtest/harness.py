@@ -274,8 +274,8 @@ def w_comparison_experiment(
         rng = substream(master_seed, r)
         x = sample_latent(f_dist, n, rng)
         y = sample_latent(g_dist, m, rng)
-        xhat = ase(sample_rdpg(x, 1.0, rng).dense(), d).coordinates
-        yhat = ase(sample_rdpg(y, 1.0, rng).dense(), d).coordinates
+        xhat = ase(sample_rdpg(x, 1.0, rng), d).coordinates
+        yhat = ase(sample_rdpg(y, 1.0, rng), d).coordinates
         w_random = second_moment_rotation(y) @ second_moment_rotation(x).T
         u_embedded = mmd.u_statistic(spec, xhat, yhat)
         scale = n + m
@@ -319,11 +319,11 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
         raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
     embeddings = []
     for idx, graph in enumerate(graphs):
-        dense = graph.dense() if hasattr(graph, "dense") else np.asarray(graph, dtype=float)
-        if dense.shape[0] < max(d, 2):
-            raise ValueError(f"graph {idx} has {dense.shape[0]} vertices, need >= {max(d, 2)}")
+        adjacency = np.asarray(graph, dtype=float)
+        if adjacency.shape[0] < max(d, 2):
+            raise ValueError(f"graph {idx} has {adjacency.shape[0]} vertices, need >= {max(d, 2)}")
         try:
-            embeddings.append(ase(dense, d).coordinates)
+            embeddings.append(ase(adjacency, d).coordinates)
         except Exception as exc:
             raise ValueError(f"embedding graph {idx} failed: {exc}") from exc
     count = len(embeddings)
@@ -491,15 +491,18 @@ def _check_keys(section, name, known):
             raise ValueError(f"unknown key {key!r} in [{name}]")
 
 
-def _read_experiment(path, keys):
+def _read_experiment(path, sweep, keys):
     """Parser, ``[experiment]`` section and seeded test configuration of a
-    file. ``[experiment]`` may hold ``family``, ``seed``, the family's keys
-    and ``keys``; its ``sparsity`` fills in ``[test]`` sparsities left out."""
+    file. ``[experiment]`` may hold ``family``, ``seed``, the family's keys,
+    ``keys`` and, unless the family is ``custom`` (one fixed pair), the
+    ``sweep`` key; its ``sparsity`` fills in ``[test]`` sparsities left out."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(path)
     experiment = parser["experiment"]
-    _check_keys(experiment, "experiment", {"family", "seed", *_family(experiment)[1], *keys})
+    pair, family_keys = _family(experiment)
+    swept = (sweep,) if pair is not None else ()
+    _check_keys(experiment, "experiment", {"family", "seed", *family_keys, *swept, *keys})
     test = parser["test"] if parser.has_section("test") else {}
     _check_keys(test, "test", {*_TEST_KEYS, *mmd.KERNEL_KEYS} - {"seed"})
     sparsity = experiment.get("sparsity")
@@ -510,7 +513,7 @@ def _read_experiment(path, keys):
 def load_power_config(path):
     """Read a power-study configuration file (INI format, see README)."""
     parser, experiment, test_cfg = _read_experiment(
-        path, ("sweep", "n", "m", "replicates", "output", "oracle_arm", "sparsity")
+        path, "sweep", ("n", "m", "replicates", "output", "oracle_arm", "sparsity")
     )
     sweep = [float(t) for t in experiment.get("sweep", "0").split()]
     return ExperimentConfig(
@@ -528,7 +531,7 @@ def load_power_config(path):
 def load_wcompare_config(path):
     """Read an alignment-comparison configuration file (INI format)."""
     parser, experiment, test_cfg = _read_experiment(
-        path, ("epsilon", "n", "m", "replicates", "surrogate_size", "output")
+        path, "epsilon", ("n", "m", "replicates", "surrogate_size", "output")
     )
     _, f, g = _pairs_from_config(parser, experiment, [float(experiment.get("epsilon", 0.0))])[0]
     n = int(experiment["n"])

@@ -298,7 +298,8 @@ class DegreeCorrected(LatentDistribution):
 
 @dataclass(eq=False)
 class Graph:
-    """Simple undirected graph held as a dense symmetric 0/1 matrix."""
+    """Simple undirected graph held as a dense symmetric 0/1 matrix.
+    ``np.asarray(graph)`` is that matrix, so ``ase(graph, d)`` works."""
 
     adjacency: np.ndarray
 
@@ -322,8 +323,8 @@ class Graph:
     def edge_count(self):
         return int(self.adjacency.sum()) // 2
 
-    def dense(self, dtype=float):
-        return self.adjacency.astype(dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.adjacency, dtype=dtype, copy=copy)
 
     def edges(self):
         """Edges as (i, j) pairs with i < j, in row-major order."""

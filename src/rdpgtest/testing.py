@@ -1,10 +1,14 @@
 """Two-sample hypothesis tests for random dot product graphs.
 
-Given adjacency matrices of two independent graphs, the pipeline embeds
-each graph spectrally, preprocesses the embedded rows according to the
-requested notion of equality, computes the unbiased kernel two-sample
-statistic, and calibrates it by a permutation bootstrap over the pooled
-rows. Four variants are supported:
+A test call runs four stages: embed (:func:`_embed`: the spectral
+embedding of one graph, then its row normalization), bandwidth
+(:func:`_bandwidth`: the median heuristic, when asked for), align
+(:func:`_align`: the reflection search, which yields the kernel sums of the
+statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
+the permutation null, from that one matrix). Each input is checked once:
+the options by :class:`TestConfig`, the adjacency and ``1 <= d <= n`` by
+:func:`~rdpgtest.embed.ase`, degenerate rows by :func:`preprocess`, and
+``n, m >= 2`` and finite rows by :func:`_calibrate`. The variants are:
 
 ``identity``
     Equality of the latent-position distributions up to an orthogonal
@@ -21,14 +25,13 @@ rows. Four variants are supported:
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import mmd
 from .embed import ase
 from .errors import DegenerateRowError, InsufficientSampleError
-from .model import Graph
 from .streams import substream
 
 __all__ = [
@@ -112,19 +115,11 @@ class TestReport:
     preprocessing: dict
 
     def to_dict(self):
+        """The scalar fields in order, ``permutations`` under the key ``B``."""
         return {
-            "statistic": self.statistic,
-            "scaled_statistic": self.scaled_statistic,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "n": self.n,
-            "m": self.m,
-            "rho": self.rho,
-            "variant": self.variant,
-            "kernel": self.kernel,
-            "B": self.permutations,
-            "alpha_level": self.alpha_level,
-            "seed": self.seed,
+            "B" if f.name == "permutations" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("null_values", "preprocessing")
         }
 
     def to_json(self):
@@ -132,13 +127,10 @@ class TestReport:
 
     def format_kv(self):
         """Key=value lines, full precision, one field per line."""
-        lines = []
-        for key, value in self.to_dict().items():
-            if isinstance(value, float):
-                lines.append(f"{key}={value:.17g}")
-            else:
-                lines.append(f"{key}={value}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{key}={value:.17g}" if isinstance(value, float) else f"{key}={value}"
+            for key, value in self.to_dict().items()
+        )
 
 
 def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_floor):
@@ -199,8 +191,7 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     """
     pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
     total = pooled.shape[0]
-    if n < 2 or m < 2:
-        raise InsufficientSampleError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
+    _check_sizes(n, m)
     if n + m != total:
         raise ValueError(f"pool has {total} rows but n + m = {n + m}")
     if permutations < 1:
@@ -220,10 +211,8 @@ def _null_from_gram(k, n, m, permutations, rng):
         z[rng.permutation(total)[:n], b] = 1.0
 
     quad = np.einsum("ib,ib->b", z, k @ z)
-    diag_x = diag @ z
-    lin = row_sums @ z
-    sxx = quad - diag_x
-    cross = lin - quad
+    sxx = quad - diag @ z
+    cross = row_sums @ z - quad
     syy = total_off - sxx - 2.0 * cross
     return mmd.u_from_sums(sxx, cross, syy, n, m)
 
@@ -240,44 +229,65 @@ def p_value(observed, null_values):
     return float((1 + int(np.sum(null_values >= observed))) / (null_values.size + 1))
 
 
-def _calibrate(px, py, config, rng):
-    """Shared tail of the pipeline: align, statistic, permutation, report.
-
-    Each kernel block is computed once. The reflection search tries all
-    2^d column sign patterns of ``py`` (only the identity when alignment
-    is off); within-sample values do not depend on them, so only the
-    cross block is computed per pattern.
-    """
-    n, m = px.shape[0], py.shape[0]
+def _check_sizes(n, m):
     if n < 2 or m < 2:
-        raise InsufficientSampleError(f"need at least 2 rows per sample, got n={n}, m={m}")
-    if not (np.isfinite(px).all() and np.isfinite(py).all()):
-        raise ValueError("rows must be finite")
-    kernel = config.kernel
+        raise InsufficientSampleError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
+
+
+def _embed(graph, config, sparsity):
+    """Stage 1: spectral embedding of one graph, then the variant's row
+    normalization. The float adjacency lives only inside :func:`ase`."""
+    return preprocess(
+        ase(graph, config.d), config.variant, sparsity=sparsity, eps_floor=config.eps_floor
+    )
+
+
+def _bandwidth(kernel, px, py):
+    """Stage 2: the kernel with a median-heuristic bandwidth resolved."""
     if isinstance(kernel, mmd.GaussianKernel) and kernel.sigma is None:
-        kernel = mmd.GaussianKernel(mmd.median_heuristic(np.vstack([px, py])))
+        return mmd.GaussianKernel(mmd.median_heuristic(np.vstack([px, py])))
+    return kernel
+
+
+def _align(kernel, px, py, reflections):
+    """Stage 3: the 2^d column sign patterns of ``py`` (the identity only,
+    unless ``reflections``), keeping the one of smallest statistic. Only the
+    cross block depends on the pattern. Returns the signs, the sums
+    ``(sxx, sxy, syy)`` of the statistic and the pooled kernel matrix; the
+    blocks it is assembled from die here."""
+    n, m = px.shape[0], py.shape[0]
     kxx = mmd.gram(kernel, px, px)
     kyy = mmd.gram(kernel, py, py)
     sxx = mmd.off_diagonal_sum(kxx)
     syy = mmd.off_diagonal_sum(kyy)
     within = sxx / (n * (n - 1)) + syy / (m * (m - 1))
     d, best_u = px.shape[1], np.inf
-    for bits in range(2**d if config.align_reflections else 1):
+    for bits in range(2**d if reflections else 1):
         signs = np.array([1.0 if bits & (1 << j) == 0 else -1.0 for j in range(d)])
         cross = mmd.gram(kernel, px, py * signs)
         u = within - 2.0 * cross.sum() / (n * m)
         if u < best_u:
             best_signs, best_u, kxy = signs, u, cross
     del cross
-    py = py * best_signs
-    info = {"reflection": best_signs.tolist()} if config.align_reflections else {}
-    observed = mmd.u_from_sums(sxx, kxy.sum(), syy, n, m)
-    k = np.block([[kxx, kxy], [kxy.T, kyy]])
-    del kxx, kyy, kxy
+    return best_signs, (sxx, kxy.sum(), syy), np.block([[kxx, kxy], [kxy.T, kyy]])
+
+
+def _calibrate(px, py, config, rng, info):
+    """Stages 2-4 on preprocessed rows, then the report; its
+    ``preprocessing`` is the reflection signs (when aligning) and ``info``."""
+    n, m = px.shape[0], py.shape[0]
+    _check_sizes(n, m)
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise ValueError("rows must be finite")
+    kernel = _bandwidth(config.kernel, px, py)
+    signs, sums, k = _align(kernel, px, py, config.align_reflections)
+    observed = mmd.u_from_sums(*sums, n, m)
     if rng is None:
         rng = substream(config.seed)
     null_values = _null_from_gram(k, n, m, config.permutations, rng)
     p = p_value(observed, null_values)
+    if config.align_reflections:
+        info = {"reflection": signs.tolist(), **info}
     return TestReport(
         statistic=float(observed),
         scaled_statistic=float((n + m) * observed),
@@ -299,19 +309,18 @@ def _calibrate(px, py, config, rng):
 def two_sample_test(graph_a, graph_b, config, rng=None):
     """Test whether two graphs share a latent-position distribution.
 
-    Pipeline: embed each adjacency matrix into ``R^d``, normalize the rows
-    according to ``config.variant``, align the second embedding over
-    per-column reflections (see :class:`TestConfig`), compute the unbiased
-    kernel statistic, and compare it against a permutation null built from
-    the pooled rows. One kernel matrix serves the reflection search, the
-    statistic and the null; each of its blocks is computed once. All
+    Embeds each graph, aligns the second embedding over per-column
+    reflections (see :class:`TestConfig`), and compares the unbiased kernel
+    statistic with its permutation null over the pooled rows. One kernel
+    matrix serves the reflection search, the statistic and the null. All
     randomness derives from ``config.seed`` unless an explicit ``rng`` is
     supplied.
 
     Parameters
     ----------
     graph_a, graph_b : Graph or (n, n) array_like
-        Symmetric hollow 0/1 adjacency matrices.
+        Symmetric hollow 0/1 adjacency matrices, each with at least
+        ``config.d`` and at least 2 vertices.
     config : TestConfig
     rng : numpy.random.Generator, optional
         Overrides the seed-derived stream (used by simulation harnesses).
@@ -320,27 +329,11 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     -------
     TestReport
     """
-    a = graph_a.dense() if isinstance(graph_a, Graph) else np.asarray(graph_a, dtype=float)
-    b = graph_b.dense() if isinstance(graph_b, Graph) else np.asarray(graph_b, dtype=float)
-    n, m = a.shape[0], b.shape[0]
-    if n == 0 or m == 0:
-        raise InsufficientSampleError("both graphs must be nonempty")
-    if config.d > min(n, m):
-        raise ValueError(f"d={config.d} exceeds the smaller graph size {min(n, m)}")
-    ex = ase(a, config.d)
-    ey = ase(b, config.d)
-    px, info_x = preprocess(
-        ex, config.variant, sparsity=config.sparsity_x, eps_floor=config.eps_floor
-    )
-    py, info_y = preprocess(
-        ey, config.variant, sparsity=config.sparsity_y, eps_floor=config.eps_floor
-    )
-    report = _calibrate(px, py, config, rng)
-    for key, value in info_x.items():
-        report.preprocessing[f"{key}_x"] = value
-    for key, value in info_y.items():
-        report.preprocessing[f"{key}_y"] = value
-    return report
+    px, info_x = _embed(graph_a, config, config.sparsity_x)
+    py, info_y = _embed(graph_b, config, config.sparsity_y)
+    info = {f"{key}_x": value for key, value in info_x.items()}
+    info.update((f"{key}_y", value) for key, value in info_y.items())
+    return _calibrate(px, py, config, rng, info)
 
 
 def two_sample_point_test(x, y, config, rng=None):
@@ -353,9 +346,7 @@ def two_sample_point_test(x, y, config, rng=None):
     sparse variant reduces to identity here because true positions carry
     no sparsity scaling.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     variant = "identity" if config.variant == "sparse" else config.variant
     px, _ = preprocess(x, variant, eps_floor=config.eps_floor)
     py, _ = preprocess(y, variant, eps_floor=config.eps_floor)
-    return _calibrate(px, py, replace(config, align_reflections=False), rng)
+    return _calibrate(px, py, replace(config, align_reflections=False), rng, {})

@@ -176,7 +176,7 @@ def test_criterion_07_consistency_decay():
         for rep in range(50):
             rng = substream(4700, n, rep)
             x = sample_latent(f, n, rng)
-            emb = ase(sample_rdpg(x, 1.0, rng).dense(), 2)
+            emb = ase(sample_rdpg(x, 1.0, rng), 2)
             residuals.append(procrustes_align(emb.coordinates, x).two_to_infinity_error)
         medians[n] = float(np.median(residuals))
     ratio = medians[800] / medians[200]
@@ -201,8 +201,8 @@ def test_criterion_08_convergence_diagnostic():
         yfull = f.sample(max(sizes), rng)
         for n in sizes:
             x, y = xfull[:n], yfull[:n]
-            xhat = ase(sample_rdpg(x, 1.0, rng).dense(), 2).coordinates
-            yhat = ase(sample_rdpg(y, 1.0, rng).dense(), 2).coordinates
+            xhat = ase(sample_rdpg(x, 1.0, rng), 2).coordinates
+            yhat = ase(sample_rdpg(y, 1.0, rng), 2).coordinates
             w_nm = second_moment_rotation(y) @ second_moment_rotation(x).T
             deltas[n].append(
                 2 * n * (u_statistic(GAUSS, xhat, yhat) - u_statistic(GAUSS, x, y @ w_nm))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,22 @@ class TestTestCommand:
         assert code == 0
         assert "variant=sparse" in capsys.readouterr().out
 
+    def test_closed_stdout_is_not_an_error(self, graph_files):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        args = ["test", str(graph_files[0]), str(graph_files[1]), "--d", "2", "--B", "20"]
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "rdpgtest", *args],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == b""
+        assert result.returncode != 0
+
     def test_missing_file_fails(self, tmp_path, capsys):
         code = main(["test", str(tmp_path / "absent.edges"), str(tmp_path / "b.edges"), "--d", "2"])
         assert code == 1
@@ -87,7 +107,7 @@ class TestEmbedCommand:
         assert main(["embed", str(graph_files[0]), "--d", "2", "--output", str(out)]) == 0
         coords = np.loadtxt(out, delimiter=",")
         assert coords.shape == (40, 2)
-        expected = ase(read_edge_list(graph_files[0]).dense(), 2).coordinates
+        expected = ase(read_edge_list(graph_files[0]), 2).coordinates
         assert np.array_equal(coords, expected)
 
 

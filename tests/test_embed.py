@@ -155,7 +155,7 @@ class TestProcrustes:
                 rng = substream(59, n, rep)
                 x = sample_latent(f, n, rng)
                 graph = sample_rdpg(x, 1.0, rng)
-                emb = ase(graph.dense(), 2)
+                emb = ase(graph, 2)
                 residuals.append(procrustes_align(emb.coordinates, x).two_to_infinity_error)
             constants.append(np.median(residuals) / np.sqrt(np.log(n) / n))
         assert max(constants) / min(constants) <= 2.0

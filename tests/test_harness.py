@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rdpgtest import harness, mmd, testing
 from rdpgtest.embed import ase, second_moment_rotation
 from rdpgtest.harness import (
     DissimilarityMatrix,
@@ -166,7 +167,7 @@ class TestWComparison:
         rng = substream(105)
         x = sample_latent(f, 80, rng)
         graph = sample_rdpg(x, 1.0, rng)
-        xhat = ase(graph.dense(), 2).coordinates
+        xhat = ase(graph, 2).coordinates
         w_random = second_moment_rotation(x) @ second_moment_rotation(x).T
         assert np.allclose(w_random, np.eye(2), atol=1e-12)
         u_emb = u_statistic(SPEC, xhat, xhat)
@@ -197,6 +198,35 @@ class TestWComparison:
         assert lines[0].startswith("replicate,") and len(lines) == 4
 
 
+class TestTraceContract:
+    """``perfbench/spans.py`` traces the pipeline by replacing these module
+    attributes, so the pipeline must look them up at call time."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for module, name in ((testing, "ase"), (testing, "preprocess"), (harness, "ase"), (mmd, "gram")):
+            key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+
+            def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+                counts[_key] = counts.get(_key, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_two_sample_test(self, calls):
+        a, b = _graphs(0.0, 30, 2, seed=140)
+        testing.two_sample_test(a, b, TestConfig(d=2, permutations=10))
+        # two within-sample blocks and one cross block per reflection
+        assert calls == {"testing.ase": 2, "testing.preprocess": 2, "mmd.gram": 2 + 4}
+
+    def test_pairwise_dissimilarity(self, calls):
+        pairwise_dissimilarity(_graphs(0.0, 30, 4, seed=141), 2, SPEC)
+        # one within-sample block per graph, one cross block per pair
+        assert calls == {"harness.ase": 4, "mmd.gram": 4 + 6}
+
+
 class TestPairwiseDissimilarity:
     def test_same_graph_twice_floors_to_zero(self):
         graph = _graphs(0.0, 60, 1, seed=108)[0]
@@ -207,7 +237,7 @@ class TestPairwiseDissimilarity:
     def test_matches_per_pair_statistic(self):
         graphs = _graphs(0.0, 50, 3, seed=109)
         matrix = pairwise_dissimilarity(graphs, 2, SPEC, floor=False)
-        embeddings = [ase(g.dense(), 2).coordinates for g in graphs]
+        embeddings = [ase(g, 2).coordinates for g in graphs]
         for g in range(3):
             for h in range(g + 1, 3):
                 expected = u_statistic(SPEC, embeddings[g], embeddings[h])

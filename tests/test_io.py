@@ -307,6 +307,19 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match=re.escape(f"unknown key '{line.split()[0]}'")):
             load_wcompare_config(path)
 
+    @pytest.mark.parametrize(
+        "load, line",
+        [(load_power_config, "sweep = 0 0.1 0.2"), (load_wcompare_config, "epsilon = 0.1")],
+    )
+    def test_custom_family_takes_no_sweep(self, tmp_path, load, line):
+        path = tmp_path / "custom.ini"
+        path.write_text(WCOMP_INI)
+        assert [p[0] for p in load_power_config(path).pairs] == ["custom"]
+        path.write_text(WCOMP_INI.replace("[experiment]\n", f"[experiment]\n{line}\n"))
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=re.escape(f"unknown key '{key}' in [experiment]")):
+            load(path)
+
     def test_sparse_variant_takes_the_experiment_sparsity(self, tmp_path):
         path = tmp_path / "power.ini"
         text = POWER_INI.replace("oracle_arm = true", "sparsity = 0.5").replace("n = 20 30", "n = 20")

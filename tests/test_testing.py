@@ -12,7 +12,7 @@ from rdpgtest.mmd import (
     median_heuristic,
     u_statistic,
 )
-from rdpgtest.model import sample_latent, sample_rdpg
+from rdpgtest.model import Graph, sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 from rdpgtest.testing import (
     TestConfig,
@@ -155,7 +155,7 @@ class TestReflectionSearch:
         x = sample_latent(f, 150, rng)
         y = sample_latent(f, 150, rng)
         mirrored = y * np.array([1.0, -1.0])
-        report = _calibrate(x, mirrored, TestConfig(kernel=SPEC, permutations=1), None)
+        report = _calibrate(x, mirrored, TestConfig(kernel=SPEC, permutations=1), None, {})
         signs = np.array(report.preprocessing["reflection"])
         assert np.array_equal(signs, [1.0, -1.0])
         aligned = u_statistic(SPEC, x, mirrored * signs)
@@ -203,8 +203,8 @@ class TestSharedKernelBlocks:
         x = sample_latent(f, 40, rng)
         y = sample_latent(g, 55, rng)
         a, b = sample_rdpg(x, 1.0, rng), sample_rdpg(y, 1.0, rng)
-        px = preprocess(ase(a.dense(), d), variant)[0]
-        py = preprocess(ase(b.dense(), d), variant)[0]
+        px = preprocess(ase(a, d), variant)[0]
+        py = preprocess(ase(b, d), variant)[0]
         for align in (True, False):
             cfg = TestConfig(
                 variant=variant, d=d, kernel=kernel, permutations=30, seed=96,
@@ -250,10 +250,13 @@ class TestTwoSampleTest:
         report = two_sample_test(a, b, TestConfig(d=2, permutations=100, seed=83))
         assert report.reject and report.p_value == pytest.approx(1.0 / 101.0)
 
-    def test_dimension_cannot_exceed_graph(self):
-        a, b = _two_graphs(0.0, 20, seed=84)
+    @pytest.mark.parametrize("n, m, d", [(20, 20, 25), (20, 40, 25), (40, 20, 25), (0, 20, 2)])
+    def test_dimension_cannot_exceed_graph(self, n, m, d):
+        empty = Graph(np.zeros((0, 0), dtype=int))
+        a = _two_graphs(0.0, n, seed=84)[0] if n else empty
+        b = _two_graphs(0.0, m, seed=84)[1] if m else empty
         with pytest.raises(ValueError, match="exceeds"):
-            two_sample_test(a, b, TestConfig(d=25))
+            two_sample_test(a, b, TestConfig(d=d))
 
     def test_median_bandwidth_resolved(self):
         a, b = _two_graphs(0.0, 50, seed=85)
