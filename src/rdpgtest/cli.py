@@ -10,8 +10,10 @@ Subcommands::
     rdpgtest classify dissim.csv --labels labels.txt --k 3
 
 All numeric output is written in full precision; the exit code is 0 on
-success and nonzero with a diagnostic on error. When the reader closes
-stdout (``rdpgtest test ... | head -3``) the exit code is 1, with no diagnostic.
+success and nonzero with a diagnostic on error. Each subcommand returns
+its stdout text and :func:`main` writes it; when the reader has closed
+stdout (``rdpgtest test ... | head -3``) the exit code is 1, with no
+diagnostic.
 """
 
 import argparse
@@ -38,17 +40,17 @@ def _cmd_test(args):
     graph_a = io.read_edge_list(args.graph_a)
     graph_b = io.read_edge_list(args.graph_b)
     report = two_sample_test(graph_a, graph_b, config)
-    print(report.format_kv())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report.to_json() + "\n")
+    return report.format_kv()
 
 
 def _cmd_embed(args):
     graph = io.read_edge_list(args.graph)
     embedding = ase(graph, args.d)
     io.write_matrix_csv(embedding.coordinates, args.output)
-    print(f"wrote {embedding.n} x {embedding.d} embedding to {args.output}")
+    return f"wrote {embedding.n} x {embedding.d} embedding to {args.output}"
 
 
 def _cmd_simulate_power(args):
@@ -56,13 +58,13 @@ def _cmd_simulate_power(args):
     if args.output:
         config.output_path = args.output
     table = harness.run_power_experiment(config)
-    for cell in table.cells:
-        print(
-            f"n={cell.n} m={cell.m} sweep={cell.sweep} "
-            f"power={cell.power:.17g} se={cell.se:.17g}"
-        )
+    lines = [
+        f"n={cell.n} m={cell.m} sweep={cell.sweep} power={cell.power:.17g} se={cell.se:.17g}"
+        for cell in table.cells
+    ]
     if config.output_path:
-        print(f"wrote {config.output_path}")
+        lines.append(f"wrote {config.output_path}")
+    return "\n".join(lines)
 
 
 def _cmd_w_compare(args):
@@ -73,7 +75,7 @@ def _cmd_w_compare(args):
     cfg.pop("output", None)
     result = harness.w_comparison_experiment(**cfg)
     result.to_csv(output)
-    print(
+    return (
         f"median |delta| random alignment: {np.median(np.abs(result.delta_random)):.17g}\n"
         f"median |delta| fixed alignment:  {np.median(np.abs(result.delta_fixed)):.17g}\n"
         f"wrote {output}"
@@ -86,7 +88,7 @@ def _cmd_dissim(args):
     graphs = [io.read_edge_list(p) for p in paths]
     matrix = harness.pairwise_dissimilarity(graphs, args.d, spec, floor=not args.raw, labels=labels)
     io.write_matrix_csv(matrix.values, args.output, labels=matrix.labels)
-    print(f"wrote {len(graphs)} x {len(graphs)} dissimilarity matrix to {args.output}")
+    return f"wrote {len(graphs)} x {len(graphs)} dissimilarity matrix to {args.output}"
 
 
 def _cmd_classify(args):
@@ -96,7 +98,7 @@ def _cmd_classify(args):
     if labels is None:
         raise ValueError("no labels: pass --labels or embed them in the matrix CSV")
     report = harness.knn_classify(matrix, labels, args.k, folds=args.folds, seed=args.seed)
-    print(report.format())
+    return report.format()
 
 
 def build_parser():
@@ -164,14 +166,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # Point stdout at devnull so that the flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        text = args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so that the flush
+        # at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

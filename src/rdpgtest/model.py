@@ -299,7 +299,8 @@ class DegreeCorrected(LatentDistribution):
 @dataclass(eq=False)
 class Graph:
     """Simple undirected graph held as a dense symmetric 0/1 matrix.
-    ``np.asarray(graph)`` is that matrix, so ``ase(graph, d)`` works."""
+    ``np.asarray(graph)`` is a copy of that matrix, so ``ase(graph, d)``
+    works and no caller can change a checked graph."""
 
     adjacency: np.ndarray
 
@@ -324,7 +325,10 @@ class Graph:
         return int(self.adjacency.sum()) // 2
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.adjacency, dtype=dtype, copy=copy)
+        # NumPy 1.x passes no ``copy``; NumPy 2 passes False to forbid one.
+        if copy is False:
+            raise ValueError("np.asarray(graph) always copies the adjacency")
+        return np.array(self.adjacency, dtype=dtype)
 
     def edges(self):
         """Edges as (i, j) pairs with i < j, in row-major order."""

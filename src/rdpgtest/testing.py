@@ -25,7 +25,7 @@ the options by :class:`TestConfig`, the adjacency and ``1 <= d <= n`` by
 """
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,11 +115,19 @@ class TestReport:
     preprocessing: dict
 
     def to_dict(self):
-        """The scalar fields in order, ``permutations`` under the key ``B``."""
         return {
-            "B" if f.name == "permutations" else f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("null_values", "preprocessing")
+            "statistic": self.statistic,
+            "scaled_statistic": self.scaled_statistic,
+            "p_value": self.p_value,
+            "reject": self.reject,
+            "n": self.n,
+            "m": self.m,
+            "rho": self.rho,
+            "variant": self.variant,
+            "kernel": self.kernel,
+            "B": self.permutations,
+            "alpha_level": self.alpha_level,
+            "seed": self.seed,
         }
 
     def to_json(self):
@@ -127,10 +135,13 @@ class TestReport:
 
     def format_kv(self):
         """Key=value lines, full precision, one field per line."""
-        return "\n".join(
-            f"{key}={value:.17g}" if isinstance(value, float) else f"{key}={value}"
-            for key, value in self.to_dict().items()
-        )
+        lines = []
+        for key, value in self.to_dict().items():
+            if isinstance(value, float):
+                lines.append(f"{key}={value:.17g}")
+            else:
+                lines.append(f"{key}={value}")
+        return "\n".join(lines)
 
 
 def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_floor):
@@ -211,8 +222,10 @@ def _null_from_gram(k, n, m, permutations, rng):
         z[rng.permutation(total)[:n], b] = 1.0
 
     quad = np.einsum("ib,ib->b", z, k @ z)
-    sxx = quad - diag @ z
-    cross = row_sums @ z - quad
+    diag_x = diag @ z
+    lin = row_sums @ z
+    sxx = quad - diag_x
+    cross = lin - quad
     syy = total_off - sxx - 2.0 * cross
     return mmd.u_from_sums(sxx, cross, syy, n, m)
 

@@ -110,6 +110,16 @@ class TestEmbedCommand:
         expected = ase(read_edge_list(graph_files[0]), 2).coordinates
         assert np.array_equal(coords, expected)
 
+    def test_broken_output_file_is_an_error(self, graph_files, tmp_path, monkeypatch, capsys):
+        def closed_reader(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli.io, "write_matrix_csv", closed_reader)
+        out = tmp_path / "emb.csv"
+        assert main(["embed", str(graph_files[0]), "--d", "2", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: [Errno 32] Broken pipe\n"
+
 
 class TestSimulatePowerCommand:
     def test_runs_config(self, tmp_path, capsys):

@@ -266,6 +266,20 @@ class TestGraphContainer:
         a[0, 2] = a[2, 0] = 1
         assert Graph(a).edges() == [(0, 2)]
 
+    def test_array_protocol_gives_a_fresh_copy(self):
+        a = np.zeros((3, 3), dtype=int)
+        a[0, 2] = a[2, 0] = 1
+        graph = Graph(a)
+        # NumPy 1.x calls __array__() or __array__(dtype), without ``copy``.
+        plain, floats = graph.__array__(), graph.__array__(float)
+        assert plain.dtype == np.int8 and floats.dtype == np.float64
+        assert np.array_equal(plain, a) and np.array_equal(floats, a)
+        for view in (plain, floats, np.asarray(graph), np.asarray(graph, dtype=float)):
+            view[0, 2] = 0
+        assert graph.edges() == [(0, 2)]
+        with pytest.raises(ValueError, match="always copies"):
+            graph.__array__(copy=False)
+
 
 class TestMomentDiagnostic:
     def test_tied_eigenvalues_flagged(self):
