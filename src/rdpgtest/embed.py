@@ -53,33 +53,25 @@ class AlignmentResult:
     two_to_infinity_error: float
 
 
-def _sign_flips(u, tol=_SIGN_TOL):
-    """Per-column signs making each column's entry sum positive.
+def fix_signs(u):
+    """Return ``u`` with each column's sign fixed deterministically.
 
-    Columns whose entry sum is within ``tol`` of zero fall back to making
-    the first entry of largest magnitude positive. Zero columns are left
-    untouched.
+    Each column's entry sum is made positive; a column whose entry sum is
+    within 1e-12 of zero has its first entry of largest magnitude made
+    positive instead, and a zero column is left untouched. Idempotent, and
+    invariant to pre-multiplying any column by -1.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     flips = np.ones(u.shape[1])
     sums = u.sum(axis=0)
     for k in range(u.shape[1]):
-        if abs(sums[k]) > tol:
+        if abs(sums[k]) > _SIGN_TOL:
             flips[k] = 1.0 if sums[k] > 0 else -1.0
         else:
             lead = u[np.argmax(np.abs(u[:, k])), k]
             if lead < 0:
                 flips[k] = -1.0
-    return flips
-
-
-def fix_signs(u):
-    """Return ``u`` with each column's sign fixed deterministically.
-
-    Idempotent, and invariant to pre-multiplying any column by -1.
-    """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    return u * _sign_flips(u)
+    return u * flips
 
 
 def ase(m, d):
@@ -119,10 +111,7 @@ def ase(m, d):
     order = np.lexsort((np.arange(n), -np.sign(vals), -np.abs(vals)))
     top = order[:d]
     lam = vals[top]
-    u = vecs[:, top]
-    flips = _sign_flips(u)
-    coords = (u * flips) * np.sqrt(np.abs(lam))
-    return Embedding(coords, np.abs(lam))
+    return Embedding(fix_signs(vecs[:, top]) * np.sqrt(np.abs(lam)), np.abs(lam))
 
 
 def procrustes_align(xhat, x):

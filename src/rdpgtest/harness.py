@@ -30,7 +30,6 @@ __all__ = [
     "two_block_pair",
     "uniform_box_pair",
     "ExperimentConfig",
-    "PowerCell",
     "PowerTable",
     "run_power_experiment",
     "WComparison",
@@ -39,9 +38,6 @@ __all__ = [
     "pairwise_dissimilarity",
     "KnnReport",
     "knn_classify",
-    "build_test_config",
-    "load_power_config",
-    "load_wcompare_config",
 ]
 
 
@@ -130,19 +126,22 @@ class PowerTable:
     def to_csv(self, path):
         oracle = any(c.oracle_power is not None for c in self.cells)
         columns = self._COLUMNS + (self._ORACLE_COLUMNS if oracle else ())
-        rows = []
-        for c in self.cells:
-            row = [c.n, c.m, c.sweep, c.replicates, c.rejections, c.power, c.se]
-            if oracle:
-                row += [c.oracle_rejections, c.oracle_power, c.oracle_se]
-            rows.append(row)
+        rows = [[getattr(c, name) for name in columns] for c in self.cells]
         comments = [f"{k}={v}" for k, v in sorted(self.metadata.items())]
         _io.write_table_csv(path, columns, rows, comments=comments)
 
 
-def _binomial_se(successes, trials):
-    p = successes / trials
-    return float(np.sqrt(p * (1.0 - p) / trials))
+def _rate(rejections, trials):
+    """Rejection count, frequency and the frequency's binomial standard error."""
+    p = rejections / trials
+    return rejections, p, float(np.sqrt(p * (1.0 - p) / trials))
+
+
+def _replicate(f_dist, g_dist, n, m, sparsity, rng):
+    """Draw ``x`` ~ F (n rows), ``y`` ~ G (m rows) and a graph from each, in that order."""
+    x = sample_latent(f_dist, n, rng)
+    y = sample_latent(g_dist, m, rng)
+    return x, y, sample_rdpg(x, sparsity, rng), sample_rdpg(y, sparsity, rng)
 
 
 def run_power_experiment(config):
@@ -181,28 +180,17 @@ def run_power_experiment(config):
         oracle_rejections = 0
         for ri in range(config.replicates):
             rng = substream(config.master_seed, gi, ri)
-            x = sample_latent(f_dist, n, rng)
-            y = sample_latent(g_dist, m, rng)
-            graph_a = sample_rdpg(x, config.sparsity, rng)
-            graph_b = sample_rdpg(y, config.sparsity, rng)
+            x, y, graph_a, graph_b = _replicate(f_dist, g_dist, n, m, config.sparsity, rng)
             report = two_sample_test(graph_a, graph_b, test_cfg, rng=rng)
             rejections += int(report.reject)
             if config.oracle_arm:
                 oracle = two_sample_point_test(x, y, test_cfg, rng=rng)
                 oracle_rejections += int(oracle.reject)
-        cell = PowerCell(
-            n=n,
-            m=m,
-            sweep=label,
-            replicates=config.replicates,
-            rejections=rejections,
-            power=rejections / config.replicates,
-            se=_binomial_se(rejections, config.replicates),
-        )
+        cell = PowerCell(n, m, label, config.replicates, *_rate(rejections, config.replicates))
         if config.oracle_arm:
-            cell.oracle_rejections = oracle_rejections
-            cell.oracle_power = oracle_rejections / config.replicates
-            cell.oracle_se = _binomial_se(oracle_rejections, config.replicates)
+            cell.oracle_rejections, cell.oracle_power, cell.oracle_se = _rate(
+                oracle_rejections, config.replicates
+            )
         table.cells.append(cell)
         if config.output_path:
             table.to_csv(config.output_path)
@@ -271,11 +259,9 @@ def w_comparison_experiment(
     delta_random = np.empty(replicates)
     delta_fixed = np.empty(replicates)
     for r in range(replicates):
-        rng = substream(master_seed, r)
-        x = sample_latent(f_dist, n, rng)
-        y = sample_latent(g_dist, m, rng)
-        xhat = ase(sample_rdpg(x, 1.0, rng), d).coordinates
-        yhat = ase(sample_rdpg(y, 1.0, rng), d).coordinates
+        x, y, graph_x, graph_y = _replicate(f_dist, g_dist, n, m, 1.0, substream(master_seed, r))
+        xhat = ase(graph_x, d).coordinates
+        yhat = ase(graph_y, d).coordinates
         w_random = second_moment_rotation(y) @ second_moment_rotation(x).T
         u_embedded = mmd.u_statistic(spec, xhat, yhat)
         scale = n + m
@@ -333,6 +319,8 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
         for h in range(g + 1, count):
             cross = mmd.gram(spec, embeddings[g], embeddings[h]).sum()
             u = mmd.u_from_sums(within[g], cross, within[h], len(embeddings[g]), len(embeddings[h]))
+            if not np.isfinite(u):
+                raise ValueError(f"the statistic between graphs {g} and {h} is not finite ({u})")
             if floor:
                 u = max(u, 0.0)
             values[g, h] = values[h, g] = u
@@ -485,26 +473,23 @@ def _pairs_from_config(parser, experiment, sweep):
     return [(eps, *pair(eps, **params)) for eps in sweep]
 
 
-def _check_keys(section, name, known):
-    for key in section:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in [{name}]")
-
-
 def _read_experiment(path, sweep, keys):
     """Parser, ``[experiment]`` section and seeded test configuration of a
     file. ``[experiment]`` may hold ``family``, ``seed``, the family's keys,
     ``keys`` and, unless the family is ``custom`` (one fixed pair), the
-    ``sweep`` key; its ``sparsity`` fills in ``[test]`` sparsities left out."""
+    ``sweep`` key; its ``sparsity`` fills in ``[test]`` sparsities left out.
+    ``[F]`` and ``[G]`` are required for ``custom`` and unknown otherwise."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(path)
-    experiment = parser["experiment"]
+    experiment = parser["experiment"] if parser.has_section("experiment") else {}
     pair, family_keys = _family(experiment)
+    needed = ("experiment",) + (("F", "G") if pair is None else ())
+    _io._check_keys(parser.sections(), {"test", *needed}, needed, what="section")
     swept = (sweep,) if pair is not None else ()
-    _check_keys(experiment, "experiment", {"family", "seed", *family_keys, *swept, *keys})
+    _io._check_keys(experiment, {"family", "seed", *family_keys, *swept, *keys})
     test = parser["test"] if parser.has_section("test") else {}
-    _check_keys(test, "test", {*_TEST_KEYS, *mmd.KERNEL_KEYS} - {"seed"})
+    _io._check_keys(test, {*_TEST_KEYS, *mmd.KERNEL_KEYS} - {"seed"})
     sparsity = experiment.get("sparsity")
     params = {"sparsity_x": sparsity, "sparsity_y": sparsity, **test, "seed": experiment.get("seed")}
     return parser, experiment, build_test_config(params)

@@ -24,16 +24,7 @@ from .model import (
     UniformBox,
 )
 
-__all__ = [
-    "read_edge_list",
-    "write_edge_list",
-    "write_table_csv",
-    "write_matrix_csv",
-    "read_matrix_csv",
-    "read_labels",
-    "read_manifest",
-    "parse_distribution",
-]
+__all__ = ["read_edge_list", "write_edge_list"]
 
 
 def read_edge_list(path):
@@ -118,12 +109,10 @@ def write_table_csv(path, columns, rows, comments=()):
 
 def write_matrix_csv(matrix, path, labels=None):
     """Write a numeric matrix in full precision, optionally tagged with row labels."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    header = "" if labels is None else "labels: " + ",".join(str(l) for l in labels)
     with open(path, "w", encoding="utf-8") as handle:
-        if labels is not None:
-            handle.write("# labels: " + ",".join(str(l) for l in labels) + "\n")
-        for row in matrix:
-            handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(handle, np.atleast_2d(np.asarray(matrix, dtype=float)), fmt="%.17g",
+                   delimiter=",", header=header, comments="# ")
 
 
 def read_matrix_csv(path):
@@ -180,6 +169,42 @@ def _parse_matrix(text):
     return np.array([_parse_vector(row) for row in text.split(";")])
 
 
+def _check_keys(section, known, required=(), what="key"):
+    """Reject a ``what`` of ``section`` outside ``known`` or a missing ``required`` one."""
+    where = f" in [{section.name}]" if hasattr(section, "name") else ""
+    for key in required:
+        if key not in section:
+            raise ValueError(f"missing {what} {key!r}{where}")
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown {what} {key!r}{where}")
+
+
+def _parse_stack(text):
+    return np.array([_parse_matrix(block) for block in text.split("|")])
+
+
+def _degree_corrected(atoms, weights, **theta):
+    return DegreeCorrected(PointMassMixture(atoms, weights), **theta)
+
+
+# Per distribution kind: its constructor and the parser of each key it reads.
+_KINDS = {
+    "point_mass_mixture": (PointMassMixture, {"atoms": _parse_matrix, "weights": _parse_vector}),
+    "dirichlet": (DirichletLatent, {"concentration": _parse_vector}),
+    "uniform_box": (UniformBox, {"lower": _parse_vector, "upper": _parse_vector}),
+    "logit_normal_mixture": (
+        LogitNormalMixture,
+        {"means": _parse_matrix, "covs": _parse_stack, "weights": _parse_vector, "scale": float},
+    ),
+    "degree_corrected": (
+        _degree_corrected,
+        {"atoms": _parse_matrix, "weights": _parse_vector, "theta_low": float, "theta_high": float},
+    ),
+}
+_OPTIONAL = ("scale", "theta_low", "theta_high")  # their constructors have defaults
+
+
 def parse_distribution(section):
     """Build a latent distribution from a key-value config section.
 
@@ -191,27 +216,12 @@ def parse_distribution(section):
         kind = point_mass_mixture
         atoms = 0.59 0.39 ; 0.59 -0.39
         weights = 0.4 0.6
+
+    A key that ``kind`` does not read is an error, and so is a missing one.
     """
     kind = section.get("kind", "").strip()
-    if kind == "point_mass_mixture":
-        return PointMassMixture(_parse_matrix(section["atoms"]), _parse_vector(section["weights"]))
-    if kind == "dirichlet":
-        return DirichletLatent(_parse_vector(section["concentration"]))
-    if kind == "uniform_box":
-        return UniformBox(_parse_vector(section["lower"]), _parse_vector(section["upper"]))
-    if kind == "logit_normal_mixture":
-        covs = np.array([_parse_matrix(block) for block in section["covs"].split("|")])
-        scale = float(section["scale"]) if "scale" in section else None
-        return LogitNormalMixture(
-            _parse_matrix(section["means"]), covs, _parse_vector(section["weights"]), scale=scale
-        )
-    if kind == "degree_corrected":
-        directions = PointMassMixture(
-            _parse_matrix(section["atoms"]), _parse_vector(section["weights"])
-        )
-        return DegreeCorrected(
-            directions,
-            theta_low=float(section.get("theta_low", 1.0)),
-            theta_high=float(section.get("theta_high", 1.0)),
-        )
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    build, parsers = _KINDS[kind]
+    _check_keys(section, {"kind", *parsers}, [key for key in parsers if key not in _OPTIONAL])
+    return build(**{key: parse(section[key]) for key, parse in parsers.items() if key in section})

@@ -24,11 +24,8 @@ __all__ = [
     "GaussianKernel",
     "InverseMultiquadricKernel",
     "EnergyKernel",
-    "kernel_from_params",
     "kernel_eval",
     "gram",
-    "off_diagonal_sum",
-    "u_from_sums",
     "u_statistic",
     "v_statistic",
     "median_heuristic",
@@ -78,6 +75,9 @@ class GaussianKernel(KernelSpec):
     def __post_init__(self):
         if self.sigma is not None and not 0.0 < self.sigma < np.inf:
             raise ValueError(f"gaussian bandwidth must be finite and > 0, got {self.sigma}")
+        # k(x, x) = exp(-0 / (2 sigma^2)) is nan if 2 sigma^2 underflows, as only sigma < 1 can.
+        if self.sigma is not None and self.sigma < 1.0 and not 2.0 * self.sigma**2 > 0.0:
+            raise ValueError(f"gaussian bandwidth {self.sigma} underflows: 2 sigma^2 is 0")
 
     def _check(self):
         if self.sigma is None:
@@ -107,6 +107,9 @@ class InverseMultiquadricKernel(KernelSpec):
     def __post_init__(self):
         if not (0.0 < self.c < np.inf and 0.0 < self.beta < np.inf):
             raise ValueError(f"c and beta must be finite and > 0, got c={self.c}, beta={self.beta}")
+        with np.errstate(divide="ignore", over="ignore"):  # k(x, x) = (c*c)**-beta
+            if not 0.0 < np.float64(self.c * self.c) ** -self.beta < np.inf:
+                raise ValueError(f"need (c*c)**-beta finite and > 0, got c={self.c}, beta={self.beta}")
 
     def _from_sq(self, sq, a, b):
         return (self.c**2 + sq) ** (-self.beta)

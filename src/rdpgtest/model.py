@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import fix_signs
+from .embed import ase
 from .errors import InvalidDistributionError, ModelError, NotPositiveSemidefiniteError
 
 __all__ = [
@@ -353,8 +353,8 @@ def sbm_to_latent(block_probabilities, weights):
     matrix ``B`` and block membership probabilities ``rho`` is the random
     dot product graph whose latent positions are a ``K``-component mixture
     of point masses ``nu_k`` with ``<nu_k, nu_l> = B_kl``. The atoms are
-    read off the eigendecomposition of ``B`` restricted to its numerical
-    rank, with a deterministic sign convention.
+    the rows of the spectral embedding (:func:`~rdpgtest.embed.ase`) of
+    ``B`` into its numerical rank, with its sign convention.
 
     Parameters
     ----------
@@ -381,17 +381,14 @@ def sbm_to_latent(block_probabilities, weights):
         raise ValueError(
             f"need {b.shape[0]} weights for a {b.shape[0]}-block model, got {weights.shape}"
         )
-    vals, vecs = np.linalg.eigh(b)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    vals = np.linalg.eigvalsh(b)[::-1]
     if vals[-1] < -_PSD_TOL:
         raise NotPositiveSemidefiniteError(
             f"block matrix has eigenvalue {vals[-1]:.3g} < -{_PSD_TOL:g}"
         )
     cutoff = _PSD_TOL * max(vals[0], 0.0)
     rank = max(int(np.sum(vals > cutoff)), 1)
-    vecs = fix_signs(vecs[:, :rank])
-    atoms = vecs * np.sqrt(np.clip(vals[:rank], 0.0, None))
-    return PointMassMixture(atoms, weights)
+    return PointMassMixture(ase(b, rank).coordinates, weights)
 
 
 def sample_latent(dist, n, rng, max_retries=100):

@@ -8,7 +8,8 @@ statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
 the permutation null, from that one matrix). Each input is checked once:
 the options by :class:`TestConfig`, the adjacency and ``1 <= d <= n`` by
 :func:`~rdpgtest.embed.ase`, degenerate rows by :func:`preprocess`, and
-``n, m >= 2`` and finite rows by :func:`_calibrate`. The variants are:
+``n, m >= 2``, finite rows and a finite statistic by :func:`_calibrate`.
+The variants are:
 
 ``identity``
     Equality of the latent-position distributions up to an orthogonal
@@ -35,7 +36,6 @@ from .errors import DegenerateRowError, InsufficientSampleError
 from .streams import substream
 
 __all__ = [
-    "VARIANTS",
     "TestConfig",
     "TestReport",
     "preprocess",
@@ -264,25 +264,23 @@ def _bandwidth(kernel, px, py):
 
 def _align(kernel, px, py, reflections):
     """Stage 3: the 2^d column sign patterns of ``py`` (the identity only,
-    unless ``reflections``), keeping the one of smallest statistic. Only the
-    cross block depends on the pattern. Returns the signs, the sums
-    ``(sxx, sxy, syy)`` of the statistic and the pooled kernel matrix; the
-    blocks it is assembled from die here."""
-    n, m = px.shape[0], py.shape[0]
+    unless ``reflections``), keeping the first of largest cross-block sum:
+    only that sum depends on the pattern, and the statistic falls as it
+    rises. Returns the signs, the sums ``(sxx, sxy, syy)`` of the statistic
+    and the pooled kernel matrix; the blocks it is assembled from die here."""
     kxx = mmd.gram(kernel, px, px)
     kyy = mmd.gram(kernel, py, py)
-    sxx = mmd.off_diagonal_sum(kxx)
-    syy = mmd.off_diagonal_sum(kyy)
-    within = sxx / (n * (n - 1)) + syy / (m * (m - 1))
-    d, best_u = px.shape[1], np.inf
+    d, best = px.shape[1], None
     for bits in range(2**d if reflections else 1):
         signs = np.array([1.0 if bits & (1 << j) == 0 else -1.0 for j in range(d)])
         cross = mmd.gram(kernel, px, py * signs)
-        u = within - 2.0 * cross.sum() / (n * m)
-        if u < best_u:
-            best_signs, best_u, kxy = signs, u, cross
+        sxy = cross.sum()
+        if best is None or sxy > best[1]:
+            best = signs, sxy, cross
     del cross
-    return best_signs, (sxx, kxy.sum(), syy), np.block([[kxx, kxy], [kxy.T, kyy]])
+    signs, sxy, kxy = best
+    sums = (mmd.off_diagonal_sum(kxx), sxy, mmd.off_diagonal_sum(kyy))
+    return signs, sums, np.block([[kxx, kxy], [kxy.T, kyy]])
 
 
 def _calibrate(px, py, config, rng, info):
@@ -295,6 +293,8 @@ def _calibrate(px, py, config, rng, info):
     kernel = _bandwidth(config.kernel, px, py)
     signs, sums, k = _align(kernel, px, py, config.align_reflections)
     observed = mmd.u_from_sums(*sums, n, m)
+    if not np.isfinite(observed):
+        raise ValueError(f"the statistic is not finite ({observed}) under {kernel.describe()}")
     if rng is None:
         rng = substream(config.seed)
     null_values = _null_from_gram(k, n, m, config.permutations, rng)

@@ -93,6 +93,21 @@ class TestTestCommand:
         assert main(["test", *missing, "--d", "2", "--sigma", "nan"]) == 1
         assert capsys.readouterr().err == "error: gaussian bandwidth must be finite and > 0, got nan\n"
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--sigma", "1e-200"], "gaussian bandwidth 1e-200 underflows: 2 sigma^2 is 0"),
+            (
+                ["--kernel", "imq", "--c", "1e-200"],
+                "need (c*c)**-beta finite and > 0, got c=1e-200, beta=0.5",
+            ),
+        ],
+        ids=["sigma", "c"],
+    )
+    def test_kernel_with_non_finite_diagonal_fails(self, graph_files, capsys, options, message):
+        assert main(["test", str(graph_files[0]), str(graph_files[1]), "--d", "2", *options]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_edge_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("# vertices: 3\n1 1\n")
@@ -196,6 +211,14 @@ class TestDissimClassifyCommands:
             == 0
         )
         assert "accuracy" in capsys.readouterr().out
+
+    def test_kernel_with_non_finite_diagonal_writes_nothing(self, graph_files, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join(str(p) for p in graph_files) + "\n")
+        out = tmp_path / "dissim.csv"
+        options = ["--d", "2", "--kernel", "imq", "--c", "1e-200", "--output", str(out)]
+        assert main(["dissim", str(manifest), *options]) == 1
+        assert "c=1e-200" in capsys.readouterr().err and not out.exists()
 
     def test_classify_without_labels_fails(self, graph_files, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"

@@ -263,6 +263,14 @@ class TestPairwiseDissimilarity:
         with pytest.raises(ValueError, match="2 graphs"):
             pairwise_dissimilarity(_graphs(0.0, 30, 1, seed=113), 2, SPEC)
 
+    def test_non_finite_entry_is_an_error(self):
+        class NanKernel(mmd.KernelSpec):
+            def _from_sq(self, sq, a, b):
+                return np.full(np.shape(sq), np.nan)
+
+        with pytest.raises(ValueError, match="graphs 0 and 1 is not finite"):
+            pairwise_dissimilarity(_graphs(0.0, 30, 3, seed=115), 2, NanKernel())
+
     def test_reports_offending_graph(self):
         good = _graphs(0.0, 30, 1, seed=114)[0]
         with pytest.raises(ValueError, match="graph 1"):

@@ -26,6 +26,7 @@ from rdpgtest.mmd import GaussianKernel
 from rdpgtest.model import (
     DegreeCorrected,
     DirichletLatent,
+    Graph,
     LogitNormalMixture,
     PointMassMixture,
     UniformBox,
@@ -92,6 +93,19 @@ class TestEdgeList:
         with pytest.raises(EdgeListFormatError, match="range"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "adjacency, text",
+        [
+            (np.zeros((0, 0), dtype=int), "# vertices: 0\n"),
+            ([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]], "# vertices: 4\n0 2\n"),
+        ],
+        ids=["no-vertices", "isolated-vertices"],
+    )
+    def test_written_bytes(self, tmp_path, adjacency, text):
+        path = tmp_path / "g.edges"
+        write_edge_list(Graph(np.array(adjacency)), path)
+        assert path.read_bytes() == text.encode()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("")
@@ -115,6 +129,21 @@ class TestCsv:
         write_matrix_csv(m, path, labels=["a", "b"])
         back, labels = read_matrix_csv(path)
         assert np.array_equal(back, m) and labels == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "labels, header",
+        [(None, b""), (["a", 2], b"# labels: a,2\n")],
+        ids=["unlabelled", "labelled"],
+    )
+    def test_matrix_bytes(self, tmp_path, labels, header):
+        path = tmp_path / "m.csv"
+        write_matrix_csv([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 0.1], [1 / 3, -7e22, 2.5]],
+                         path, labels=labels)
+        assert path.read_bytes() == header + (
+            b"-0,nan,inf\n"
+            b"-inf,4.9406564584124654e-324,0.10000000000000001\n"
+            b"0.33333333333333331,-7.0000000000000004e+22,2.5\n"
+        )
 
     def test_labels_file(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -183,6 +212,24 @@ class TestParseDistribution:
             }
         )
         assert isinstance(dist, DegreeCorrected)
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (
+                {"kind": "degree_corrected", "atoms": "0.7 0 ; 0 0.7", "weights": "0.5 0.5",
+                 "theta_lo": "0.2"},
+                "unknown key 'theta_lo'",
+            ),
+            ({"kind": "dirichlet", "concentration": "1 1", "scale": "0.5"}, "unknown key 'scale'"),
+            ({"kind": "point_mass_mixture", "atoms": "0.5 ; 0.2"}, "missing key 'weights'"),
+            ({"kind": "logit_normal_mixture", "means": "0 0", "weights": "1"}, "missing key 'covs'"),
+        ],
+        ids=["theta_lo", "scale", "weights", "covs"],
+    )
+    def test_keys_checked_against_kind(self, section, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_distribution(section)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -319,6 +366,36 @@ class TestConfigFiles:
         key = line.split(" = ")[0]
         with pytest.raises(ValueError, match=re.escape(f"unknown key '{key}' in [experiment]")):
             load(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "[F]\nkind = point_mass_mixture\natoms = 0.7 0.1 ; 0.1 0.7\n",
+                "[F]\nkind = degree_corrected\natoms = 0.7 0.1 ; 0.1 0.7\ntheta_lo = 0.2\n",
+                "unknown key 'theta_lo' in [F]",
+            ),
+            ("weights = 0.45 0.55\n\n[G]", "\n[G]", "missing key 'weights' in [F]"),
+            ("[F]", "[H]", "missing section 'F'"),
+            ("[test]", "[tset]", "unknown section 'tset'"),
+            ("[experiment]", "[experimint]", "missing section 'experiment'"),
+            ("family = custom\n", "family = two_block\n", "unknown section 'F'"),
+        ],
+        ids=["unknown-key", "missing-key", "missing-F", "unknown-section", "missing-experiment",
+             "F-without-custom"],
+    )
+    def test_sections_checked(self, tmp_path, old, new, message):
+        path = tmp_path / "custom.ini"
+        path.write_text(WCOMP_INI.replace(old, new, 1))
+        for load in (load_power_config, load_wcompare_config):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load(path)
+
+    def test_two_block_family_takes_no_distribution_sections(self, tmp_path):
+        path = tmp_path / "power.ini"
+        path.write_text(POWER_INI + "\n[F]\nkind = nonsense\n")
+        with pytest.raises(ValueError, match=re.escape("unknown section 'F'")):
+            load_power_config(path)
 
     def test_sparse_variant_takes_the_experiment_sparsity(self, tmp_path):
         path = tmp_path / "power.ini"

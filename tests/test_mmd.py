@@ -69,6 +69,25 @@ class TestKernelEval:
         with pytest.raises(ValueError, match="finite and > 0"):
             make(value)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GaussianKernel(1e-200),
+            lambda: InverseMultiquadricKernel(c=1e-200),
+            lambda: InverseMultiquadricKernel(c=1e200),
+            lambda: InverseMultiquadricKernel(c=1e-100, beta=4.0),
+        ],
+        ids=["sigma-underflow", "c-underflow", "c-overflow", "beta-overflow"],
+    )
+    def test_diagonal_must_be_finite_and_positive(self, make):
+        with pytest.raises(ValueError, match="sigma\\^2 is 0|c\\*c"):
+            make()
+
+    def test_small_parameters_with_finite_diagonal_are_kept(self):
+        origin = np.zeros((1, 2))
+        assert GaussianKernel(1e-150).pairwise(origin, origin)[0, 0] == 1.0
+        assert 0.0 < InverseMultiquadricKernel(c=1e-100).pairwise(origin, origin)[0, 0] < np.inf
+
     def test_unresolved_median_bandwidth_raises(self):
         with pytest.raises(ValueError, match="unresolved"):
             GaussianKernel(None).pairwise(np.zeros((2, 2)), np.zeros((2, 2)))

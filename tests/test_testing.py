@@ -149,6 +149,15 @@ class TestConfigValidation:
 
 
 class TestReflectionSearch:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("align", [True, False])
+    def test_non_finite_statistic_is_an_error(self, align):
+        # The energy kernel overflows to inf - inf on rows near 1e200.
+        x = np.array([[1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
+        config = TestConfig(kernel=EnergyKernel(), permutations=5, align_reflections=align)
+        with pytest.raises(ValueError, match="statistic is not finite"):
+            _calibrate(x, x[::-1].copy(), config, None, {})
+
     def test_finds_mirroring(self):
         f, _ = two_block_pair(0.0)
         rng = substream(79)
