@@ -83,7 +83,7 @@ def _cmd_w_compare(args):
 
 
 def _cmd_dissim(args):
-    spec = harness.build_test_config(vars(args)).kernel
+    spec = harness.fixed_bandwidth(harness.build_test_config(vars(args)).kernel)
     paths, labels = io.read_manifest(args.manifest)
     graphs = [io.read_edge_list(p) for p in paths]
     matrix = harness.pairwise_dissimilarity(graphs, args.d, spec, floor=not args.raw, labels=labels)

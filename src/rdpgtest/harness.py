@@ -16,8 +16,8 @@ from . import io as _io
 from . import mmd
 from .embed import ase, fix_signs, second_moment_rotation
 from .model import (
-    LatentDistribution,
     UniformBox,
+    as_graph,
     sample_latent,
     sample_rdpg,
     sbm_to_latent,
@@ -197,7 +197,7 @@ def run_power_experiment(config):
     return table
 
 
-def _moment_frame(dist, rng, surrogate_size=10**6):
+def _moment_frame(dist, rng, surrogate_size):
     moment = second_moment_matrix(dist, rng=rng, surrogate_size=surrogate_size)
     _, vecs = np.linalg.eigh(moment)
     return fix_signs(vecs[:, ::-1])
@@ -305,13 +305,11 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
         raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
     embeddings = []
     for idx, graph in enumerate(graphs):
-        adjacency = np.asarray(graph, dtype=float)
-        if adjacency.shape[0] < max(d, 2):
-            raise ValueError(f"graph {idx} has {adjacency.shape[0]} vertices, need >= {max(d, 2)}")
         try:
-            embeddings.append(ase(adjacency, d).coordinates)
+            embeddings.append(ase(as_graph(graph), d).coordinates)
+            mmd.check_sizes(len(embeddings[-1]), len(embeddings[-1]))
         except Exception as exc:
-            raise ValueError(f"embedding graph {idx} failed: {exc}") from exc
+            raise ValueError(f"graph {idx}: {exc}") from exc
     count = len(embeddings)
     within = [mmd.off_diagonal_sum(mmd.gram(spec, e, e)) for e in embeddings]
     values = np.zeros((count, count))
@@ -450,6 +448,13 @@ def build_test_config(params):
     return TestConfig(**fields)
 
 
+def fixed_bandwidth(kernel):
+    """``kernel``, unless it asks for the median bandwidth: that needs one test's pooled rows."""
+    if isinstance(kernel, mmd.GaussianKernel) and kernel.sigma is None:
+        raise ValueError("sigma = median needs the pooled rows of one test; give a number")
+    return kernel
+
+
 _FAMILIES = {
     "two_block": (two_block_pair, {"base": float, "cross": float, "weights": _io._parse_vector}),
     "uniform_box": (uniform_box_pair, {"f_upper": float, "g_upper": float, "dim": int}),
@@ -474,11 +479,11 @@ def _pairs_from_config(parser, experiment, sweep):
 
 
 def _read_experiment(path, sweep, keys):
-    """Parser, ``[experiment]`` section and seeded test configuration of a
-    file. ``[experiment]`` may hold ``family``, ``seed``, the family's keys,
-    ``keys`` and, unless the family is ``custom`` (one fixed pair), the
-    ``sweep`` key; its ``sparsity`` fills in ``[test]`` sparsities left out.
-    ``[F]`` and ``[G]`` are required for ``custom`` and unknown otherwise."""
+    """Parser, ``[experiment]`` section and seeded test configuration of a file.
+    ``[experiment]`` holds ``n`` and may hold ``family``, ``seed``, ``m``, ``replicates``,
+    ``output``, the family's keys, ``keys`` and, unless the family is ``custom`` (one
+    fixed pair), the ``sweep`` key; its ``sparsity`` fills in ``[test]`` sparsities left
+    out. ``[F]`` and ``[G]`` are required for ``custom`` and unknown otherwise."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(path)
@@ -487,7 +492,8 @@ def _read_experiment(path, sweep, keys):
     needed = ("experiment",) + (("F", "G") if pair is None else ())
     _io._check_keys(parser.sections(), {"test", *needed}, needed, what="section")
     swept = (sweep,) if pair is not None else ()
-    _io._check_keys(experiment, {"family", "seed", *family_keys, *swept, *keys})
+    shared = ("family", "seed", "n", "m", "replicates", "output")
+    _io._check_keys(experiment, {*shared, *family_keys, *swept, *keys}, ("n",))
     test = parser["test"] if parser.has_section("test") else {}
     _io._check_keys(test, {*_TEST_KEYS, *mmd.KERNEL_KEYS} - {"seed"})
     sparsity = experiment.get("sparsity")
@@ -497,13 +503,11 @@ def _read_experiment(path, sweep, keys):
 
 def load_power_config(path):
     """Read a power-study configuration file (INI format, see README)."""
-    parser, experiment, test_cfg = _read_experiment(
-        path, "sweep", ("n", "m", "replicates", "output", "oracle_arm", "sparsity")
-    )
+    parser, experiment, test_cfg = _read_experiment(path, "sweep", ("oracle_arm", "sparsity"))
     sweep = [float(t) for t in experiment.get("sweep", "0").split()]
     return ExperimentConfig(
         pairs=_pairs_from_config(parser, experiment, sweep),
-        n_grid=[int(t) for t in experiment.get("n", "").split()],
+        n_grid=[int(t) for t in experiment["n"].split()],
         m_grid=[int(t) for t in experiment.get("m", "").split()] or None,
         replicates=int(experiment.get("replicates", 100)),
         test=test_cfg,
@@ -515,9 +519,7 @@ def load_power_config(path):
 
 def load_wcompare_config(path):
     """Read an alignment-comparison configuration file (INI format)."""
-    parser, experiment, test_cfg = _read_experiment(
-        path, "epsilon", ("n", "m", "replicates", "surrogate_size", "output")
-    )
+    parser, experiment, test_cfg = _read_experiment(path, "epsilon", ("surrogate_size",))
     _, f, g = _pairs_from_config(parser, experiment, [float(experiment.get("epsilon", 0.0))])[0]
     n = int(experiment["n"])
     return {
@@ -526,9 +528,9 @@ def load_wcompare_config(path):
         "n": n,
         "m": int(experiment.get("m", n)),
         "d": test_cfg.d,
-        "spec": test_cfg.kernel,
+        "spec": fixed_bandwidth(test_cfg.kernel),
         "replicates": int(experiment.get("replicates", 100)),
         "master_seed": test_cfg.seed,
-        "surrogate_size": int(experiment.get("surrogate_size", 10**6)),
         "output": experiment.get("output", "").strip() or None,
+        **_converted(experiment, {"surrogate_size": int}),
     }

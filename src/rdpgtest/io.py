@@ -34,48 +34,42 @@ def read_edge_list(path):
     indices outside ``[0, n)``, and malformed lines raise
     :class:`EdgeListFormatError` with the offending line number.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
     n = None
-    header_line = 0
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        if not text.startswith("#"):
-            raise EdgeListFormatError("missing '# vertices: n' header", lineno)
-        parts = text[1:].split(":")
-        if len(parts) != 2 or parts[0].strip() != "vertices":
-            raise EdgeListFormatError(f"bad header {text!r}", lineno)
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise EdgeListFormatError(f"vertex count {parts[1].strip()!r} is not an integer", lineno)
-        if n < 0:
-            raise EdgeListFormatError(f"vertex count must be >= 0, got {n}", lineno)
-        header_line = lineno
-        break
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            if n is None:
+                if not text.startswith("#"):
+                    raise EdgeListFormatError("missing '# vertices: n' header", lineno)
+                parts = text[1:].split(":")
+                if len(parts) != 2 or parts[0].strip() != "vertices":
+                    raise EdgeListFormatError(f"bad header {text!r}", lineno)
+                try:
+                    n = int(parts[1])
+                except ValueError:
+                    count = parts[1].strip()
+                    raise EdgeListFormatError(f"vertex count {count!r} is not an integer", lineno)
+                if n < 0:
+                    raise EdgeListFormatError(f"vertex count must be >= 0, got {n}", lineno)
+                adjacency = np.zeros((n, n), dtype=np.int8)
+            elif not text.startswith("#"):
+                tokens = text.split()
+                if len(tokens) != 2:
+                    raise EdgeListFormatError(f"expected 'u v', got {text!r}", lineno)
+                try:
+                    u, v = int(tokens[0]), int(tokens[1])
+                except ValueError:
+                    raise EdgeListFormatError(f"non-integer vertex in {text!r}", lineno)
+                if u == v:
+                    raise EdgeListFormatError(f"self-loop '{u} {v}' is not allowed", lineno)
+                if not (0 <= u < n and 0 <= v < n):
+                    raise EdgeListFormatError(f"vertex out of range in {text!r} (n={n})", lineno)
+                adjacency[u, v] = 1
+                adjacency[v, u] = 1
     if n is None:
         raise EdgeListFormatError("empty file, expected '# vertices: n' header", 1)
-
-    adjacency = np.zeros((n, n), dtype=np.int8)
-    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        tokens = text.split()
-        if len(tokens) != 2:
-            raise EdgeListFormatError(f"expected 'u v', got {text!r}", lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListFormatError(f"non-integer vertex in {text!r}", lineno)
-        if u == v:
-            raise EdgeListFormatError(f"self-loop '{u} {v}' is not allowed", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListFormatError(f"vertex out of range in {text!r} (n={n})", lineno)
-        adjacency[u, v] = 1
-        adjacency[v, u] = 1
     return Graph(adjacency)
 
 

@@ -75,8 +75,8 @@ class GaussianKernel(KernelSpec):
     def __post_init__(self):
         if self.sigma is not None and not 0.0 < self.sigma < np.inf:
             raise ValueError(f"gaussian bandwidth must be finite and > 0, got {self.sigma}")
-        # k(x, x) = exp(-0 / (2 sigma^2)) is nan if 2 sigma^2 underflows, as only sigma < 1 can.
-        if self.sigma is not None and self.sigma < 1.0 and not 2.0 * self.sigma**2 > 0.0:
+        # k(x, x) is nan if 2 sigma^2 underflows; a huge sigma gives inf here, not OverflowError.
+        if self.sigma is not None and not 2.0 * self.sigma * self.sigma > 0.0:
             raise ValueError(f"gaussian bandwidth {self.sigma} underflows: 2 sigma^2 is 0")
 
     def _check(self):
@@ -88,7 +88,7 @@ class GaussianKernel(KernelSpec):
 
     def _from_sq(self, sq, a, b):
         self._check()
-        return np.exp(-sq / (2.0 * self.sigma**2))
+        return np.exp(-sq / (2.0 * self.sigma * self.sigma))
 
     def describe(self):
         s = "median" if self.sigma is None else f"{self.sigma:g}"
@@ -210,6 +210,12 @@ def off_diagonal_sum(k):
     return k.sum() - np.trace(k)
 
 
+def check_sizes(n, m):
+    """The one sample-size rule of the unbiased statistic: ``n, m >= 2``."""
+    if n < 2 or m < 2:
+        raise InsufficientSampleError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
+
+
 def u_from_sums(sxx, sxy, syy, n, m):
     """:func:`u_statistic` from the off-diagonal within sums of samples of
     sizes ``n`` and ``m`` and the sum of their cross block; elementwise on arrays."""
@@ -242,10 +248,7 @@ def u_statistic(spec, x, y):
     x = _as_points(x, "x")
     y = _as_points(y, "y")
     n, m = x.shape[0], y.shape[0]
-    if n < 2 or m < 2:
-        raise InsufficientSampleError(
-            f"u_statistic needs at least 2 points per sample, got n={n}, m={m}"
-        )
+    check_sizes(n, m)
     sxx = off_diagonal_sum(gram(spec, x, x))
     syy = off_diagonal_sum(gram(spec, y, y))
     return float(u_from_sums(sxx, gram(spec, x, y).sum(), syy, n, m))

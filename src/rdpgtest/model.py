@@ -336,6 +336,11 @@ class Graph:
         return list(zip(i.tolist(), j.tolist()))
 
 
+def as_graph(adjacency):
+    """``adjacency`` if it is a :class:`Graph`, else a :class:`Graph` of it, checked as built."""
+    return adjacency if isinstance(adjacency, Graph) else Graph(adjacency)
+
+
 @dataclass(eq=False)
 class MomentDiagnostic:
     """Eigenvalues of the empirical second-moment matrix and their minimum gap."""

@@ -6,9 +6,10 @@ embedding of one graph, then its row normalization), bandwidth
 (:func:`_align`: the reflection search, which yields the kernel sums of the
 statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
 the permutation null, from that one matrix). Each input is checked once:
-the options by :class:`TestConfig`, the adjacency and ``1 <= d <= n`` by
-:func:`~rdpgtest.embed.ase`, degenerate rows by :func:`preprocess`, and
-``n, m >= 2``, finite rows and a finite statistic by :func:`_calibrate`.
+the options by :class:`TestConfig`, 0/1 entries, a zero diagonal and
+symmetry by :class:`~rdpgtest.model.Graph` (an array is made one), ``d``
+by ``ase``, degenerate rows by :func:`preprocess`, ``n, m >= 2`` by
+``mmd.check_sizes``, and finite rows and a finite statistic by ``_calibrate``.
 The variants are:
 
 ``identity``
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import mmd
 from .embed import ase
-from .errors import DegenerateRowError, InsufficientSampleError
+from .errors import DegenerateRowError
+from .model import as_graph
 from .streams import substream
 
 __all__ = [
@@ -202,7 +204,7 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     """
     pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
     total = pooled.shape[0]
-    _check_sizes(n, m)
+    mmd.check_sizes(n, m)
     if n + m != total:
         raise ValueError(f"pool has {total} rows but n + m = {n + m}")
     if permutations < 1:
@@ -242,17 +244,11 @@ def p_value(observed, null_values):
     return float((1 + int(np.sum(null_values >= observed))) / (null_values.size + 1))
 
 
-def _check_sizes(n, m):
-    if n < 2 or m < 2:
-        raise InsufficientSampleError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
-
-
 def _embed(graph, config, sparsity):
     """Stage 1: spectral embedding of one graph, then the variant's row
     normalization. The float adjacency lives only inside :func:`ase`."""
-    return preprocess(
-        ase(graph, config.d), config.variant, sparsity=sparsity, eps_floor=config.eps_floor
-    )
+    rows = ase(as_graph(graph), config.d)
+    return preprocess(rows, config.variant, sparsity=sparsity, eps_floor=config.eps_floor)
 
 
 def _bandwidth(kernel, px, py):
@@ -287,7 +283,7 @@ def _calibrate(px, py, config, rng, info):
     """Stages 2-4 on preprocessed rows, then the report; its
     ``preprocessing`` is the reflection signs (when aligning) and ``info``."""
     n, m = px.shape[0], py.shape[0]
-    _check_sizes(n, m)
+    mmd.check_sizes(n, m)
     if not (np.isfinite(px).all() and np.isfinite(py).all()):
         raise ValueError("rows must be finite")
     kernel = _bandwidth(config.kernel, px, py)

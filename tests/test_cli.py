@@ -108,6 +108,13 @@ class TestTestCommand:
         assert main(["test", str(graph_files[0]), str(graph_files[1]), "--d", "2", *options]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_huge_bandwidth_runs(self, graph_files, capsys):
+        # 2 sigma^2 overflows to inf: every kernel value is 1 and the statistic 0.
+        options = ["--d", "2", "--B", "20", "--sigma", "1e200"]
+        assert main(["test", str(graph_files[0]), str(graph_files[1]), *options]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("statistic=0\n") and "kernel=gaussian(sigma=1e+200)" in out
+
     def test_bad_edge_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("# vertices: 3\n1 1\n")
@@ -175,6 +182,27 @@ class TestWCompareCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("replicate,") and len(lines) == 4
         assert "median" in capsys.readouterr().out
+
+
+class TestMedianBandwidthNeedsOneTest:
+    MESSAGE = "error: sigma = median needs the pooled rows of one test; give a number\n"
+
+    def test_dissim_refuses_before_reading(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{tmp_path / 'missing0.edges'}\n{tmp_path / 'missing1.edges'}\n")
+        options = ["--d", "2", "--sigma", "median", "--output", str(tmp_path / "d.csv")]
+        assert main(["dissim", str(manifest), *options]) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+
+    def test_wcompare_refuses_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli.harness, "w_comparison_experiment", run)
+        config = tmp_path / "w.ini"
+        config.write_text("[experiment]\nfamily = two_block\nn = 20\n\n[test]\nsigma = median\n")
+        assert main(["w-compare", str(config), "--output", str(tmp_path / "w.csv")]) == 1
+        assert capsys.readouterr().err == self.MESSAGE
 
 
 class TestDissimClassifyCommands:

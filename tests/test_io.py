@@ -112,6 +112,37 @@ class TestEdgeList:
         with pytest.raises(EdgeListFormatError, match="empty"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("\n  \n# vertices: 3\n0 1\n", [(0, 1)]),
+            ("# nodes: 3\n0 1\n", ("bad header '# nodes: 3'", 1)),
+            ("# vertices: 2: 3\n", ("bad header '# vertices: 2: 3'", 1)),
+            ("\n# vertices: three\n", ("vertex count 'three' is not an integer", 2)),
+            ("# vertices: -1\n", ("vertex count must be >= 0, got -1", 1)),
+            ("# vertices: 4\n0 1\n\n# a comment\n2 3\n", [(0, 1), (2, 3)]),
+            ("# vertices: 3\n0 1\n1 x\n", ("non-integer vertex in '1 x'", 3)),
+        ],
+        ids=["blank-before-header", "other-key", "two-colons", "count-not-integer",
+             "negative-count", "blank-and-comment-among-edges", "vertex-not-integer"],
+    )
+    def test_reader_branches(self, tmp_path, text, expected):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        if isinstance(expected, list):
+            assert read_edge_list(path).edges() == expected
+            return
+        message, line = expected
+        with pytest.raises(EdgeListFormatError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"line {line}: {message}" and err.value.line_number == line
+
+    def test_first_of_two_bad_lines_is_reported(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("# vertices: 3\n0 1\n\n2 2\n0 9\n")
+        with pytest.raises(EdgeListFormatError, match="^line 4: self-loop '2 2'"):
+            read_edge_list(path)
+
 
 class TestCsv:
     def test_embedding_round_trips_float64(self, tmp_path):
@@ -407,6 +438,13 @@ class TestConfigFiles:
         path.write_text(text.replace("variant = identity", "variant = sparse\nsparsity_y = 0.25"))
         config = load_power_config(path)
         assert (config.test.sparsity_x, config.test.sparsity_y) == (0.5, 0.25)
+
+    @pytest.mark.parametrize("load", [load_power_config, load_wcompare_config])
+    def test_n_is_required(self, tmp_path, load):
+        path = tmp_path / "custom.ini"
+        path.write_text(WCOMP_INI.replace("n = 25\n", ""))
+        with pytest.raises(ValueError, match=re.escape("missing key 'n' in [experiment]")):
+            load(path)
 
     def test_wcompare_config(self, tmp_path):
         path = tmp_path / "w.ini"

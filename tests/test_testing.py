@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import kstest
 
 from rdpgtest.embed import ase
-from rdpgtest.errors import DegenerateRowError, InsufficientSampleError
-from rdpgtest.harness import two_block_pair, uniform_box_pair
+from rdpgtest.errors import DegenerateRowError, InsufficientSampleError, ModelError
+from rdpgtest.harness import pairwise_dissimilarity, two_block_pair, uniform_box_pair
 from rdpgtest.mmd import (
     EnergyKernel,
     GaussianKernel,
@@ -12,7 +12,7 @@ from rdpgtest.mmd import (
     median_heuristic,
     u_statistic,
 )
-from rdpgtest.model import Graph, sample_latent, sample_rdpg
+from rdpgtest.model import Graph, edge_prob_matrix, sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 from rdpgtest.testing import (
     TestConfig,
@@ -266,6 +266,26 @@ class TestTwoSampleTest:
         b = _two_graphs(0.0, m, seed=84)[1] if m else empty
         with pytest.raises(ValueError, match="exceeds"):
             two_sample_test(a, b, TestConfig(d=d))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda a, p: 3 * a, "entries must be 0 or 1"),
+            (lambda a, p: a + np.eye(len(a), dtype=a.dtype), "zero diagonal"),
+            (lambda a, p: p, "zero diagonal"),
+        ],
+        ids=["adjacency-times-3", "adjacency-plus-identity", "edge-probabilities"],
+    )
+    def test_array_graphs_get_the_graph_checks(self, make, message):
+        f, _ = two_block_pair(0.0)
+        rng = substream(92)
+        x = sample_latent(f, 40, rng)
+        graph = sample_rdpg(x, 1.0, rng)
+        bad = make(np.asarray(graph), edge_prob_matrix(x))
+        with pytest.raises(ModelError, match=message):
+            two_sample_test(graph, bad, TestConfig(d=2, permutations=20))
+        with pytest.raises(ValueError, match=f"graph 1: adjacency .*{message}"):
+            pairwise_dissimilarity([graph, bad], 2, SPEC)
 
     def test_median_bandwidth_resolved(self):
         a, b = _two_graphs(0.0, 50, seed=85)

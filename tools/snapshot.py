@@ -13,6 +13,8 @@ difference. The grid records:
 - power-study, alignment-comparison and dissimilarity outputs;
 - the bytes of written files;
 - stdout, stderr, exit code and files of CLI invocations;
+- the input rules: edge-list reader branches, array graphs that are not
+  adjacencies, sample sizes, extreme and median bandwidths, INI keys;
 - the repr of each error raised.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
@@ -119,6 +121,21 @@ def grid_tests(grid, rt, graphs):
             convert(graphs["f30"]), convert(graphs["g45"]), config), lambda k, r: _report(grid, k, r))
     grid.run("test/explicit-rng", lambda: rt.two_sample_test(
         graphs["f30"], graphs["f40"], config, rng=rt.substream(4, 4)), lambda k, r: _report(grid, k, r))
+    # Arrays that are not adjacencies: a Graph would refuse each of them.
+    rng = rt.substream(14)
+    x = rt.sample_latent(rt.two_block_pair(0.0)[0], 30, rng)
+    adjacency = np.asarray(rt.sample_rdpg(x, 1.0, rng))
+    arrays = {"times-3": 3 * adjacency, "plus-identity": adjacency + np.eye(30, dtype=int),
+              "edge-probabilities": rt.edge_prob_matrix(x)}
+    for kind, array in arrays.items():
+        grid.run(f"test/array-{kind}", lambda: rt.two_sample_test(array, graphs["g30"], config),
+                 lambda k, r: _report(grid, k, r))
+        grid.run(f"dissim/array-{kind}", lambda: rt.pairwise_dissimilarity(
+            [graphs["g30"], array], 2, rt.GaussianKernel()), lambda k, dm: grid.put(k, dm.values))
+    huge = rt.GaussianKernel(1e200)
+    grid.run("test/gauss1e200", lambda: rt.two_sample_test(
+        graphs["f30"], graphs["g30"], rt.TestConfig(kernel=huge, permutations=20)),
+        lambda k, r: _report(grid, k, r))
     rng = rt.substream(12)
     f, g = rt.two_block_pair(0.1)
     x, y = rt.sample_latent(f, 30, rng), rt.sample_latent(g, 40, rng)
@@ -301,7 +318,13 @@ def grid_io(grid, rt, graphs, workdir):
             os.remove(path)
     bad = {"no-header": "0 1\n", "bad-count": "# vertices: x\n", "loop": "# vertices: 2\n1 1\n",
            "range": "# vertices: 2\n0 2\n", "tokens": "# vertices: 2\n0 1 2\n", "empty": "",
-           "ok": "# vertices: 3\n\n0 1\n# note\n1 0\n"}
+           "ok": "# vertices: 3\n\n0 1\n# note\n1 0\n",
+           "blank-before-header": "\n \n# vertices: 3\n0 2\n", "other-key": "# nodes: 3\n0 1\n",
+           "two-colons": "# vertices: 2: 3\n", "negative-count": "# vertices: -2\n",
+           "edges-blank-and-comment": "# vertices: 4\n0 1\n\n# c\n  \n2 3\n",
+           "vertex-not-integer": "# vertices: 3\n0 1\n1 y\n",
+           "two-bad-lines": "# vertices: 3\n0 1\n\n2 2\n0 9\n",
+           "header-after-edge": "0 1\n# vertices: 3\n"}
     for name, text in bad.items():
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -411,6 +434,10 @@ concentration = 1 1
     "badkey.ini": "[experiment]\nfamily = two_block\nn = 20\nalpha = 1\n",
     "labels.txt": "f\nf\nf\ng\ng\ng\n",
     "bad.edges": "# vertices: 3\n0 3\n",
+    "wmedian.ini": "[experiment]\nfamily = two_block\nn = 20\n\n[test]\nsigma = median\n",
+    "wnon.ini": "[experiment]\nfamily = two_block\nreplicates = 2\noutput = wnon.csv\n",
+    "pnon.ini": "[experiment]\nfamily = two_block\nsweep = 0\nreplicates = 2\n",
+    "missing.txt": "m0.edges\nnot-there.edges\n",
 }
 
 INVOCATIONS = [
@@ -443,6 +470,12 @@ INVOCATIONS = [
     "w-compare wcustom.ini",
     "--help",
     "test --help",
+    "test a.edges b.edges --d 2 --sigma 1e200",
+    "dissim missing.txt --d 2 --sigma median --output dm.csv",
+    "dissim manifest.txt --d 2 --sigma median --output dm2.csv",
+    "w-compare wmedian.ini --output wm.csv",
+    "w-compare wnon.ini",
+    "simulate-power pnon.ini",
 ]
 
 
