@@ -22,14 +22,14 @@ import sys
 
 import numpy as np
 
-from . import harness, io
+from . import harness, io, mmd
 from .embed import ase
 from .testing import VARIANTS, two_sample_test
 
 
-def _add_kernel_args(parser):
+def _add_kernel_args(parser, sigma):
     parser.add_argument("--kernel", help="gaussian, imq or energy")
-    parser.add_argument("--sigma", help="gaussian bandwidth, or 'median'")
+    parser.add_argument("--sigma", help=sigma)
     parser.add_argument("--c", type=float, help="inverse multiquadric offset")
     parser.add_argument("--beta", type=float, help="inverse multiquadric exponent")
     parser.add_argument("--q", type=float, help="energy kernel exponent")
@@ -59,7 +59,7 @@ def _cmd_simulate_power(args):
         config.output_path = args.output
     table = harness.run_power_experiment(config)
     lines = [
-        f"n={cell.n} m={cell.m} sweep={cell.sweep} power={cell.power:.17g} se={cell.se:.17g}"
+        f"n={cell.n} m={cell.m} sweep={cell.sweep} power={io._fmt(cell.power)} se={io._fmt(cell.se)}"
         for cell in table.cells
     ]
     if config.output_path:
@@ -76,14 +76,14 @@ def _cmd_w_compare(args):
     result = harness.w_comparison_experiment(**cfg)
     result.to_csv(output)
     return (
-        f"median |delta| random alignment: {np.median(np.abs(result.delta_random)):.17g}\n"
-        f"median |delta| fixed alignment:  {np.median(np.abs(result.delta_fixed)):.17g}\n"
+        f"median |delta| random alignment: {io._fmt(np.median(np.abs(result.delta_random)))}\n"
+        f"median |delta| fixed alignment:  {io._fmt(np.median(np.abs(result.delta_fixed)))}\n"
         f"wrote {output}"
     )
 
 
 def _cmd_dissim(args):
-    spec = harness.fixed_bandwidth(harness.build_test_config(vars(args)).kernel)
+    spec = mmd.fixed_bandwidth(harness.build_test_config(vars(args)).kernel)
     paths, labels = io.read_manifest(args.manifest)
     graphs = [io.read_edge_list(p) for p in paths]
     matrix = harness.pairwise_dissimilarity(graphs, args.d, spec, floor=not args.raw, labels=labels)
@@ -113,7 +113,7 @@ def build_parser():
     p.add_argument("graph_b")
     p.add_argument("--d", type=int, required=True, help="embedding dimension")
     p.add_argument("--variant", choices=VARIANTS)
-    _add_kernel_args(p)
+    _add_kernel_args(p, "gaussian bandwidth, or 'median'")
     p.add_argument("--B", dest="b", type=int, help="permutation count")
     p.add_argument("--alpha", dest="alpha_level", metavar="ALPHA", type=float,
                    help="significance level")
@@ -147,7 +147,7 @@ def build_parser():
     p = sub.add_parser("dissim", help="pairwise dissimilarity matrix for a graph manifest")
     p.add_argument("manifest", help="text file: one edge-list path per line, optionally ',label'")
     p.add_argument("--d", type=int, required=True)
-    _add_kernel_args(p)
+    _add_kernel_args(p, "gaussian bandwidth")
     p.add_argument("--raw", action="store_true", help="keep negative statistics instead of flooring at 0")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_dissim)

@@ -6,7 +6,7 @@ class NotPositiveSemidefiniteError(ValueError):
 
 
 class ModelError(ValueError):
-    """An edge probability fell outside [0, 1]; probabilities are never clamped."""
+    """A sparsity factor, edge probability or adjacency is invalid; nothing is clamped."""
 
 
 class InvalidDistributionError(ValueError):

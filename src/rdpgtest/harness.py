@@ -18,6 +18,7 @@ from .embed import ase, fix_signs, second_moment_rotation
 from .model import (
     UniformBox,
     as_graph,
+    check_sparsity,
     sample_latent,
     sample_rdpg,
     sbm_to_latent,
@@ -93,8 +94,7 @@ class ExperimentConfig:
             raise ValueError("pairs and n_grid must be nonempty")
         if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):
             raise ValueError("m_grid must pair with n_grid entry by entry")
-        if not 0.0 < self.sparsity <= 1.0:
-            raise ValueError(f"sparsity must lie in (0, 1], got {self.sparsity}")
+        check_sparsity(self.sparsity)
 
 
 @dataclass
@@ -276,8 +276,9 @@ class DissimilarityMatrix:
 
     By default entries are the positive part of the unbiased statistic
     (negative values mean "indistinguishable" and a nearest-neighbor
-    classifier needs a nonnegative dissimilarity); construct with
-    ``floor=False`` to keep raw values. The diagonal is exactly zero.
+    classifier needs a nonnegative dissimilarity); call
+    :func:`pairwise_dissimilarity` with ``floor=False`` (``dissim --raw`` on
+    the command line) to keep raw values. The diagonal is exactly zero.
     """
 
     values: np.ndarray
@@ -317,8 +318,7 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
         for h in range(g + 1, count):
             cross = mmd.gram(spec, embeddings[g], embeddings[h]).sum()
             u = mmd.u_from_sums(within[g], cross, within[h], len(embeddings[g]), len(embeddings[h]))
-            if not np.isfinite(u):
-                raise ValueError(f"the statistic between graphs {g} and {h} is not finite ({u})")
+            u = mmd.finite_statistic(u, spec, f" between graphs {g} and {h}")
             if floor:
                 u = max(u, 0.0)
             values[g, h] = values[h, g] = u
@@ -448,13 +448,6 @@ def build_test_config(params):
     return TestConfig(**fields)
 
 
-def fixed_bandwidth(kernel):
-    """``kernel``, unless it asks for the median bandwidth: that needs one test's pooled rows."""
-    if isinstance(kernel, mmd.GaussianKernel) and kernel.sigma is None:
-        raise ValueError("sigma = median needs the pooled rows of one test; give a number")
-    return kernel
-
-
 _FAMILIES = {
     "two_block": (two_block_pair, {"base": float, "cross": float, "weights": _io._parse_vector}),
     "uniform_box": (uniform_box_pair, {"f_upper": float, "g_upper": float, "dim": int}),
@@ -528,7 +521,7 @@ def load_wcompare_config(path):
         "n": n,
         "m": int(experiment.get("m", n)),
         "d": test_cfg.d,
-        "spec": fixed_bandwidth(test_cfg.kernel),
+        "spec": mmd.fixed_bandwidth(test_cfg.kernel),
         "replicates": int(experiment.get("replicates", 100)),
         "master_seed": test_cfg.seed,
         "output": experiment.get("output", "").strip() or None,

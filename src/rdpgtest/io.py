@@ -82,10 +82,7 @@ def write_edge_list(graph, path):
 
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """The one number format of every output: 17 significant digits for a float."""
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
     return str(value)
@@ -103,10 +100,11 @@ def write_table_csv(path, columns, rows, comments=()):
 
 def write_matrix_csv(matrix, path, labels=None):
     """Write a numeric matrix in full precision, optionally tagged with row labels."""
-    header = "" if labels is None else "labels: " + ",".join(str(l) for l in labels)
     with open(path, "w", encoding="utf-8") as handle:
-        np.savetxt(handle, np.atleast_2d(np.asarray(matrix, dtype=float)), fmt="%.17g",
-                   delimiter=",", header=header, comments="# ")
+        if labels is not None:
+            handle.write("# labels: " + ",".join(map(str, labels)).replace("\n", "\n# ") + "\n")
+        for row in np.atleast_2d(np.asarray(matrix, dtype=float)).tolist():
+            handle.write(",".join(map(_fmt, row)) + "\n")
 
 
 def read_matrix_csv(path):

@@ -56,7 +56,7 @@ class KernelSpec:
         return self._from_sq(np.sum((a - b) ** 2, axis=1), a, b)
 
     def describe(self):
-        raise NotImplementedError
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class GaussianKernel(KernelSpec):
     """Gaussian radial kernel ``exp(-||x - y||^2 / (2 sigma^2))``.
 
     ``sigma=None`` requests the median heuristic: the bandwidth is resolved
-    against the pooled sample by the caller (see
-    :func:`rdpgtest.testing.two_sample_test`) before any evaluation.
+    against the pooled sample by :func:`rdpgtest.testing.two_sample_test`;
+    everywhere else :func:`fixed_bandwidth` refuses it.
     """
 
     sigma: float | None = 0.5
@@ -79,15 +79,8 @@ class GaussianKernel(KernelSpec):
         if self.sigma is not None and not 2.0 * self.sigma * self.sigma > 0.0:
             raise ValueError(f"gaussian bandwidth {self.sigma} underflows: 2 sigma^2 is 0")
 
-    def _check(self):
-        if self.sigma is None:
-            raise ValueError(
-                "gaussian bandwidth is unresolved; set sigma or use "
-                "median_heuristic on the pooled sample first"
-            )
-
     def _from_sq(self, sq, a, b):
-        self._check()
+        fixed_bandwidth(self)
         return np.exp(-sq / (2.0 * self.sigma * self.sigma))
 
     def describe(self):
@@ -145,6 +138,13 @@ class EnergyKernel(KernelSpec):
 
     def describe(self):
         return f"energy(q={self.exponent:g})"
+
+
+def fixed_bandwidth(kernel):
+    """``kernel``, unless it asks for the median bandwidth: that needs one test's pooled rows."""
+    if isinstance(kernel, GaussianKernel) and kernel.sigma is None:
+        raise ValueError("sigma = median needs the pooled rows of one test; give a number")
+    return kernel
 
 
 KERNEL_KEYS = ("kernel", "sigma", "c", "beta", "q")
@@ -222,6 +222,13 @@ def u_from_sums(sxx, sxy, syy, n, m):
     return sxx / (n * (n - 1)) - 2.0 * sxy / (n * m) + syy / (m * (m - 1))
 
 
+def finite_statistic(u, spec, between=""):
+    """``u`` as a float, unless it is not finite: then the kernel (and ``between``) is named."""
+    if not np.isfinite(u):
+        raise ValueError(f"the statistic{between} is not finite ({u}) under {spec.describe()}")
+    return float(u)
+
+
 def u_statistic(spec, x, y):
     """Unbiased estimate of the squared maximum mean discrepancy.
 
@@ -251,7 +258,7 @@ def u_statistic(spec, x, y):
     check_sizes(n, m)
     sxx = off_diagonal_sum(gram(spec, x, x))
     syy = off_diagonal_sum(gram(spec, y, y))
-    return float(u_from_sums(sxx, gram(spec, x, y).sum(), syy, n, m))
+    return finite_statistic(u_from_sums(sxx, gram(spec, x, y).sum(), syy, n, m), spec)
 
 
 def v_statistic(spec, x, y):

@@ -412,6 +412,13 @@ def _positions(latent):
     return np.atleast_2d(np.asarray(latent, float))
 
 
+def check_sparsity(value, name="sparsity"):
+    """The one rule for a sparsity factor ``alpha``: a known number in (0, 1]."""
+    if value is None or not 0.0 < value <= 1.0:
+        raise ModelError(f"{name} must lie in (0, 1], got {value}")
+    return value
+
+
 def edge_prob_matrix(latent, sparsity=1.0):
     """Edge-probability matrix ``alpha * X X^T`` with bounds verification.
 
@@ -419,9 +426,7 @@ def edge_prob_matrix(latent, sparsity=1.0):
     roundoff; probabilities are never clamped silently.
     """
     x = _positions(latent)
-    if not 0.0 < sparsity <= 1.0:
-        raise ModelError(f"sparsity must lie in (0, 1], got {sparsity}")
-    p = sparsity * (x @ x.T)
+    p = check_sparsity(sparsity) * (x @ x.T)
     lo, hi = float(p.min()), float(p.max())
     if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise ModelError(f"edge probabilities span [{lo:.6g}, {hi:.6g}], outside [0, 1]")

@@ -6,10 +6,12 @@ embedding of one graph, then its row normalization), bandwidth
 (:func:`_align`: the reflection search, which yields the kernel sums of the
 statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
 the permutation null, from that one matrix). Each input is checked once:
-the options by :class:`TestConfig`, 0/1 entries, a zero diagonal and
-symmetry by :class:`~rdpgtest.model.Graph` (an array is made one), ``d``
-by ``ase``, degenerate rows by :func:`preprocess`, ``n, m >= 2`` by
-``mmd.check_sizes``, and finite rows and a finite statistic by ``_calibrate``.
+the options by :class:`TestConfig`, sparsity factors by
+``model.check_sparsity``, 0/1 entries, a zero diagonal and symmetry by
+:class:`~rdpgtest.model.Graph` (an array is made one), ``d`` by ``ase``,
+degenerate rows by :func:`preprocess`, ``n, m >= 2`` by ``mmd.check_sizes``,
+finite rows by ``_calibrate`` and a finite statistic by
+``mmd.finite_statistic``; ``mmd.fixed_bandwidth`` refuses an unresolved median.
 The variants are:
 
 ``identity``
@@ -34,7 +36,8 @@ import numpy as np
 from . import mmd
 from .embed import ase
 from .errors import DegenerateRowError
-from .model import as_graph
+from .io import _fmt
+from .model import as_graph, check_sparsity
 from .streams import substream
 
 __all__ = [
@@ -88,11 +91,8 @@ class TestConfig:
         if self.eps_floor < 0:
             raise ValueError(f"eps_floor must be >= 0, got {self.eps_floor}")
         if self.variant == "sparse":
-            for name, value in (("sparsity_x", self.sparsity_x), ("sparsity_y", self.sparsity_y)):
-                if value is None or not 0.0 < value <= 1.0:
-                    raise ValueError(
-                        f"the sparse variant requires known {name} in (0, 1], got {value}"
-                    )
+            check_sparsity(self.sparsity_x, "sparsity_x")
+            check_sparsity(self.sparsity_y, "sparsity_y")
 
 
 @dataclass(eq=False)
@@ -137,13 +137,7 @@ class TestReport:
 
     def format_kv(self):
         """Key=value lines, full precision, one field per line."""
-        lines = []
-        for key, value in self.to_dict().items():
-            if isinstance(value, float):
-                lines.append(f"{key}={value:.17g}")
-            else:
-                lines.append(f"{key}={value}")
-        return "\n".join(lines)
+        return "\n".join(f"{key}={_fmt(value)}" for key, value in self.to_dict().items())
 
 
 def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_floor):
@@ -181,9 +175,7 @@ def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_fl
             raise DegenerateRowError(bad.tolist(), eps_floor)
         return x / norms[:, None], {"eps_floor": float(eps_floor)}
     if variant == "sparse":
-        if sparsity is None or not 0.0 < sparsity <= 1.0:
-            raise ValueError(f"the sparse variant needs a known factor in (0, 1], got {sparsity}")
-        return x / np.sqrt(sparsity), {"sparsity": float(sparsity)}
+        return x / np.sqrt(check_sparsity(sparsity)), {"sparsity": float(sparsity)}
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -288,9 +280,7 @@ def _calibrate(px, py, config, rng, info):
         raise ValueError("rows must be finite")
     kernel = _bandwidth(config.kernel, px, py)
     signs, sums, k = _align(kernel, px, py, config.align_reflections)
-    observed = mmd.u_from_sums(*sums, n, m)
-    if not np.isfinite(observed):
-        raise ValueError(f"the statistic is not finite ({observed}) under {kernel.describe()}")
+    observed = mmd.finite_statistic(mmd.u_from_sums(*sums, n, m), kernel)
     if rng is None:
         rng = substream(config.seed)
     null_values = _null_from_gram(k, n, m, config.permutations, rng)

@@ -205,6 +205,13 @@ class TestMedianBandwidthNeedsOneTest:
         assert capsys.readouterr().err == self.MESSAGE
 
 
+def test_sigma_help_says_what_each_command_takes(capsys):
+    for command, takes_median in (("test", True), ("dissim", False)):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("median" in capsys.readouterr().out) == takes_median
+
+
 class TestDissimClassifyCommands:
     def test_pipeline(self, graph_files, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"

@@ -89,7 +89,7 @@ class TestKernelEval:
         assert 0.0 < InverseMultiquadricKernel(c=1e-100).pairwise(origin, origin)[0, 0] < np.inf
 
     def test_unresolved_median_bandwidth_raises(self):
-        with pytest.raises(ValueError, match="unresolved"):
+        with pytest.raises(ValueError, match="sigma = median needs the pooled rows of one test"):
             GaussianKernel(None).pairwise(np.zeros((2, 2)), np.zeros((2, 2)))
 
 

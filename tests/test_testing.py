@@ -63,7 +63,7 @@ class TestPreprocess:
         assert err.value.vertices == [1, 2]
 
     def test_sparse_needs_factor(self):
-        with pytest.raises(ValueError, match="factor"):
+        with pytest.raises(ValueError, match="sparsity must lie in"):
             preprocess(np.ones((2, 2)) * 0.1, "sparse")
 
     def test_unknown_variant(self):

@@ -14,7 +14,8 @@ difference. The grid records:
 - the bytes of written files;
 - stdout, stderr, exit code and files of CLI invocations;
 - the input rules: edge-list reader branches, array graphs that are not
-  adjacencies, sample sizes, extreme and median bandwidths, INI keys;
+  adjacencies, sample sizes, extreme and median bandwidths, INI keys,
+  sparsity factors at every entry point and non-finite statistics;
 - the repr of each error raised.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
@@ -281,6 +282,10 @@ def grid_harness(grid, rt, graphs, workdir):
         for k, folds in ((1, 2), (3, 3)):
             grid.run(f"{key}/knn{k},{folds}", lambda: rt.knn_classify(m, labels, k, folds=folds),
                      lambda kk, rep: grid.put(kk, rep.format()))
+    grid.run("dissim/median", lambda: rt.pairwise_dissimilarity(collection, 2, rt.GaussianKernel(None)),
+             grid.put)
+    grid.run("wcompare/median", lambda: rt.w_comparison_experiment(
+        *rt.two_block_pair(0.0), 20, 2, rt.GaussianKernel(None), 2, 6), grid.put)
     grid.run("dissim/one-graph", lambda: rt.pairwise_dissimilarity(collection[:1], 2, rt.GaussianKernel()),
              grid.put)
     grid.run("dissim/too-small", lambda: rt.pairwise_dissimilarity(
@@ -438,6 +443,7 @@ concentration = 1 1
     "wnon.ini": "[experiment]\nfamily = two_block\nreplicates = 2\noutput = wnon.csv\n",
     "pnon.ini": "[experiment]\nfamily = two_block\nsweep = 0\nreplicates = 2\n",
     "missing.txt": "m0.edges\nnot-there.edges\n",
+    "sparse0.ini": "[experiment]\nfamily = two_block\nn = 20\nreplicates = 2\nsparsity = 0\n",
 }
 
 INVOCATIONS = [
@@ -476,6 +482,9 @@ INVOCATIONS = [
     "w-compare wmedian.ini --output wm.csv",
     "w-compare wnon.ini",
     "simulate-power pnon.ini",
+    "test a.edges b.edges --d 2 --variant sparse --sparsity-a 0",
+    "simulate-power sparse0.ini",
+    "dissim --help",
 ]
 
 
@@ -554,7 +563,18 @@ def grid_errors(grid, rt):
         "experiment/replicates": lambda: rt.ExperimentConfig(
             pairs=[("x", None, None)], n_grid=[10], replicates=0, test=rt.TestConfig(),
             master_seed=0),
+        "sparsity/preprocess": lambda: rt.preprocess(np.ones((3, 2)), "sparse", sparsity=0),
+        "sparsity/experiment": lambda: rt.ExperimentConfig(
+            pairs=[("x", None, None)], n_grid=[10], replicates=1, test=rt.TestConfig(),
+            master_seed=0, sparsity=0),
+        "sparsity/edge-prob": lambda: rt.edge_prob_matrix([[0.5]], 1.5),
+        "median/u": lambda: rt.u_statistic(rt.GaussianKernel(None), [[0.0], [1.0]], [[0.5], [2.0]]),
+        "u/non-finite": lambda: rt.u_statistic(rt.EnergyKernel(), [[1e200, -1e200], [-1e200, 1e200]],
+                                               [[1e200, 1e200], [-1e200, -1e200]]),
     }
+    for field, value in product(("sparsity_x", "sparsity_y"), (None, 0, 1.5)):
+        cases[f"sparsity/config-{field}-{value}"] = lambda field=field, value=value: rt.TestConfig(
+            variant="sparse", **{"sparsity_x": 0.5, "sparsity_y": 0.5, field: value})
     for key, call in cases.items():
         grid.run(f"error/{key}", call, grid.put)
 
