@@ -253,6 +253,7 @@ def w_comparison_experiment(
     """
     if m is None:
         m = n
+    mmd.fixed_bandwidth(spec)
     t1 = _moment_frame(f_dist, substream(master_seed, replicates), surrogate_size)
     t2 = _moment_frame(g_dist, substream(master_seed, replicates + 1), surrogate_size)
     w_fixed = t2 @ t1.T
@@ -304,6 +305,7 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
         raise ValueError(f"need at least 2 graphs, got {len(graphs)}")
     if labels is not None and len(labels) != len(graphs):
         raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
+    mmd.fixed_bandwidth(spec)
     embeddings = []
     for idx, graph in enumerate(graphs):
         try:

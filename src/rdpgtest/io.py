@@ -12,6 +12,8 @@ round trip. Numeric tables are written with 17 significant digits so that
 re-running an experiment reproduces byte-identical files.
 """
 
+import warnings
+
 import numpy as np
 
 from .errors import EdgeListFormatError
@@ -32,8 +34,14 @@ def read_edge_list(path):
 
     Duplicate edge lines are accepted idempotently. Self-loops, vertex
     indices outside ``[0, n)``, and malformed lines raise
-    :class:`EdgeListFormatError` with the offending line number.
+    :class:`EdgeListFormatError` with the offending line number. The edge
+    lines are read in one vectorized pass; a body it refuses goes to the line loop.
     """
+    return _read_edge_lines(path, fast=True) or _read_edge_lines(path, fast=False)
+
+
+def _read_edge_lines(path, fast):
+    """The line loop, or with ``fast`` the header loop and :func:`_scatter_edges`."""
     n = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -54,6 +62,8 @@ def read_edge_list(path):
                 if n < 0:
                     raise EdgeListFormatError(f"vertex count must be >= 0, got {n}", lineno)
                 adjacency = np.zeros((n, n), dtype=np.int8)
+                if fast:
+                    return _scatter_edges(handle.read(), adjacency)
             elif not text.startswith("#"):
                 tokens = text.split()
                 if len(tokens) != 2:
@@ -73,12 +83,30 @@ def read_edge_list(path):
     return Graph(adjacency)
 
 
+def _scatter_edges(body, adjacency):
+    """The :class:`Graph` of the edge lines ``body``, or None for a body that is not ASCII,
+    no edges, a line not two int64 tokens, a vertex outside ``[0, n)`` or a self-loop."""
+    if not body.isascii():  # NumPy 2.4's loadtxt has crashed on characters above U+FFFF
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no edges warns; so does '1.0' read as 1 by NumPy < 2
+            edges = np.loadtxt(body.split("\n"), dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+    u, v = edges[:, 0], edges[:, -1]  # a negative vertex is refused: the scatter would wrap it
+    if edges.shape[1] != 2 or edges.min() < 0 or edges.max() >= len(adjacency) or (u == v).any():
+        return None
+    adjacency[u, v] = 1
+    adjacency[v, u] = 1
+    return Graph(adjacency)
+
+
 def write_edge_list(graph, path):
     """Write a graph in the edge-list format read by :func:`read_edge_list`."""
+    u, v = np.nonzero(np.triu(graph.adjacency, 1))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# vertices: {graph.n}\n")
-        for u, v in graph.edges():
-            handle.write(f"{u} {v}\n")
+        handle.write(f"# vertices: {graph.n}\n" + "".join(map("{} {}\n".format, u.tolist(), v.tolist())))
 
 
 def _fmt(value):

@@ -266,17 +266,17 @@ def v_statistic(spec, x, y):
 
     Equals the squared RKHS norm of the difference of empirical kernel mean
     embeddings, so it is nonnegative (up to roundoff) for positive
-    semidefinite kernels.
+    semidefinite kernels. Needs ``n, m >= 1``; raises if it is not finite.
     """
     x = _as_points(x, "x")
     y = _as_points(y, "y")
     n, m = x.shape[0], y.shape[0]
     if n < 1 or m < 1:
-        raise InsufficientSampleError("v_statistic needs nonempty samples")
+        raise InsufficientSampleError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     kxx = gram(spec, x, x)
     kyy = gram(spec, y, y)
     kxy = gram(spec, x, y)
-    return float(kxx.sum() / n**2 - 2.0 * kxy.sum() / (n * m) + kyy.sum() / m**2)
+    return finite_statistic(kxx.sum() / n**2 - 2.0 * kxy.sum() / (n * m) + kyy.sum() / m**2, spec)
 
 
 def median_heuristic(points):

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rdpgtest import io
 from rdpgtest.errors import EdgeListFormatError
 from rdpgtest.harness import (
     load_power_config,
@@ -142,6 +145,113 @@ class TestEdgeList:
         path.write_text("# vertices: 3\n0 1\n\n2 2\n0 9\n")
         with pytest.raises(EdgeListFormatError, match="^line 4: self-loop '2 2'"):
             read_edge_list(path)
+
+
+def _outcome(read, path):
+    """What a reader gives for ``path``: the adjacency bytes, dtype and shape, or the error."""
+    try:
+        a = read(path).adjacency
+    except EdgeListFormatError as exc:
+        return str(exc), exc.line_number
+    return a.tobytes(), a.dtype, a.shape
+
+
+def _line_loop(path):
+    return io._read_edge_lines(path, fast=False)
+
+
+# Separators that str.split takes as whitespace, ASCII or not.
+SEPARATORS = [" ", "  ", "\t", "\v", "\f", "\x1c", "\x1f", "\xa0", "\x85", "\u2003", "\u3000"]
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+# Spellings of an index that int() reads as the same number.
+SPELLINGS = [str, "+{}".format, "0{}".format, lambda i: str(i).translate(FULL_WIDTH)]
+# Lines the line loop skips or refuses.
+ODD_LINES = ["", "   ", "\t", "# note", "  # c", "x", "0 1 2", "0", "-1 0", "1_0 1", "1.0 0", "0 1 # x",
+             "9223372036854775808 0", "-9223372036854775809 0", "0\U00020000 1", "0 0", "7 0", "1 0\f2 1"]
+
+
+@st.composite
+def edge_files(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    # Drawn with replacement, both orders: duplicates and reversed duplicates.
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=15)) if pairs else []
+    # Each file uses one or two separators and spellings, so many files are plain ASCII.
+    sep = st.sampled_from(draw(st.lists(st.sampled_from(SEPARATORS), min_size=1, max_size=2)))
+    spell = st.sampled_from(draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=2)))
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + draw(spell)(u) + draw(sep) + draw(spell)(v)
+             + draw(st.sampled_from(["", " ", "\f"])) for u, v in edges]
+    for odd in draw(st.lists(st.sampled_from(ODD_LINES), max_size=2)) if draw(st.booleans()) else []:
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    header = draw(st.sampled_from(["", "\n", " \t\n"])) + f"# vertices: {n}"
+    return eol.join([header, *lines]) + draw(st.sampled_from(["", eol]))
+
+
+class TestEdgeListFastPass:
+    """The vectorized pass gives what the line loop gives, or leaves the file to it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=edge_files())
+    def test_same_graph_or_error_as_the_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("edges") / "g.edges"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_edge_list, path) == _outcome(_line_loop, path)
+
+    @pytest.mark.parametrize(
+        "text, expected, fast",
+        [
+            ("# vertices: 12\n1_0 2\n", [(2, 10)], False),
+            ("# vertices: 3\n\uff11 \uff12\n", [(1, 2)], False),
+            ("# vertices: 3\n\u0661 \u0662\n", [(1, 2)], False),
+            ("# vertices: 3\n+1 2\n", [(1, 2)], True),
+            ("# vertices: 3\n01 2\n", [(1, 2)], True),
+            ("# vertices: 3\n-1 2\n", ("vertex out of range in '-1 2' (n=3)", 2), False),
+            ("# vertices: 3\n0 9223372036854775808\n",
+             ("vertex out of range in '0 9223372036854775808' (n=3)", 2), False),
+            ("# vertices: 3\n0 1 # x\n", ("expected 'u v', got '0 1 # x'", 2), False),
+            ("# vertices: 3\n0 1 2\n", ("expected 'u v', got '0 1 2'", 2), False),
+            ("# vertices: 3\n0 1\n2\n", ("expected 'u v', got '2'", 3), False),
+            ("# vertices: 3\n0 1\f2 0\n", ("expected 'u v', got '0 1\\x0c2 0'", 2), False),
+            ("# vertices: 3\n\n \n", [], False),
+            ("# vertices: 3\r\n0 1\r\n2 1\r\n", [(0, 1), (1, 2)], True),
+            ("# vertices: 3\n0 1\n1\U00020000 2\n", ("non-integer vertex in '1\U00020000 2'", 3), False),
+        ],
+        ids=["underscore", "full-width", "arabic-indic", "plus", "leading-zero", "negative",
+             "int64-overflow", "trailing-comment", "three-tokens", "one-token", "form-feed-inside",
+             "edgeless", "crlf", "above-u+ffff"],
+    )
+    def test_inputs_int_and_numpy_read_differently(self, tmp_path, recwarn, text, expected, fast):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text.encode("utf-8"))
+        assert (io._read_edge_lines(path, fast=True) is not None) == fast
+        assert _outcome(read_edge_list, path) == _outcome(_line_loop, path)
+        assert not recwarn.list  # an edgeless body makes NumPy warn
+        if isinstance(expected, list):
+            assert read_edge_list(path).edges() == expected
+            return
+        message, line = expected
+        with pytest.raises(EdgeListFormatError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"line {line}: {message}" and err.value.line_number == line
+
+    def test_a_body_beyond_ascii_never_reaches_numpy(self, tmp_path, monkeypatch):
+        # NumPy 2.4's loadtxt has crashed the interpreter on '0\U0002c6ca1'.
+        monkeypatch.setattr(np, "loadtxt", None)
+        path = tmp_path / "g.edges"
+        path.write_text("# vertices: 3\n0\U0002c6ca1\n", encoding="utf-8")
+        with pytest.raises(EdgeListFormatError, match="^line 2: expected 'u v'"):
+            read_edge_list(path)
+
+    def test_written_files_take_the_vectorized_pass(self, tmp_path):
+        f, _ = two_block_pair(0.1)
+        rng = substream(121)
+        graph = sample_rdpg(sample_latent(f, 300, rng), 1.0, rng)
+        path = tmp_path / "g.edges"
+        write_edge_list(graph, path)
+        fast = io._read_edge_lines(path, fast=True)
+        assert fast is not None and np.array_equal(fast.adjacency, graph.adjacency)
+        assert _outcome(read_edge_list, path) == _outcome(_line_loop, path)
 
 
 class TestCsv:

@@ -174,6 +174,12 @@ class TestVStatistic:
         for spec in KERNELS:
             assert abs(v_statistic(spec, x, x.copy())) <= 1e-12
 
+    @pytest.mark.parametrize("n, m", [(0, 3), (3, 0)])
+    def test_needs_a_point_per_sample(self, n, m):
+        message = f"^need n >= 1 and m >= 1, got n={n}, m={m}$"
+        with pytest.raises(InsufficientSampleError, match=message):
+            v_statistic(GaussianKernel(0.5), np.zeros((n, 2)), np.zeros((m, 2)))
+
     def test_two_single_points(self):
         x, y = np.array([[0.1, 0.2]]), np.array([[0.4, 0.0]])
         spec = GaussianKernel(0.5)

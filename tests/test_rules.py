@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from rdpgtest import cli, io
+from rdpgtest import cli, harness, io
 from rdpgtest.cli import main
 from rdpgtest.errors import ModelError
 from rdpgtest.harness import (
@@ -19,7 +19,7 @@ from rdpgtest.harness import (
     two_block_pair,
     w_comparison_experiment,
 )
-from rdpgtest.mmd import EnergyKernel, GaussianKernel, KernelSpec, gram, u_statistic
+from rdpgtest.mmd import EnergyKernel, GaussianKernel, KernelSpec, gram, u_statistic, v_statistic
 from rdpgtest.model import edge_prob_matrix, sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 from rdpgtest.testing import TestConfig, TestReport, preprocess, two_sample_point_test
@@ -106,6 +106,16 @@ def test_median_bandwidth_outside_one_test_has_one_message(call):
     assert message == "sigma = median needs the pooled rows of one test; give a number"
 
 
+@pytest.mark.parametrize("name", ["pairwise_dissimilarity", "w_comparison_experiment"])
+def test_median_bandwidth_is_refused_before_any_embedding(name, monkeypatch):
+    def never(*args):
+        raise AssertionError("embedded before the bandwidth was checked")
+
+    monkeypatch.setattr(harness, "ase", never)
+    monkeypatch.setattr(harness, "_moment_frame", never)
+    test_median_bandwidth_outside_one_test_has_one_message(MEDIAN_CASES[name])
+
+
 class NanKernel(KernelSpec):
     def _from_sq(self, sq, a, b):
         return np.full(np.shape(sq), np.nan)
@@ -116,6 +126,7 @@ HUGE_X = np.array([[1e200, -1e200], [-1e200, 1e200], [1.0, 1.0]])
 HUGE_Y = np.array([[1e200, 1e200], [-1e200, -1e200]])
 FINITE_CASES = {
     "u_statistic": (lambda: u_statistic(EnergyKernel(), HUGE_X, HUGE_Y), ""),
+    "v_statistic": (lambda: v_statistic(EnergyKernel(), HUGE_X, HUGE_Y), ""),
     "two_sample_point_test": (lambda: two_sample_point_test(
         HUGE_X, HUGE_Y, TestConfig(kernel=EnergyKernel(), permutations=5)), ""),
     "pairwise_dissimilarity": (lambda: pairwise_dissimilarity(_graphs(2), 2, NanKernel()),

@@ -329,11 +329,26 @@ def grid_io(grid, rt, graphs, workdir):
            "edges-blank-and-comment": "# vertices: 4\n0 1\n\n# c\n  \n2 3\n",
            "vertex-not-integer": "# vertices: 3\n0 1\n1 y\n",
            "two-bad-lines": "# vertices: 3\n0 1\n\n2 2\n0 9\n",
-           "header-after-edge": "0 1\n# vertices: 3\n"}
+           "header-after-edge": "0 1\n# vertices: 3\n",
+           # Bodies that int() and NumPy's loadtxt read differently.
+           "underscore": "# vertices: 12\n1_0 2\n", "full-width": "# vertices: 3\n\uff11 \uff12\n",
+           "arabic-indic": "# vertices: 3\n\u0661 \u0662\n", "plus": "# vertices: 3\n+1 2\n",
+           "leading-zero": "# vertices: 3\n01 2\n", "negative": "# vertices: 3\n0 1\n-1 2\n",
+           "int64-overflow": "# vertices: 3\n0 9223372036854775808\n",
+           "trailing-comment": "# vertices: 3\n0 1 # x\n", "one-token": "# vertices: 3\n0 1\n2\n",
+           "form-feed-inside": "# vertices: 3\n0 1\f2 0\n", "edgeless": "# vertices: 3\n\n \n",
+           "crlf": "# vertices: 3\r\n0 1\r\n2 1\r\n", "odd-separators": "# vertices: 4\n0\xa01\n2\x0b3\n",
+           "above-u+ffff": "# vertices: 3\n0 1\n1\U00020000 2\n"}
     for name, text in bad.items():
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         grid.run(f"io/read/{name}", lambda: rt.read_edge_list(path), lambda k, g: grid.put(k, g.edges()))
+    # One graph as perfbench's dissim_io set-up writes it: n = 300, seed 0, index 0.
+    rng = rt.substream(0, 0)
+    graph = rt.sample_rdpg(rt.sample_latent(rt.two_block_pair(0.1)[0], 300, rng), 1.0, rng)
+    grid.run("io/edges/dissim_io-g000", lambda: rt.write_edge_list(graph, path),
+             lambda k, _: grid.put(k, hashlib.sha256(_file(path)).hexdigest()))
+    grid.run("io/read/dissim_io-g000", lambda: rt.read_edge_list(path), lambda k, g: grid.put(k, g.adjacency))
     dists = {
         "pmm": {"kind": "point_mass_mixture", "atoms": "0.5 0.2 ; 0.1 0.6", "weights": "0.3 0.7"},
         "dirichlet": {"kind": "dirichlet", "concentration": "1, 2 3"},
@@ -571,6 +586,9 @@ def grid_errors(grid, rt):
         "median/u": lambda: rt.u_statistic(rt.GaussianKernel(None), [[0.0], [1.0]], [[0.5], [2.0]]),
         "u/non-finite": lambda: rt.u_statistic(rt.EnergyKernel(), [[1e200, -1e200], [-1e200, 1e200]],
                                                [[1e200, 1e200], [-1e200, -1e200]]),
+        "v/non-finite": lambda: rt.v_statistic(rt.EnergyKernel(), [[1e200, -1e200], [-1e200, 1e200]],
+                                               [[1e200, 1e200], [-1e200, -1e200]]),
+        "v/empty": lambda: rt.v_statistic(rt.GaussianKernel(), np.zeros((0, 1)), [[1.0]]),
     }
     for field, value in product(("sparsity_x", "sparsity_y"), (None, 0, 1.5)):
         cases[f"sparsity/config-{field}-{value}"] = lambda field=field, value=value: rt.TestConfig(
