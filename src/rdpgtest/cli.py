@@ -50,7 +50,8 @@ def _cmd_embed(args):
     graph = io.read_edge_list(args.graph)
     embedding = ase(graph, args.d)
     io.write_matrix_csv(embedding.coordinates, args.output)
-    return f"wrote {embedding.n} x {embedding.d} embedding to {args.output}"
+    n, d = embedding.coordinates.shape
+    return f"wrote {n} x {d} embedding to {args.output}"
 
 
 def _cmd_simulate_power(args):

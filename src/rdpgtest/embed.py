@@ -35,14 +35,6 @@ class Embedding:
     coordinates: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
-    def n(self):
-        return self.coordinates.shape[0]
-
-    @property
-    def d(self):
-        return self.coordinates.shape[1]
-
 
 @dataclass(eq=False)
 class AlignmentResult:
@@ -103,15 +95,20 @@ def ase(m, d):
     asym = float(np.max(np.abs(m - m.T))) if n else 0.0
     if asym > 1e-12:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3g})")
-    if not 1 <= d <= n:
-        got = f"d={d} exceeds the graph size n={n}" if d > n else f"got d={d}"
-        raise ValueError(f"need 1 <= d <= n: {got}")
+    check_dimension(d, n)
     vals, vecs = np.linalg.eigh(m)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     order = np.lexsort((np.arange(n), -np.sign(vals), -np.abs(vals)))
     top = order[:d]
     lam = vals[top]
     return Embedding(fix_signs(vecs[:, top]) * np.sqrt(np.abs(lam)), np.abs(lam))
+
+
+def check_dimension(d, n):
+    """The one embedding-size rule: ``1 <= d <= n``."""
+    if not 1 <= d <= n:
+        got = f"d={d} exceeds the graph size n={n}" if d > n else f"got d={d}"
+        raise ValueError(f"need 1 <= d <= n: {got}")
 
 
 def procrustes_align(xhat, x):

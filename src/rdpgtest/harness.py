@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io as _io
 from . import mmd
-from .embed import ase, fix_signs, second_moment_rotation
+from .embed import ase, check_dimension, fix_signs, second_moment_rotation
 from .model import (
     UniformBox,
     as_graph,
@@ -24,7 +24,7 @@ from .model import (
     sbm_to_latent,
     second_moment_matrix,
 )
-from .streams import substream
+from .streams import check_seed, substream
 from .testing import TestConfig, two_sample_point_test, two_sample_test
 
 __all__ = [
@@ -95,6 +95,16 @@ class ExperimentConfig:
         if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):
             raise ValueError("m_grid must pair with n_grid entry by entry")
         check_sparsity(self.sparsity)
+        check_seed(self.master_seed, "master_seed")
+        for n, m in zip(self.n_grid, self.m_grid or self.n_grid):
+            _check_sizes(n, m, self.test.d)
+
+
+def _check_sizes(n, m, d):
+    """Refuse sample sizes ``n, m`` that a graph test in ``R^d`` cannot take."""
+    check_dimension(d, n)
+    check_dimension(d, m)
+    mmd.check_sizes(n, m)
 
 
 @dataclass
@@ -186,12 +196,9 @@ def run_power_experiment(config):
             if config.oracle_arm:
                 oracle = two_sample_point_test(x, y, test_cfg, rng=rng)
                 oracle_rejections += int(oracle.reject)
-        cell = PowerCell(n, m, label, config.replicates, *_rate(rejections, config.replicates))
-        if config.oracle_arm:
-            cell.oracle_rejections, cell.oracle_power, cell.oracle_se = _rate(
-                oracle_rejections, config.replicates
-            )
-        table.cells.append(cell)
+        oracle = _rate(oracle_rejections, config.replicates) if config.oracle_arm else ()
+        table.cells.append(PowerCell(n, m, label, config.replicates,
+                                     *_rate(rejections, config.replicates), *oracle))
         if config.output_path:
             table.to_csv(config.output_path)
     return table
@@ -254,6 +261,7 @@ def w_comparison_experiment(
     if m is None:
         m = n
     mmd.fixed_bandwidth(spec)
+    _check_sizes(n, m, d)
     t1 = _moment_frame(f_dist, substream(master_seed, replicates), surrogate_size)
     t2 = _moment_frame(g_dist, substream(master_seed, replicates + 1), surrogate_size)
     w_fixed = t2 @ t1.T
@@ -373,18 +381,17 @@ def knn_classify(dissimilarity, labels, k, folds=10, seed=0):
     rng = substream(seed)
     classes = sorted(set(labels))
     class_index = {c: i for i, c in enumerate(classes)}
+    labels_arr = np.array([class_index[l] for l in labels])
     fold_of = np.empty(n, dtype=int)
-    for c in classes:
-        idx = np.array([i for i, l in enumerate(labels) if l == c])
+    for c in range(len(classes)):
+        idx = np.nonzero(labels_arr == c)[0]
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            fold_of[i] = pos % folds
+        fold_of[idx] = np.arange(idx.size) % folds
     fold_sizes = np.bincount(fold_of, minlength=folds)
     smallest_training = n - int(fold_sizes.max())
     if k > smallest_training:
         raise ValueError(f"k={k} exceeds the smallest training fold size {smallest_training}")
 
-    labels_arr = np.array([class_index[l] for l in labels])
     fold_accuracies = []
     correct_total = 0
     for f in range(folds):
@@ -426,10 +433,6 @@ def _boolean(value):
     return configparser.ConfigParser.BOOLEAN_STATES[text]
 
 
-def _converted(params, converters):
-    return {k: convert(params[k]) for k, convert in converters.items() if params.get(k) is not None}
-
-
 _TEST_KEYS = dict(
     variant=str, d=int, permutations=int, b=int, alpha_level=float, seed=int,
     sparsity_x=float, sparsity_y=float, eps_floor=float, align_reflections=_boolean,
@@ -441,10 +444,14 @@ def build_test_config(params):
     section (``b`` wins over ``permutations``; the kernel keys are those of
     :func:`rdpgtest.mmd.kernel_from_params`), with values given as strings
     or numbers. Absent or None keys keep the defaults; others are ignored."""
-    fields = _converted(params, _TEST_KEYS)
+    return _test_config(_io._converted(params, _TEST_KEYS), params)
+
+
+def _test_config(fields, kernel_params):
+    """:class:`TestConfig` from converted ``fields`` and the kernel keys of ``kernel_params``."""
     if "b" in fields:
         fields["permutations"] = fields.pop("b")
-    kernel = mmd.kernel_from_params(params)
+    kernel = mmd.kernel_from_params(kernel_params)
     if kernel is not None:
         fields["kernel"] = kernel
     return TestConfig(**fields)
@@ -465,19 +472,18 @@ def _family(experiment):
     return _FAMILIES[family]
 
 
-def _pairs_from_config(parser, experiment, sweep):
-    pair, keys = _family(experiment)
-    if pair is None:
-        return [("custom", *map(_io.parse_distribution, (parser["F"], parser["G"])))]
-    params = _converted(experiment, keys)
-    return [(eps, *pair(eps, **params)) for eps in sweep]
+def _numbers(convert):
+    """Converter of a whitespace-separated list of ``convert`` values."""
+    return lambda text: [convert(t) for t in text.split()]
 
 
 def _read_experiment(path, sweep, keys):
-    """Parser, ``[experiment]`` section and seeded test configuration of a file.
-    ``[experiment]`` holds ``n`` and may hold ``family``, ``seed``, ``m``, ``replicates``,
-    ``output``, the family's keys, ``keys`` and, unless the family is ``custom`` (one
-    fixed pair), the ``sweep`` key; its ``sparsity`` fills in ``[test]`` sparsities left
+    """Converted ``[experiment]`` values, seeded test configuration and ``pairs(values)``
+    of a file: the ``(label, F, G)`` triples of the family at each swept value.
+    ``[experiment]`` holds ``n`` and may hold ``family``, ``seed``, ``replicates``,
+    ``output``, the family's keys and ``keys``, a map from each loader key (``n``, ``m``
+    and the ``sweep`` key among them) to its converter; the ``custom`` family (one fixed
+    pair) takes no ``sweep`` key. Its ``sparsity`` fills in ``[test]`` sparsities left
     out. ``[F]`` and ``[G]`` are required for ``custom`` and unknown otherwise."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
@@ -486,46 +492,57 @@ def _read_experiment(path, sweep, keys):
     pair, family_keys = _family(experiment)
     needed = ("experiment",) + (("F", "G") if pair is None else ())
     _io._check_keys(parser.sections(), {"test", *needed}, needed, what="section")
-    swept = (sweep,) if pair is not None else ()
-    shared = ("family", "seed", "n", "m", "replicates", "output")
-    _io._check_keys(experiment, {*shared, *family_keys, *swept, *keys}, ("n",))
+    own = {"seed": int, "replicates": int, "output": str.strip, **keys}
+    unswept = {sweep} if pair is None else set()
+    _io._check_keys(experiment, {"family", *own, *family_keys} - unswept, ("n",))
     test = parser["test"] if parser.has_section("test") else {}
     _io._check_keys(test, {*_TEST_KEYS, *mmd.KERNEL_KEYS} - {"seed"})
-    sparsity = experiment.get("sparsity")
-    params = {"sparsity_x": sparsity, "sparsity_y": sparsity, **test, "seed": experiment.get("seed")}
-    return parser, experiment, build_test_config(params)
+    values = _io._converted(experiment, own)
+    fields = {f"sparsity_{s}": values["sparsity"] for s in "xy" if "sparsity" in values}
+    fields.update(_io._converted(test, _TEST_KEYS))
+    if "seed" in values:
+        fields["seed"] = values["seed"]
+
+    def pairs(sweep_values):
+        if pair is None:
+            return [("custom", *map(_io.parse_distribution, (parser["F"], parser["G"])))]
+        family_params = _io._converted(experiment, family_keys)
+        return [(eps, *pair(eps, **family_params)) for eps in sweep_values]
+
+    return values, _test_config(fields, test), pairs
 
 
 def load_power_config(path):
     """Read a power-study configuration file (INI format, see README)."""
-    parser, experiment, test_cfg = _read_experiment(path, "sweep", ("oracle_arm", "sparsity"))
-    sweep = [float(t) for t in experiment.get("sweep", "0").split()]
+    keys = {"n": _numbers(int), "m": _numbers(int), "sweep": _numbers(float),
+            "oracle_arm": _boolean, "sparsity": float}
+    values, test_cfg, pairs = _read_experiment(path, "sweep", keys)
     return ExperimentConfig(
-        pairs=_pairs_from_config(parser, experiment, sweep),
-        n_grid=[int(t) for t in experiment["n"].split()],
-        m_grid=[int(t) for t in experiment.get("m", "").split()] or None,
-        replicates=int(experiment.get("replicates", 100)),
+        pairs=pairs(values.get("sweep", [0.0])),
+        n_grid=values["n"],
+        m_grid=values.get("m") or None,
+        replicates=values.get("replicates", 100),
         test=test_cfg,
         master_seed=test_cfg.seed,
-        output_path=experiment.get("output", "").strip() or None,
-        **_converted(experiment, {"oracle_arm": _boolean, "sparsity": float}),
+        output_path=values.get("output") or None,
+        **{key: values[key] for key in ("oracle_arm", "sparsity") if key in values},
     )
 
 
 def load_wcompare_config(path):
     """Read an alignment-comparison configuration file (INI format)."""
-    parser, experiment, test_cfg = _read_experiment(path, "epsilon", ("surrogate_size",))
-    _, f, g = _pairs_from_config(parser, experiment, [float(experiment.get("epsilon", 0.0))])[0]
-    n = int(experiment["n"])
+    keys = {"n": int, "m": int, "epsilon": float, "surrogate_size": int}
+    values, test_cfg, pairs = _read_experiment(path, "epsilon", keys)
+    _, f, g = pairs([values.get("epsilon", 0.0)])[0]
     return {
         "f_dist": f,
         "g_dist": g,
-        "n": n,
-        "m": int(experiment.get("m", n)),
+        "n": values["n"],
+        "m": values.get("m", values["n"]),
         "d": test_cfg.d,
         "spec": mmd.fixed_bandwidth(test_cfg.kernel),
-        "replicates": int(experiment.get("replicates", 100)),
+        "replicates": values.get("replicates", 100),
         "master_seed": test_cfg.seed,
-        "output": experiment.get("output", "").strip() or None,
-        **_converted(experiment, {"surrogate_size": int}),
+        "output": values.get("output") or None,
+        **{key: values[key] for key in ("surrogate_size",) if key in values},
     }

@@ -127,10 +127,17 @@ def write_table_csv(path, columns, rows, comments=()):
 
 
 def write_matrix_csv(matrix, path, labels=None):
-    """Write a numeric matrix in full precision, optionally tagged with row labels."""
+    """Write a numeric matrix in full precision, optionally tagged with row labels.
+    A label with a comma, a line break or surrounding whitespace would not read back,
+    so it is refused before the file is opened."""
+    labels = None if labels is None else [str(label) for label in labels]
+    for label in labels or ():
+        if "," in label or label != label.strip() or len(label.splitlines()) > 1:
+            raise ValueError(
+                f"matrix label {label!r} has a comma, a line break or surrounding whitespace")
     with open(path, "w", encoding="utf-8") as handle:
         if labels is not None:
-            handle.write("# labels: " + ",".join(map(str, labels)).replace("\n", "\n# ") + "\n")
+            handle.write("# labels: " + ",".join(labels) + "\n")
         for row in np.atleast_2d(np.asarray(matrix, dtype=float)).tolist():
             handle.write(",".join(map(_fmt, row)) + "\n")
 
@@ -189,15 +196,32 @@ def _parse_matrix(text):
     return np.array([_parse_vector(row) for row in text.split(";")])
 
 
+def _where(section):
+    return f" in [{section.name}]" if hasattr(section, "name") else ""
+
+
 def _check_keys(section, known, required=(), what="key"):
     """Reject a ``what`` of ``section`` outside ``known`` or a missing ``required`` one."""
-    where = f" in [{section.name}]" if hasattr(section, "name") else ""
+    where = _where(section)
     for key in required:
         if key not in section:
             raise ValueError(f"missing {what} {key!r}{where}")
     for key in section:
         if key not in known:
             raise ValueError(f"unknown {what} {key!r}{where}")
+
+
+def _converted(section, converters):
+    """``{key: convert(section[key])}`` for each key of ``converters`` given and not None;
+    a value that does not convert is refused with its key (and section)."""
+    out = {}
+    for key, convert in converters.items():
+        if section.get(key) is not None:
+            try:
+                out[key] = convert(section[key])
+            except ValueError as exc:
+                raise ValueError(f"bad value for key {key!r}{_where(section)}: {exc}") from None
+    return out
 
 
 def _parse_stack(text):
@@ -244,4 +268,4 @@ def parse_distribution(section):
         raise ValueError(f"unknown distribution kind {kind!r}")
     build, parsers = _KINDS[kind]
     _check_keys(section, {"kind", *parsers}, [key for key in parsers if key not in _OPTIONAL])
-    return build(**{key: parse(section[key]) for key, parse in parsers.items() if key in section})
+    return build(**_converted(section, parsers))

@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from .errors import InsufficientSampleError
 from . import model as _model
+from .io import _converted
 
 __all__ = [
     "KernelSpec",
@@ -175,7 +176,8 @@ def kernel_from_params(params):
             raise ValueError(f"the {name} kernel does not take {key!r}")
     if given.get("sigma") == "median":
         return GaussianKernel(None)
-    return kernel(**{fields[key]: float(value) for key, value in given.items()})
+    values = _converted(params, dict.fromkeys(given, float))
+    return kernel(**{fields[key]: value for key, value in values.items()})
 
 
 def _as_points(x, name):
@@ -189,11 +191,7 @@ def _as_points(x, name):
 
 def kernel_eval(spec, x, y):
     """Evaluate ``k(x, y)`` for two points of the same dimension."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return float(spec.pairwise(x[None, :], y[None, :])[0, 0])
+    return float(gram(spec, np.ravel(x), np.ravel(y))[0, 0])
 
 
 def gram(spec, a, b):

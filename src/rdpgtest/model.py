@@ -330,11 +330,6 @@ class Graph:
             raise ValueError("np.asarray(graph) always copies the adjacency")
         return np.array(self.adjacency, dtype=dtype)
 
-    def edges(self):
-        """Edges as (i, j) pairs with i < j, in row-major order."""
-        i, j = np.nonzero(np.triu(self.adjacency, k=1))
-        return list(zip(i.tolist(), j.tolist()))
-
 
 def as_graph(adjacency):
     """``adjacency`` if it is a :class:`Graph`, else a :class:`Graph` of it, checked as built."""

@@ -22,5 +22,12 @@ def substream(seed, *path):
         Optional indices identifying the work unit (grid cell, replicate,
         stage). Distinct paths give independent streams.
     """
-    entropy = (int(seed),) + tuple(int(p) for p in path)
+    entropy = (check_seed(seed),) + tuple(int(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def check_seed(seed, name="seed"):
+    """The one seed rule: ``seed`` is an integer >= 0. Returns it as an ``int``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
+    return int(seed)

@@ -6,12 +6,13 @@ embedding of one graph, then its row normalization), bandwidth
 (:func:`_align`: the reflection search, which yields the kernel sums of the
 statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
 the permutation null, from that one matrix). Each input is checked once:
-the options by :class:`TestConfig`, sparsity factors by
-``model.check_sparsity``, 0/1 entries, a zero diagonal and symmetry by
-:class:`~rdpgtest.model.Graph` (an array is made one), ``d`` by ``ase``,
-degenerate rows by :func:`preprocess`, ``n, m >= 2`` by ``mmd.check_sizes``,
-finite rows by ``_calibrate`` and a finite statistic by
-``mmd.finite_statistic``; ``mmd.fixed_bandwidth`` refuses an unresolved median.
+the options by :class:`TestConfig` (the seed by ``streams.check_seed``),
+sparsity factors by ``model.check_sparsity``, 0/1 entries, a zero diagonal
+and symmetry by :class:`~rdpgtest.model.Graph` (an array is made one),
+``d <= n`` by ``embed.check_dimension`` (called by ``ase``), degenerate
+rows by :func:`preprocess`, ``n, m >= 2`` by ``mmd.check_sizes``, finite
+rows by ``_calibrate`` and a finite statistic by ``mmd.finite_statistic``;
+``mmd.fixed_bandwidth`` refuses an unresolved median.
 The variants are:
 
 ``identity``
@@ -38,7 +39,7 @@ from .embed import ase
 from .errors import DegenerateRowError
 from .io import _fmt
 from .model import as_graph, check_sparsity
-from .streams import substream
+from .streams import check_seed, substream
 
 __all__ = [
     "TestConfig",
@@ -82,6 +83,10 @@ class TestConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for name, value in (("d", self.d), ("permutations", self.permutations)):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_seed(self.seed)
         if self.permutations < 1:
             raise ValueError(f"permutations must be >= 1, got {self.permutations}")
         if not 0.0 < self.alpha_level < 1.0:

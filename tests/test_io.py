@@ -37,6 +37,7 @@ from rdpgtest.model import (
     sample_rdpg,
 )
 from rdpgtest.streams import substream
+from util import edge_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,7 +58,7 @@ class TestEdgeList:
         path = tmp_path / "g.edges"
         path.write_text("# vertices: 2\n0 1\n")
         graph = read_edge_list(path)
-        assert graph.n == 2 and graph.edges() == [(0, 1)]
+        assert graph.n == 2 and edge_pairs(graph) == [(0, 1)]
 
     def test_duplicate_edges_idempotent(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -133,7 +134,7 @@ class TestEdgeList:
         path = tmp_path / "g.edges"
         path.write_text(text)
         if isinstance(expected, list):
-            assert read_edge_list(path).edges() == expected
+            assert edge_pairs(read_edge_list(path)) == expected
             return
         message, line = expected
         with pytest.raises(EdgeListFormatError) as err:
@@ -228,7 +229,7 @@ class TestEdgeListFastPass:
         assert _outcome(read_edge_list, path) == _outcome(_line_loop, path)
         assert not recwarn.list  # an edgeless body makes NumPy warn
         if isinstance(expected, list):
-            assert read_edge_list(path).edges() == expected
+            assert edge_pairs(read_edge_list(path)) == expected
             return
         message, line = expected
         with pytest.raises(EdgeListFormatError) as err:
@@ -285,6 +286,19 @@ class TestCsv:
             b"-inf,4.9406564584124654e-324,0.10000000000000001\n"
             b"0.33333333333333331,-7.0000000000000004e+22,2.5\n"
         )
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\r", " a", "b\t", "a\u2028b"])
+    def test_label_that_would_not_read_back_is_refused(self, tmp_path, label):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=re.escape(f"matrix label {label!r} has a comma")):
+            write_matrix_csv(np.eye(2), path, labels=[label, "c"])
+        assert not path.exists()
+
+    def test_labels_round_trip(self, tmp_path):
+        labels = ["", "a b", "x#1", "labels: y", "\u00e9"]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(np.eye(5), path, labels=labels)
+        assert read_matrix_csv(path)[1] == labels
 
     def test_labels_file(self, tmp_path):
         path = tmp_path / "labels.txt"

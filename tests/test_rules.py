@@ -1,6 +1,7 @@
 """Each shared rule has one home and gives one result at every entry point:
 the sparsity factor, the refusal of the median bandwidth outside one test,
-the finite statistic and the 17-digit number format."""
+the finite statistic, the 17-digit number format, the seed, the study sizes
+and INI values that do not parse."""
 
 import re
 
@@ -15,6 +16,7 @@ from rdpgtest.harness import (
     PowerCell,
     PowerTable,
     WComparison,
+    knn_classify,
     pairwise_dissimilarity,
     two_block_pair,
     w_comparison_experiment,
@@ -196,3 +198,142 @@ def test_every_float_output_has_17_digits(write, tmp_path, monkeypatch):
     text = write(tmp_path, monkeypatch)
     assert "0.10000000000000001" in text
     assert re.search(r"0\.1(?!0000000000000001)", text) is None
+
+
+def _seed_ini(tmp_path, capsys):
+    path = tmp_path / "power.ini"
+    path.write_text("[experiment]\nfamily = two_block\nn = 20\nreplicates = 2\nseed = -3\n")
+    return _cli_error(capsys, "simulate-power", path)
+
+
+def _seed_cli(tmp_path, capsys):
+    # The seed is checked before either graph file is opened.
+    graphs = (tmp_path / "missing-a.edges", tmp_path / "missing-b.edges")
+    return _cli_error(capsys, "test", *graphs, "--d", "2", "--seed", "-1")
+
+
+SEED_CASES = {
+    "substream": (lambda tmp_path, capsys: _raised(lambda: substream(-1), ValueError), "seed", -1),
+    "config-negative": (lambda tmp_path, capsys: _raised(lambda: TestConfig(seed=-1), ValueError),
+                        "seed", -1),
+    "config-float": (lambda tmp_path, capsys: _raised(lambda: TestConfig(seed=1.5), ValueError),
+                     "seed", 1.5),
+    "experiment": (lambda tmp_path, capsys: _raised(
+        lambda: ExperimentConfig(pairs=[("x", *two_block_pair(0.0))], n_grid=[10], replicates=1,
+                                 test=TestConfig(), master_seed=-1), ValueError), "master_seed", -1),
+    "knn": (lambda tmp_path, capsys: _raised(
+        lambda: knn_classify(np.zeros((4, 4)), "aabb", 1, folds=2, seed=-1), ValueError), "seed", -1),
+    "cli-test": (_seed_cli, "seed", -1),
+    "ini-experiment": (_seed_ini, "seed", -3),
+}
+
+
+@pytest.mark.parametrize("case", SEED_CASES.values(), ids=SEED_CASES.keys())
+def test_seed_rule_has_one_message(case, tmp_path, capsys):
+    call, name, value = case
+    assert call(tmp_path, capsys) == f"{name} must be an integer >= 0, got {value}"
+
+
+@pytest.mark.parametrize("name, value", [("d", 2.0), ("permutations", 2.5), ("d", "2")])
+def test_integer_options_are_refused_when_built(name, value):
+    assert _raised(lambda: TestConfig(**{name: value}), ValueError) == (
+        f"{name} must be an integer, got {value!r}")
+
+
+def _power_study(tmp_path, n, m):
+    config = ExperimentConfig(pairs=[("x", *two_block_pair(0.0))], n_grid=[30, n], m_grid=[30, m],
+                              replicates=1, test=TestConfig(), master_seed=0)
+    return harness.run_power_experiment(config)
+
+
+def _size_ini(tmp_path, n, m):
+    path = tmp_path / "power.ini"
+    path.write_text(f"[experiment]\nfamily = two_block\nn = 30 {n}\nm = 30 {m}\nreplicates = 1\n"
+                    f"output = {tmp_path / 'power.csv'}\n")
+    return harness.run_power_experiment(harness.load_power_config(path))
+
+
+SIZE_CASES = {
+    "power": _power_study,
+    "power-ini": _size_ini,
+    "w_comparison_experiment": lambda tmp_path, n, m: w_comparison_experiment(
+        *two_block_pair(0.0), n, 2, GaussianKernel(), 1, 0, m=m),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_CASES.values(), ids=SIZE_CASES.keys())
+@pytest.mark.parametrize("n, m, message", [
+    (1, 30, "need 1 <= d <= n: d=2 exceeds the graph size n=1"),
+    (30, 1, "need 1 <= d <= n: d=2 exceeds the graph size n=1"),
+    (2, 2, None),
+])
+def test_study_sizes_are_refused_before_the_first_replicate(call, n, m, message, tmp_path,
+                                                            monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran before the sizes were checked")
+
+    for name in ("two_sample_test", "_replicate", "_moment_frame"):
+        monkeypatch.setattr(harness, name, never)
+    if message is None:  # d = n = m = 2 is a size the test takes
+        with pytest.raises(AssertionError, match="a replicate ran"):
+            call(tmp_path, n, m)
+    else:
+        assert _raised(lambda: call(tmp_path, n, m), ValueError) == message
+    assert not (tmp_path / "power.csv").exists()
+
+
+def test_sample_size_rule_is_checked_with_the_study():
+    config = dict(pairs=[("x", *two_block_pair(0.0))], replicates=1, master_seed=0)
+    assert _raised(lambda: ExperimentConfig(n_grid=[20], m_grid=[1], test=TestConfig(d=1), **config),
+                   ValueError) == "need n >= 2 and m >= 2, got n=20, m=1"
+    assert _raised(lambda: w_comparison_experiment(*two_block_pair(0.0), 20, 1, GaussianKernel(), 1,
+                                                   0, m=1), ValueError) == (
+        "need n >= 2 and m >= 2, got n=20, m=1")
+
+
+INI_VALUE_CASES = {
+    "replicates": ("[experiment]\nfamily = two_block\nn = 20\nreplicates = many\n",
+                   "replicates", "experiment", "invalid literal for int() with base 10: 'many'"),
+    "n": ("[experiment]\nfamily = two_block\nn = 20 x\n",
+          "n", "experiment", "invalid literal for int() with base 10: 'x'"),
+    "m": ("[experiment]\nfamily = two_block\nn = 20\nm = 1.5\n",
+          "m", "experiment", "invalid literal for int() with base 10: '1.5'"),
+    "sweep": ("[experiment]\nfamily = two_block\nn = 20\nsweep = 0 a\n",
+              "sweep", "experiment", "could not convert string to float: 'a'"),
+    "seed": ("[experiment]\nfamily = two_block\nn = 20\nseed = x\n",
+             "seed", "experiment", "invalid literal for int() with base 10: 'x'"),
+    "family-key": ("[experiment]\nfamily = two_block\nn = 20\nbase = high\n",
+                   "base", "experiment", "could not convert string to float: 'high'"),
+    "test-d": ("[experiment]\nfamily = two_block\nn = 20\n\n[test]\nd = two\n",
+               "d", "test", "invalid literal for int() with base 10: 'two'"),
+    "test-sigma": ("[experiment]\nfamily = two_block\nn = 20\n\n[test]\nsigma = wide\n",
+                   "sigma", "test", "could not convert string to float: 'wide'"),
+    "test-boolean": ("[experiment]\nfamily = two_block\nn = 20\n\n[test]\nalign_reflections = maybe\n",
+                     "align_reflections", "test",
+                     "expected true/false, yes/no, on/off or 1/0, got 'maybe'"),
+    "distribution": ("[experiment]\nn = 20\n\n[F]\nkind = point_mass_mixture\natoms = 0.5\n"
+                     "weights = 0.4 x\n\n[G]\nkind = dirichlet\nconcentration = 1 1\n",
+                     "weights", "F", "could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", INI_VALUE_CASES.values(), ids=INI_VALUE_CASES.keys())
+def test_ini_value_that_does_not_parse_names_its_key_and_section(case, tmp_path, capsys):
+    text, key, section, reason = case
+    path = tmp_path / "power.ini"
+    path.write_text(text)
+    assert _cli_error(capsys, "simulate-power", path) == (
+        f"bad value for key {key!r} in [{section}]: {reason}")
+
+
+def test_wcompare_ini_value_that_does_not_parse_names_its_key(tmp_path, capsys):
+    path = tmp_path / "w.ini"
+    path.write_text("[experiment]\nfamily = two_block\nn = 20 30\nepsilon = 0.1\n")
+    assert _cli_error(capsys, "w-compare", path, "--output", tmp_path / "w.csv") == (
+        "bad value for key 'n' in [experiment]: invalid literal for int() with base 10: '20 30'")
+
+
+def test_kernel_value_on_the_command_line_names_its_key(tmp_path, capsys):
+    graphs = (tmp_path / "missing-a.edges", tmp_path / "missing-b.edges")
+    assert _cli_error(capsys, "test", *graphs, "--d", "2", "--sigma", "wide") == (
+        "bad value for key 'sigma': could not convert string to float: 'wide'")

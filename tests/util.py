@@ -24,6 +24,12 @@ def loop_v(spec, x, y):
     return sxx / n**2 - 2.0 * sxy / (n * m) + syy / m**2
 
 
+def edge_pairs(graph):
+    """Edges of a graph as (i, j) pairs with i < j, in row-major order."""
+    i, j = np.nonzero(np.triu(graph.adjacency, k=1))
+    return list(zip(i.tolist(), j.tolist()))
+
+
 def random_orthogonal(d, rng):
     if d == 1:
         return np.array([[1.0 if rng.random() < 0.5 else -1.0]])

@@ -14,8 +14,9 @@ difference. The grid records:
 - the bytes of written files;
 - stdout, stderr, exit code and files of CLI invocations;
 - the input rules: edge-list reader branches, array graphs that are not
-  adjacencies, sample sizes, extreme and median bandwidths, INI keys,
-  sparsity factors at every entry point and non-finite statistics;
+  adjacencies, sample and study sizes, extreme and median bandwidths, INI
+  keys and values, seeds, integer options, matrix labels, sparsity factors
+  at every entry point and non-finite statistics;
 - the repr of each error raised.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
@@ -311,6 +312,9 @@ def grid_io(grid, rt, graphs, workdir):
             [[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 0.1]], path, labels=[1, "x y"]),
         "matrix/vector": lambda: io.write_matrix_csv([1.0, 2.5], path),
         "matrix/int": lambda: io.write_matrix_csv(np.array([[1, 2], [3, 4]]), path),
+        "matrix/label-comma": lambda: io.write_matrix_csv(np.eye(2), path, labels=["a,b", "c"]),
+        "matrix/label-newline": lambda: io.write_matrix_csv(np.eye(2), path, labels=["a\nb", "c"]),
+        "matrix/label-space": lambda: io.write_matrix_csv(np.eye(2), path, labels=[" a", "c"]),
         "table": lambda: io.write_table_csv(path, ("a", "b", "c", "d"),
                                             [[1, 0.1, True, "x"], [np.int64(2), np.float64(1e-7),
                                                                    np.bool_(False), None]],
@@ -342,7 +346,7 @@ def grid_io(grid, rt, graphs, workdir):
     for name, text in bad.items():
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        grid.run(f"io/read/{name}", lambda: rt.read_edge_list(path), lambda k, g: grid.put(k, g.edges()))
+        grid.run(f"io/read/{name}", lambda: rt.read_edge_list(path), lambda k, g: grid.put(k, g.adjacency))
     # One graph as perfbench's dissim_io set-up writes it: n = 300, seed 0, index 0.
     rng = rt.substream(0, 0)
     graph = rt.sample_rdpg(rt.sample_latent(rt.two_block_pair(0.1)[0], 300, rng), 1.0, rng)
@@ -459,6 +463,15 @@ concentration = 1 1
     "pnon.ini": "[experiment]\nfamily = two_block\nsweep = 0\nreplicates = 2\n",
     "missing.txt": "m0.edges\nnot-there.edges\n",
     "sparse0.ini": "[experiment]\nfamily = two_block\nn = 20\nreplicates = 2\nsparsity = 0\n",
+    "seedneg.ini": "[experiment]\nfamily = two_block\nn = 20\nreplicates = 2\nseed = -3\n",
+    "sizes.ini": "[experiment]\nfamily = two_block\nn = 20 1\nreplicates = 2\noutput = sizes.csv\n"
+                 "\n[test]\nB = 10\n",
+    "replicates.ini": "[experiment]\nfamily = two_block\nn = 20\nreplicates = many\n",
+    "sweep.ini": "[experiment]\nfamily = two_block\nn = 20\nsweep = 0 a\n",
+    "testd.ini": "[experiment]\nfamily = two_block\nn = 20\n\n[test]\nd = two\n",
+    "weights.ini": "[experiment]\nn = 20\n\n[F]\nkind = point_mass_mixture\natoms = 0.5\n"
+                   "weights = 0.4 x\n\n[G]\nkind = dirichlet\nconcentration = 1 1\n",
+    "wn.ini": "[experiment]\nfamily = two_block\nn = 20 30\noutput = wn.csv\n",
 }
 
 INVOCATIONS = [
@@ -500,6 +513,16 @@ INVOCATIONS = [
     "test a.edges b.edges --d 2 --variant sparse --sparsity-a 0",
     "simulate-power sparse0.ini",
     "dissim --help",
+    "test a.edges b.edges --d 2 --seed -1",
+    "simulate-power seedneg.ini",
+    "simulate-power sizes.ini",
+    "simulate-power replicates.ini",
+    "simulate-power sweep.ini",
+    "simulate-power testd.ini",
+    "simulate-power weights.ini",
+    "w-compare wn.ini",
+    "test a.edges b.edges --d 2 --sigma wide",
+    "classify d.csv --k 1 --folds 2 --seed -1",
 ]
 
 
@@ -545,6 +568,11 @@ def grid_errors(grid, rt):
         "config/d": lambda: rt.TestConfig(d=0),
         "config/eps": lambda: rt.TestConfig(eps_floor=-1.0),
         "config/sparse": lambda: rt.TestConfig(variant="sparse", sparsity_x=0.5),
+        "config/seed": lambda: rt.TestConfig(seed=-1),
+        "config/seed-float": lambda: rt.TestConfig(seed=1.5),
+        "config/d-float": lambda: rt.TestConfig(d=2.0),
+        "config/permutations-float": lambda: rt.TestConfig(permutations=2.5),
+        "streams/seed": lambda: rt.substream(-1),
         "kernel/sigma0": lambda: rt.GaussianKernel(0.0),
         "kernel/sigma-inf": lambda: rt.GaussianKernel(np.inf),
         "kernel/imq-c": lambda: rt.InverseMultiquadricKernel(c=-1.0),
@@ -578,6 +606,17 @@ def grid_errors(grid, rt):
         "experiment/replicates": lambda: rt.ExperimentConfig(
             pairs=[("x", None, None)], n_grid=[10], replicates=0, test=rt.TestConfig(),
             master_seed=0),
+        "experiment/seed": lambda: rt.ExperimentConfig(
+            pairs=[("x", None, None)], n_grid=[10], replicates=1, test=rt.TestConfig(),
+            master_seed=-1),
+        "experiment/sizes": lambda: rt.ExperimentConfig(
+            pairs=[("x", None, None)], n_grid=[10, 1], replicates=1, test=rt.TestConfig(),
+            master_seed=0),
+        "experiment/m-sizes": lambda: rt.ExperimentConfig(
+            pairs=[("x", None, None)], n_grid=[10], m_grid=[1], replicates=1,
+            test=rt.TestConfig(d=1), master_seed=0),
+        "wcompare/sizes": lambda: rt.w_comparison_experiment(
+            *rt.two_block_pair(0.0), 20, 2, rt.GaussianKernel(), 1, 0, m=1),
         "sparsity/preprocess": lambda: rt.preprocess(np.ones((3, 2)), "sparse", sparsity=0),
         "sparsity/experiment": lambda: rt.ExperimentConfig(
             pairs=[("x", None, None)], n_grid=[10], replicates=1, test=rt.TestConfig(),
