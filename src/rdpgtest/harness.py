@@ -88,8 +88,7 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        _check_replicates(self.replicates)
         if not self.pairs or not self.n_grid:
             raise ValueError("pairs and n_grid must be nonempty")
         if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):
@@ -100,8 +99,17 @@ class ExperimentConfig:
             _check_sizes(n, m, self.test.d)
 
 
+def _check_replicates(replicates):
+    """The one replicate-count rule of a study: an integer >= 1."""
+    if not isinstance(replicates, (int, np.integer)) or replicates < 1:
+        raise ValueError(f"replicates must be an integer >= 1, got {replicates!r}")
+
+
 def _check_sizes(n, m, d):
     """Refuse sample sizes ``n, m`` that a graph test in ``R^d`` cannot take."""
+    for name, value in (("n", n), ("m", m)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     check_dimension(d, n)
     check_dimension(d, m)
     mmd.check_sizes(n, m)
@@ -261,6 +269,7 @@ def w_comparison_experiment(
     if m is None:
         m = n
     mmd.fixed_bandwidth(spec)
+    _check_replicates(replicates)
     _check_sizes(n, m, d)
     t1 = _moment_frame(f_dist, substream(master_seed, replicates), surrogate_size)
     t2 = _moment_frame(g_dist, substream(master_seed, replicates + 1), surrogate_size)

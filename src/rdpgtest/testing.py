@@ -191,9 +191,13 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     assigns the first ``n`` pooled rows to a pseudo first sample and the
     remaining ``m`` to a pseudo second sample, and the unbiased two-sample
     statistic is recorded. The kernel matrix of the pool is computed once;
-    each round only re-aggregates its entries. Deterministic given ``rng``.
-    :func:`two_sample_test` draws the same null from the one kernel matrix
-    that also serves its reflection search and statistic.
+    each round only re-aggregates its entries, in panels of 1024 rounds
+    (the last takes the remainder, up to 2047), so the working memory is
+    O(N² + N·1024) with N = n + m, not O(N·B). Deterministic given ``rng``;
+    at one BLAS thread the values are the bits of one product over all
+    rounds. :func:`two_sample_test` draws the same null from the one kernel
+    matrix that also serves its reflection search and statistic, which it
+    builds in place.
 
     Returns
     -------
@@ -209,20 +213,31 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     return _null_from_gram(mmd.gram(spec, pooled, pooled), n, m, permutations, rng)
 
 
+_PANEL = 1024  # permutations per column panel of the null
+
+
 def _null_from_gram(k, n, m, permutations, rng):
-    """:func:`permutation_null` on the pooled kernel matrix ``k``."""
+    """:func:`permutation_null` on the pooled kernel matrix ``k``.
+
+    The permutations are drawn in order and aggregated in column panels of
+    ``_PANEL``; the last panel also takes the remainder, so no panel is
+    narrower than ``_PANEL`` unless all are. A narrow panel would reach
+    other BLAS kernels than the whole product and change last bits."""
     total = n + m
     diag = np.diagonal(k).copy()
     row_sums = k.sum(axis=1)
     total_off = float(k.sum() - diag.sum())
 
-    z = np.zeros((total, permutations))
-    for b in range(permutations):
-        z[rng.permutation(total)[:n], b] = 1.0
-
-    quad = np.einsum("ib,ib->b", z, k @ z)
-    diag_x = diag @ z
-    lin = row_sums @ z
+    quad, diag_x, lin = np.empty((3, permutations))
+    panels = max(permutations // _PANEL, 1)
+    for i in range(panels):
+        cols = slice(i * _PANEL, permutations if i == panels - 1 else (i + 1) * _PANEL)
+        z = np.zeros((total, cols.stop - cols.start))
+        for b in range(z.shape[1]):
+            z[rng.permutation(total)[:n], b] = 1.0
+        quad[cols] = np.einsum("ib,ib->b", z, k @ z)
+        diag_x[cols] = diag @ z
+        lin[cols] = row_sums @ z
     sxx = quad - diag_x
     cross = lin - quad
     syy = total_off - sxx - 2.0 * cross
@@ -260,20 +275,29 @@ def _align(kernel, px, py, reflections):
     unless ``reflections``), keeping the first of largest cross-block sum:
     only that sum depends on the pattern, and the statistic falls as it
     rises. Returns the signs, the sums ``(sxx, sxy, syy)`` of the statistic
-    and the pooled kernel matrix; the blocks it is assembled from die here."""
-    kxx = mmd.gram(kernel, px, px)
-    kyy = mmd.gram(kernel, py, py)
-    d, best = px.shape[1], None
+    and the pooled kernel matrix. Each block is copied in and freed before
+    the next is computed, its sum taken first on the contiguous block (a
+    strided view of the pool sums in another order)."""
+    n, m, d = px.shape[0], py.shape[0], px.shape[1]
+    k = np.empty((n + m, n + m))
+    k[:n, :n] = block = mmd.gram(kernel, px, px)
+    sxx = mmd.off_diagonal_sum(block)
+    del block
+    k[n:, n:] = block = mmd.gram(kernel, py, py)
+    syy = mmd.off_diagonal_sum(block)
+    del block
+    best = None
     for bits in range(2**d if reflections else 1):
         signs = np.array([1.0 if bits & (1 << j) == 0 else -1.0 for j in range(d)])
         cross = mmd.gram(kernel, px, py * signs)
         sxy = cross.sum()
         if best is None or sxy > best[1]:
-            best = signs, sxy, cross
-    del cross
-    signs, sxy, kxy = best
-    sums = (mmd.off_diagonal_sum(kxx), sxy, mmd.off_diagonal_sum(kyy))
-    return signs, sums, np.block([[kxx, kxy], [kxy.T, kyy]])
+            best = signs, sxy
+            k[:n, n:] = cross
+        del cross
+    k[n:, :n] = k[:n, n:].T
+    signs, sxy = best
+    return signs, (sxx, sxy, syy), k
 
 
 def _calibrate(px, py, config, rng, info):

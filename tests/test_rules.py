@@ -1,7 +1,7 @@
 """Each shared rule has one home and gives one result at every entry point:
 the sparsity factor, the refusal of the median bandwidth outside one test,
-the finite statistic, the 17-digit number format, the seed, the study sizes
-and INI values that do not parse."""
+the finite statistic, the 17-digit number format, the seed, the study sizes,
+the replicate count and INI values that do not parse."""
 
 import re
 
@@ -280,6 +280,64 @@ def test_study_sizes_are_refused_before_the_first_replicate(call, n, m, message,
     else:
         assert _raised(lambda: call(tmp_path, n, m), ValueError) == message
     assert not (tmp_path / "power.csv").exists()
+
+
+def _replicates_cli(command):
+    def call(tmp_path, capsys, replicates):
+        path = tmp_path / "study.ini"
+        path.write_text(f"[experiment]\nfamily = two_block\nn = 20\nreplicates = {replicates}\n")
+        return _cli_error(capsys, command, path, "--output", tmp_path / "study.csv")
+    return call
+
+
+def _replicates_raised(call):
+    return lambda tmp_path, capsys, replicates: _raised(lambda: call(replicates), ValueError)
+
+
+REPLICATE_CASES = {
+    "ExperimentConfig": _replicates_raised(lambda r: ExperimentConfig(
+        pairs=[("x", *two_block_pair(0.0))], n_grid=[20], replicates=r, test=TestConfig(),
+        master_seed=0)),
+    "w_comparison_experiment": _replicates_raised(lambda r: w_comparison_experiment(
+        *two_block_pair(0.0), 20, 2, GaussianKernel(), r, 0)),
+    "simulate-power": _replicates_cli("simulate-power"),
+    "w-compare": _replicates_cli("w-compare"),
+}
+
+
+@pytest.mark.parametrize("call, replicates", [
+    *(pytest.param(call, r, id=f"{name}-{r!r}") for name, call in REPLICATE_CASES.items()
+      for r in (0, -2)),
+    *(pytest.param(REPLICATE_CASES[name], r, id=f"{name}-{r!r}")
+      for name in ("ExperimentConfig", "w_comparison_experiment")
+      for r in (2.5, np.float64(3.0), "3", None)),
+])
+def test_replicate_count_rule_has_one_message(call, replicates, tmp_path, capsys, monkeypatch):
+    # An INI value is converted with int first, so only the Python entry
+    # points see a replicate count that is not an integer.
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran before the count was checked")
+
+    for name in ("two_sample_test", "_replicate", "_moment_frame"):
+        monkeypatch.setattr(harness, name, never)
+    assert call(tmp_path, capsys, replicates) == (
+        f"replicates must be an integer >= 1, got {replicates!r}")
+    assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize("grids, message", [
+    ({"n_grid": [20.5]}, "n must be an integer, got 20.5"),
+    ({"n_grid": [20, 30], "m_grid": [20, np.float64(30.0)]},
+     "m must be an integer, got np.float64(30.0)"),
+    ({"n_grid": ["20"]}, "n must be an integer, got '20'"),
+])
+def test_study_sizes_must_be_integers(grids, message):
+    assert _raised(lambda: ExperimentConfig(
+        pairs=[("x", *two_block_pair(0.0))], replicates=1, test=TestConfig(), master_seed=0,
+        **grids), ValueError) == message
+    assert _raised(lambda: w_comparison_experiment(
+        *two_block_pair(0.0), grids["n_grid"][-1], 2, GaussianKernel(), 1, 0,
+        m=grids.get("m_grid", grids["n_grid"])[-1]), ValueError) == message
 
 
 def test_sample_size_rule_is_checked_with_the_study():

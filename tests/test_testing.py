@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import rdpgtest
 from rdpgtest.embed import ase
 from rdpgtest.errors import DegenerateRowError, InsufficientSampleError, ModelError
 from rdpgtest.harness import pairwise_dissimilarity, two_block_pair, uniform_box_pair
@@ -9,14 +16,19 @@ from rdpgtest.mmd import (
     EnergyKernel,
     GaussianKernel,
     InverseMultiquadricKernel,
+    gram,
     median_heuristic,
+    off_diagonal_sum,
+    u_from_sums,
     u_statistic,
 )
 from rdpgtest.model import Graph, edge_prob_matrix, sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 from rdpgtest.testing import (
     TestConfig,
+    _align,
     _calibrate,
+    _null_from_gram,
     p_value,
     permutation_null,
     preprocess,
@@ -111,6 +123,118 @@ class TestPermutationNull:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSampleError):
             permutation_null(np.zeros((3, 2)), 1, 2, SPEC, 5, substream(78))
+
+
+def _whole_null(k, n, m, permutations, rng):
+    """The permutation null from one N x B indicator matrix: the oracle of
+    the panels of ``_null_from_gram``."""
+    total = n + m
+    diag = np.diagonal(k).copy()
+    row_sums = k.sum(axis=1)
+    total_off = float(k.sum() - diag.sum())
+    z = np.zeros((total, permutations))
+    for b in range(permutations):
+        z[rng.permutation(total)[:n], b] = 1.0
+    quad = np.einsum("ib,ib->b", z, k @ z)
+    sxx = quad - diag @ z
+    cross = row_sums @ z - quad
+    return u_from_sums(sxx, cross, total_off - sxx - 2.0 * cross, n, m)
+
+
+PANEL_SIZES = [(13, 29), (150, 250)]
+PANEL_PERMUTATIONS = [1, 1023, 1024, 1025, 2 * 1024 + 17]
+
+
+def write_panel_nulls(path):
+    """Each (n, m) in PANEL_SIZES and B in PANEL_PERMUTATIONS: the null in
+    panels and from the whole matrix, saved to ``path`` (npz)."""
+    nulls = {}
+    for n, m in PANEL_SIZES:
+        pooled = random_cloud(n + m, 2, substream(130, n))
+        k = gram(SPEC, pooled, pooled)
+        for b in PANEL_PERMUTATIONS:
+            nulls[f"panels-{n}-{m}-{b}"] = _null_from_gram(k, n, m, b, substream(131, b))
+            nulls[f"whole-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b))
+    np.savez(path, **nulls)
+
+
+@pytest.fixture(scope="module")
+def panel_nulls(tmp_path_factory):
+    """:func:`write_panel_nulls` run in a fresh interpreter with one BLAS
+    thread. The claim is bit identity at a fixed thread count, like the
+    statistic's: with more threads BLAS may split a panel's product between
+    them elsewhere than the whole product, which moves last bits."""
+    path = tmp_path_factory.mktemp("panels") / "nulls.npz"
+    src = str(Path(rdpgtest.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
+                                               os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = f"import test_testing; test_testing.write_panel_nulls({str(path)!r})"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    with np.load(path) as saved:
+        return dict(saved)
+
+
+class TestPanelledNull:
+    """``_null_from_gram`` aggregates the null in column panels; each value
+    must be the bits of the whole-matrix oracle, the ragged last panel too."""
+
+    @pytest.mark.parametrize("n, m", PANEL_SIZES)
+    @pytest.mark.parametrize("permutations", PANEL_PERMUTATIONS)
+    def test_bit_identical_to_whole_matrix(self, panel_nulls, n, m, permutations):
+        panels = panel_nulls[f"panels-{n}-{m}-{permutations}"]
+        assert panels.shape == (permutations,)
+        assert np.array_equal(panels, panel_nulls[f"whole-{n}-{m}-{permutations}"])
+
+    def test_stream_is_the_whole_matrix_stream(self):
+        # Whatever the thread count, the panels draw the permutations in
+        # the same order, so the values agree to rounding.
+        pooled = random_cloud(42, 2, substream(132))
+        k = gram(SPEC, pooled, pooled)
+        rng_a, rng_b = substream(133), substream(133)
+        panels = _null_from_gram(k, 13, 29, 2065, rng_a)
+        whole = _whole_null(k, 13, 29, 2065, rng_b)
+        assert np.allclose(panels, whole, rtol=0, atol=1e-14)
+        assert rng_a.random() == rng_b.random()
+
+    def test_working_memory_is_one_panel(self):
+        # N = 400, B = 8192: the whole N x B indicator matrix and its
+        # product with the gram are 26 MB each; one panel of each is 3.3 MB.
+        pooled = random_cloud(400, 2, substream(134))
+        k = gram(SPEC, pooled, pooled)
+        tracemalloc.start()
+        try:
+            _null_from_gram(k, 100, 300, 8192, substream(135))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+class TestPooledMatrixInPlace:
+    """``_align`` writes the blocks into one pooled matrix; it and the sums
+    must be the bits of ``np.block`` over the public ``gram`` blocks."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("reflections", [True, False])
+    def test_matches_blocks_of_public_gram(self, d, reflections):
+        rng = substream(136, d)
+        # Blocks this large sum in another order as strided views of the pool.
+        px = rng.normal(size=(200, d))
+        py = rng.normal(size=(260, d)) * np.array([-1.0, 1.0, -1.0][:d]) + 0.4
+        signs, sums, k = _align(SPEC, px, py, reflections)
+        patterns = [np.array([1.0 if bits & (1 << j) == 0 else -1.0 for j in range(d)])
+                    for bits in range(2**d if reflections else 1)]
+        crosses = [gram(SPEC, px, py * p) for p in patterns]
+        best = int(np.argmax([c.sum() for c in crosses]))
+        kxx, kyy, kxy = gram(SPEC, px, px), gram(SPEC, py, py), crosses[best]
+        assert np.array_equal(signs, patterns[best])
+        assert sums == (off_diagonal_sum(kxx), kxy.sum(), off_diagonal_sum(kyy))
+        assert np.array_equal(k, np.block([[kxx, kxy], [kxy.T, kyy]]))
+        assert k.flags.c_contiguous
 
 
 class TestPValue:

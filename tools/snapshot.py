@@ -7,16 +7,17 @@ Run it on two checkouts, such as a parent commit and a change to it, and
 diff the two dumps. A change meant to keep every result gives no
 difference. The grid records:
 
-- test calls over kernels, d, variants, alignment and n != m, graph and point;
+- test calls over kernels, d, variants, alignment and n != m, graph and point,
+  and a test and a null with more permutations than one panel;
 - ``sbm_to_latent`` atoms on random and structured block matrices;
 - embeddings, sign conventions and alignment diagnostics;
 - power-study, alignment-comparison and dissimilarity outputs;
 - the bytes of written files;
 - stdout, stderr, exit code and files of CLI invocations;
 - the input rules: edge-list reader branches, array graphs that are not
-  adjacencies, sample and study sizes, extreme and median bandwidths, INI
-  keys and values, seeds, integer options, matrix labels, sparsity factors
-  at every entry point and non-finite statistics;
+  adjacencies, sample and study sizes, replicate counts, extreme and median
+  bandwidths, INI keys and values, seeds, integer options, matrix labels,
+  sparsity factors at every entry point and non-finite statistics;
 - the repr of each error raised.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
@@ -159,6 +160,12 @@ def grid_tests(grid, rt, graphs):
         box, cube = rt.uniform_box_pair(0.2)
         grid.run(f"mmd/{kname}/oracle-mc", lambda: rt.mmd_population_oracle(
             kernel, box, cube, 200, rng=rt.substream(2)), grid.put)
+    # B = 2500 is two panels of the null: 1024, then 1476 with the remainder.
+    grid.run("test/B2500/25x45", lambda: rt.two_sample_test(
+        graphs["f25"], graphs["g45"], rt.TestConfig(d=3, permutations=2500, seed=6)),
+        lambda k, r: _report(grid, k, r))
+    grid.run("mmd/B2500/null", lambda: rt.permutation_null(
+        pooled, 30, 40, kernels["imq"], 2500, rt.substream(3)), grid.put)
     grid.run("mmd/median", lambda: rt.median_heuristic(pooled), grid.put)
     grid.run("mmd/p_value", lambda: rt.p_value(0.1, [0.0, 0.1, 0.2]), grid.put)
 
@@ -606,6 +613,14 @@ def grid_errors(grid, rt):
         "experiment/replicates": lambda: rt.ExperimentConfig(
             pairs=[("x", None, None)], n_grid=[10], replicates=0, test=rt.TestConfig(),
             master_seed=0),
+        "experiment/replicates-float": lambda: rt.ExperimentConfig(
+            pairs=[("x", None, None)], n_grid=[10], replicates=2.5, test=rt.TestConfig(),
+            master_seed=0),
+        "experiment/n-float": lambda: rt.ExperimentConfig(
+            pairs=[("x", None, None)], n_grid=[10.5], replicates=1, test=rt.TestConfig(),
+            master_seed=0),
+        "wcompare/replicates": lambda: rt.w_comparison_experiment(
+            *rt.two_block_pair(0.0), 20, 2, rt.GaussianKernel(), 0, 0),
         "experiment/seed": lambda: rt.ExperimentConfig(
             pairs=[("x", None, None)], n_grid=[10], replicates=1, test=rt.TestConfig(),
             master_seed=-1),
