@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import check_count
+
 __all__ = [
     "Embedding",
     "AlignmentResult",
@@ -105,10 +107,9 @@ def ase(m, d):
 
 
 def check_dimension(d, n):
-    """The one embedding-size rule: ``1 <= d <= n``."""
-    if not 1 <= d <= n:
-        got = f"d={d} exceeds the graph size n={n}" if d > n else f"got d={d}"
-        raise ValueError(f"need 1 <= d <= n: {got}")
+    """The one embedding-size rule: ``d`` is a count (``streams.check_count``) and ``d <= n``."""
+    if check_count(d, "d") > n:
+        raise ValueError(f"need 1 <= d <= n: d={d} exceeds the graph size n={n}")
 
 
 def procrustes_align(xhat, x):

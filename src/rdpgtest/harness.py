@@ -7,7 +7,7 @@ evaluated in any order (or in parallel) with bit-identical results.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -24,7 +24,7 @@ from .model import (
     sbm_to_latent,
     second_moment_matrix,
 )
-from .streams import check_seed, substream
+from .streams import check_count, substream
 from .testing import TestConfig, two_sample_point_test, two_sample_test
 
 __all__ = [
@@ -88,30 +88,21 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        _check_replicates(self.replicates)
+        check_count(self.replicates, "replicates")
         if not self.pairs or not self.n_grid:
             raise ValueError("pairs and n_grid must be nonempty")
         if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):
             raise ValueError("m_grid must pair with n_grid entry by entry")
         check_sparsity(self.sparsity)
-        check_seed(self.master_seed, "master_seed")
+        check_count(self.master_seed, "master_seed", 0)
         for n, m in zip(self.n_grid, self.m_grid or self.n_grid):
             _check_sizes(n, m, self.test.d)
 
 
-def _check_replicates(replicates):
-    """The one replicate-count rule of a study: an integer >= 1."""
-    if not isinstance(replicates, (int, np.integer)) or replicates < 1:
-        raise ValueError(f"replicates must be an integer >= 1, got {replicates!r}")
-
-
 def _check_sizes(n, m, d):
     """Refuse sample sizes ``n, m`` that a graph test in ``R^d`` cannot take."""
-    for name, value in (("n", n), ("m", m)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    check_dimension(d, n)
-    check_dimension(d, m)
+    for size in (check_count(n, "n"), check_count(m, "m")):
+        check_dimension(d, size)
     mmd.check_sizes(n, m)
 
 
@@ -138,12 +129,10 @@ class PowerTable:
     cells: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    _COLUMNS = ("n", "m", "sweep", "replicates", "rejections", "power", "se")
-    _ORACLE_COLUMNS = ("oracle_rejections", "oracle_power", "oracle_se")
-
     def to_csv(self, path):
+        """One column per :class:`PowerCell` field; the ``oracle_`` ones only with an oracle arm."""
         oracle = any(c.oracle_power is not None for c in self.cells)
-        columns = self._COLUMNS + (self._ORACLE_COLUMNS if oracle else ())
+        columns = [f.name for f in fields(PowerCell) if oracle or not f.name.startswith("oracle_")]
         rows = [[getattr(c, name) for name in columns] for c in self.cells]
         comments = [f"{k}={v}" for k, v in sorted(self.metadata.items())]
         _io.write_table_csv(path, columns, rows, comments=comments)
@@ -269,7 +258,8 @@ def w_comparison_experiment(
     if m is None:
         m = n
     mmd.fixed_bandwidth(spec)
-    _check_replicates(replicates)
+    check_count(replicates, "replicates")
+    check_count(surrogate_size, "surrogate_size")
     _check_sizes(n, m, d)
     t1 = _moment_frame(f_dist, substream(master_seed, replicates), surrogate_size)
     t2 = _moment_frame(g_dist, substream(master_seed, replicates + 1), surrogate_size)
@@ -322,6 +312,7 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
         raise ValueError(f"need at least 2 graphs, got {len(graphs)}")
     if labels is not None and len(labels) != len(graphs):
         raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
+    check_count(d, "d")
     mmd.fixed_bandwidth(spec)
     embeddings = []
     for idx, graph in enumerate(graphs):
@@ -382,10 +373,8 @@ def knn_classify(dissimilarity, labels, k, folds=10, seed=0):
         raise ValueError(f"dissimilarity must be square, got shape {d.shape}")
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} items")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    check_count(k, "k")
+    check_count(folds, "folds", 2)
 
     rng = substream(seed)
     classes = sorted(set(labels))
@@ -486,14 +475,15 @@ def _numbers(convert):
     return lambda text: [convert(t) for t in text.split()]
 
 
-def _read_experiment(path, sweep, keys):
+def _read_experiment(path, sweep, keys, test_keys):
     """Converted ``[experiment]`` values, seeded test configuration and ``pairs(values)``
     of a file: the ``(label, F, G)`` triples of the family at each swept value.
     ``[experiment]`` holds ``n`` and may hold ``family``, ``seed``, ``replicates``,
     ``output``, the family's keys and ``keys``, a map from each loader key (``n``, ``m``
     and the ``sweep`` key among them) to its converter; the ``custom`` family (one fixed
     pair) takes no ``sweep`` key. Its ``sparsity`` fills in ``[test]`` sparsities left
-    out. ``[F]`` and ``[G]`` are required for ``custom`` and unknown otherwise."""
+    out. ``[test]`` holds the kernel keys and ``test_keys``, the loader's keys of
+    ``_TEST_KEYS``. ``[F]`` and ``[G]`` are required for ``custom`` and unknown otherwise."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(path)
@@ -505,7 +495,7 @@ def _read_experiment(path, sweep, keys):
     unswept = {sweep} if pair is None else set()
     _io._check_keys(experiment, {"family", *own, *family_keys} - unswept, ("n",))
     test = parser["test"] if parser.has_section("test") else {}
-    _io._check_keys(test, {*_TEST_KEYS, *mmd.KERNEL_KEYS} - {"seed"})
+    _io._check_keys(test, {*test_keys, *mmd.KERNEL_KEYS})
     values = _io._converted(experiment, own)
     fields = {f"sparsity_{s}": values["sparsity"] for s in "xy" if "sparsity" in values}
     fields.update(_io._converted(test, _TEST_KEYS))
@@ -525,7 +515,7 @@ def load_power_config(path):
     """Read a power-study configuration file (INI format, see README)."""
     keys = {"n": _numbers(int), "m": _numbers(int), "sweep": _numbers(float),
             "oracle_arm": _boolean, "sparsity": float}
-    values, test_cfg, pairs = _read_experiment(path, "sweep", keys)
+    values, test_cfg, pairs = _read_experiment(path, "sweep", keys, _TEST_KEYS.keys() - {"seed"})
     return ExperimentConfig(
         pairs=pairs(values.get("sweep", [0.0])),
         n_grid=values["n"],
@@ -541,7 +531,7 @@ def load_power_config(path):
 def load_wcompare_config(path):
     """Read an alignment-comparison configuration file (INI format)."""
     keys = {"n": int, "m": int, "epsilon": float, "surrogate_size": int}
-    values, test_cfg, pairs = _read_experiment(path, "epsilon", keys)
+    values, test_cfg, pairs = _read_experiment(path, "epsilon", keys, {"d"})
     _, f, g = pairs([values.get("epsilon", 0.0)])[0]
     return {
         "f_dist": f,

@@ -19,6 +19,7 @@ from scipy.spatial.distance import cdist, pdist
 from .errors import InsufficientSampleError
 from . import model as _model
 from .io import _converted
+from .streams import check_count
 
 __all__ = [
     "KernelSpec",
@@ -40,7 +41,8 @@ class KernelSpec:
 
     A family states its formula once, in ``_from_sq``: ``k(x, y)`` from the
     squared distances ``sq`` between the points ``a`` and ``b``, which hold
-    one point per entry of ``sq`` along their last axis.
+    one point per entry of ``sq`` along their last axis. ``sq`` is a fresh
+    buffer, so a family may evaluate in it and return it.
     """
 
     name = "kernel"
@@ -82,7 +84,7 @@ class GaussianKernel(KernelSpec):
 
     def _from_sq(self, sq, a, b):
         fixed_bandwidth(self)
-        return np.exp(-sq / (2.0 * self.sigma * self.sigma))
+        return np.exp(np.divide(sq, -(2.0 * self.sigma * self.sigma), out=sq), out=sq)
 
     def describe(self):
         s = "median" if self.sigma is None else f"{self.sigma:g}"
@@ -106,7 +108,7 @@ class InverseMultiquadricKernel(KernelSpec):
                 raise ValueError(f"need (c*c)**-beta finite and > 0, got c={self.c}, beta={self.beta}")
 
     def _from_sq(self, sq, a, b):
-        return (self.c**2 + sq) ** (-self.beta)
+        return np.power(np.add(sq, self.c**2, out=sq), -self.beta, out=sq)
 
     def describe(self):
         return f"inverse_multiquadric(c={self.c:g}, beta={self.beta:g})"
@@ -198,9 +200,14 @@ def gram(spec, a, b):
     """Kernel matrix between the point sets ``a`` (rows) and ``b`` (columns)."""
     a = _as_points(a, "a")
     b = _as_points(b, "b")
+    check_widths(a, b)
+    return spec.pairwise(a, b)
+
+
+def check_widths(a, b):
+    """The one width rule of two point sets: rows of one dimension."""
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return spec.pairwise(a, b)
 
 
 def off_diagonal_sum(k):
@@ -324,8 +331,7 @@ def mmd_population_oracle(spec, f, g, sample_size, rng=None):
         )
         return MmdEstimate(float(value), 0.0, True)
 
-    if sample_size < 2:
-        raise ValueError("sample_size must be >= 2 for Monte Carlo estimation")
+    check_count(sample_size, "sample_size", 2)
     if rng is None:
         raise ValueError("a seeded rng is required for Monte Carlo estimation")
     x1 = f.sample(sample_size, rng)

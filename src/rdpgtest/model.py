@@ -16,6 +16,7 @@ import numpy as np
 
 from .embed import ase
 from .errors import InvalidDistributionError, ModelError, NotPositiveSemidefiniteError
+from .streams import check_count
 
 __all__ = [
     "LatentDistribution",
@@ -398,9 +399,7 @@ def sample_latent(dist, n, rng, max_retries=100):
     products outside [0, 1] are resampled up to ``max_retries`` times, after
     which an :class:`InvalidDistributionError` names the offending variant.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return dist.sample(n, rng, max_retries=max_retries)
+    return dist.sample(check_count(n, "n"), rng, max_retries=max_retries)
 
 
 def _positions(latent):
@@ -477,5 +476,5 @@ def second_moment_matrix(dist, rng=None, surrogate_size=10**6):
         return exact
     if rng is None:
         raise ValueError(f"{dist.kind} has no analytic second moment; supply an rng")
-    x = dist.sample(surrogate_size, rng)
+    x = dist.sample(check_count(surrogate_size, "surrogate_size"), rng)
     return x.T @ x / surrogate_size

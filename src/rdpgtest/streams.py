@@ -22,12 +22,13 @@ def substream(seed, *path):
         Optional indices identifying the work unit (grid cell, replicate,
         stage). Distinct paths give independent streams.
     """
-    entropy = (check_seed(seed),) + tuple(int(p) for p in path)
+    entropy = (check_count(seed, "seed", 0),) + tuple(int(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def check_seed(seed, name="seed"):
-    """The one seed rule: ``seed`` is an integer >= 0. Returns it as an ``int``."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
-    return int(seed)
+def check_count(value, name, minimum=1):
+    """The one rule for every count, size and seed: ``value`` is an integer
+    >= ``minimum``. Returns it as an ``int``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -6,13 +6,15 @@ embedding of one graph, then its row normalization), bandwidth
 (:func:`_align`: the reflection search, which yields the kernel sums of the
 statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
 the permutation null, from that one matrix). Each input is checked once:
-the options by :class:`TestConfig` (the seed by ``streams.check_seed``),
-sparsity factors by ``model.check_sparsity``, 0/1 entries, a zero diagonal
-and symmetry by :class:`~rdpgtest.model.Graph` (an array is made one),
-``d <= n`` by ``embed.check_dimension`` (called by ``ase``), degenerate
-rows by :func:`preprocess`, ``n, m >= 2`` by ``mmd.check_sizes``, finite
-rows by ``_calibrate`` and a finite statistic by ``mmd.finite_statistic``;
-``mmd.fixed_bandwidth`` refuses an unresolved median.
+the options by :class:`TestConfig` (``d``, the permutation count and the
+seed by ``streams.check_count``), sparsity factors by
+``model.check_sparsity``, 0/1 entries, a zero diagonal and symmetry by
+:class:`~rdpgtest.model.Graph` (an array is made one), ``d <= n`` by
+``embed.check_dimension`` (called by ``ase``), degenerate rows by
+:func:`preprocess`, ``n, m >= 2`` by ``mmd.check_sizes``, rows of one
+width by ``mmd.check_widths``, finite rows by ``_calibrate`` and a finite
+statistic by ``mmd.finite_statistic``; ``mmd.fixed_bandwidth`` refuses an
+unresolved median.
 The variants are:
 
 ``identity``
@@ -30,7 +32,7 @@ The variants are:
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .embed import ase
 from .errors import DegenerateRowError
 from .io import _fmt
 from .model import as_graph, check_sparsity
-from .streams import check_seed, substream
+from .streams import check_count, substream
 
 __all__ = [
     "TestConfig",
@@ -83,17 +85,12 @@ class TestConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name, value in (("d", self.d), ("permutations", self.permutations)):
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        check_seed(self.seed)
-        if self.permutations < 1:
-            raise ValueError(f"permutations must be >= 1, got {self.permutations}")
+        check_count(self.d, "d")
+        check_count(self.permutations, "permutations")
+        check_count(self.seed, "seed", 0)
         if not 0.0 < self.alpha_level < 1.0:
             raise ValueError(f"alpha_level must lie in (0, 1), got {self.alpha_level}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.eps_floor < 0:
+        if not self.eps_floor >= 0:
             raise ValueError(f"eps_floor must be >= 0, got {self.eps_floor}")
         if self.variant == "sparse":
             check_sparsity(self.sparsity_x, "sparsity_x")
@@ -122,20 +119,9 @@ class TestReport:
     preprocessing: dict
 
     def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "scaled_statistic": self.scaled_statistic,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "n": self.n,
-            "m": self.m,
-            "rho": self.rho,
-            "variant": self.variant,
-            "kernel": self.kernel,
-            "B": self.permutations,
-            "alpha_level": self.alpha_level,
-            "seed": self.seed,
-        }
+        """The scalar fields in order, ``permutations`` keyed ``B``."""
+        return {"B" if f.name == "permutations" else f.name: getattr(self, f.name)
+                for f in fields(self) if f.name not in ("null_values", "preprocessing")}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -205,11 +191,10 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     """
     pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
     total = pooled.shape[0]
-    mmd.check_sizes(n, m)
+    mmd.check_sizes(check_count(n, "n"), check_count(m, "m"))
     if n + m != total:
         raise ValueError(f"pool has {total} rows but n + m = {n + m}")
-    if permutations < 1:
-        raise ValueError(f"permutations must be >= 1, got {permutations}")
+    check_count(permutations, "permutations")
     return _null_from_gram(mmd.gram(spec, pooled, pooled), n, m, permutations, rng)
 
 
@@ -305,6 +290,7 @@ def _calibrate(px, py, config, rng, info):
     ``preprocessing`` is the reflection signs (when aligning) and ``info``."""
     n, m = px.shape[0], py.shape[0]
     mmd.check_sizes(n, m)
+    mmd.check_widths(px, py)
     if not (np.isfinite(px).all() and np.isfinite(py).all()):
         raise ValueError("rows must be finite")
     kernel = _bandwidth(config.kernel, px, py)

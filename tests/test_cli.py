@@ -88,6 +88,11 @@ class TestTestCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_nan_eps_floor_fails_before_reading(self, tmp_path, capsys):
+        missing = [str(tmp_path / "missing-a.edges"), str(tmp_path / "missing-b.edges")]
+        assert main(["test", *missing, "--d", "2", "--eps-floor", "nan"]) == 1
+        assert capsys.readouterr().err == "error: eps_floor must be >= 0, got nan\n"
+
     def test_bad_kernel_parameter_fails_before_reading(self, tmp_path, capsys):
         missing = [str(tmp_path / "missing_a.edges"), str(tmp_path / "missing_b.edges")]
         assert main(["test", *missing, "--d", "2", "--sigma", "nan"]) == 1
@@ -182,6 +187,24 @@ class TestWCompareCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("replicate,") and len(lines) == 4
         assert "median" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", [
+        "variant = projection", "B = 7", "permutations = 7", "alpha_level = 0.3",
+        "align_reflections = false", "seed = 2", "sparsity_x = 0.5", "sparsity_y = 0.5",
+        "eps_floor = 0.1",
+    ])
+    def test_refuses_test_keys_it_does_not_read(self, line, tmp_path, capsys, monkeypatch):
+        # w-compare reads d and the kernel keys of [test]; any other key is an error.
+        def run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli.harness, "w_comparison_experiment", run)
+        config = tmp_path / "w.ini"
+        config.write_text(f"[experiment]\nfamily = two_block\nn = 20\n\n[test]\nd = 2\n"
+                          f"sigma = 0.5\n{line}\n")
+        assert main(["w-compare", str(config), "--output", str(tmp_path / "w.csv")]) == 1
+        key = line.split(" = ")[0].lower()
+        assert capsys.readouterr().err == f"error: unknown key {key!r} in [test]\n"
 
 
 class TestMedianBandwidthNeedsOneTest:

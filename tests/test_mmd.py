@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from rdpgtest.errors import InsufficientSampleError
 from rdpgtest.harness import two_block_pair, uniform_box_pair
@@ -23,6 +26,14 @@ KERNELS = [
     InverseMultiquadricKernel(c=1.0, beta=0.5),
     EnergyKernel(exponent=1.0),
 ]
+
+# Each kernel's formula as it reads, one temporary per operation.
+OUT_OF_PLACE = {
+    "gaussian-0.5": (GaussianKernel(0.5), lambda sq: np.exp(-sq / (2.0 * 0.5 * 0.5))),
+    "gaussian-0.13": (GaussianKernel(0.13), lambda sq: np.exp(-sq / (2.0 * 0.13 * 0.13))),
+    "imq-1-0.5": (InverseMultiquadricKernel(1.0, 0.5), lambda sq: (1.0**2 + sq) ** -0.5),
+    "imq-0.7-1.3": (InverseMultiquadricKernel(0.7, 1.3), lambda sq: (0.7**2 + sq) ** -1.3),
+}
 
 
 class TestKernelEval:
@@ -128,6 +139,27 @@ class TestGram:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             gram(GaussianKernel(0.5), np.zeros((3, 2)), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("spec, formula", OUT_OF_PLACE.values(), ids=OUT_OF_PLACE.keys())
+    def test_in_place_evaluation_keeps_the_bits_of_the_formula(self, spec, formula):
+        rng = substream(5)
+        a, b = rng.normal(size=(300, 3)), rng.normal(size=(200, 3))
+        assert np.array_equal(gram(spec, a, b), formula(cdist(a, b, "sqeuclidean")))
+        assert np.array_equal(spec.rowwise(a[:200], b), formula(np.sum((a[:200] - b) ** 2, axis=1)))
+
+    @pytest.mark.parametrize("spec", [GaussianKernel(0.5), InverseMultiquadricKernel(0.7, 1.3)],
+                             ids=lambda s: s.name)
+    def test_kernel_is_evaluated_in_the_distance_buffer(self, spec):
+        # The squared distances are the only N x M block: an out-of-place
+        # formula would hold two or three of them at once.
+        pts = random_cloud(1000, 2, substream(6))
+        tracemalloc.start()
+        try:
+            k = gram(spec, pts, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * k.nbytes
 
     @pytest.mark.parametrize(
         "spec",

@@ -1,7 +1,7 @@
 """Each shared rule has one home and gives one result at every entry point:
 the sparsity factor, the refusal of the median bandwidth outside one test,
 the finite statistic, the 17-digit number format, the seed, the study sizes,
-the replicate count and INI values that do not parse."""
+the replicate count, every other count and INI values that do not parse."""
 
 import re
 
@@ -10,6 +10,7 @@ import pytest
 
 from rdpgtest import cli, harness, io
 from rdpgtest.cli import main
+from rdpgtest.embed import ase
 from rdpgtest.errors import ModelError
 from rdpgtest.harness import (
     ExperimentConfig,
@@ -19,12 +20,27 @@ from rdpgtest.harness import (
     knn_classify,
     pairwise_dissimilarity,
     two_block_pair,
+    uniform_box_pair,
     w_comparison_experiment,
 )
-from rdpgtest.mmd import EnergyKernel, GaussianKernel, KernelSpec, gram, u_statistic, v_statistic
+from rdpgtest.mmd import (
+    EnergyKernel,
+    GaussianKernel,
+    KernelSpec,
+    gram,
+    mmd_population_oracle,
+    u_statistic,
+    v_statistic,
+)
 from rdpgtest.model import edge_prob_matrix, sample_latent, sample_rdpg
 from rdpgtest.streams import substream
-from rdpgtest.testing import TestConfig, TestReport, preprocess, two_sample_point_test
+from rdpgtest.testing import (
+    TestConfig,
+    TestReport,
+    permutation_null,
+    preprocess,
+    two_sample_point_test,
+)
 
 
 def _graphs(count, n=20):
@@ -237,7 +253,7 @@ def test_seed_rule_has_one_message(case, tmp_path, capsys):
 @pytest.mark.parametrize("name, value", [("d", 2.0), ("permutations", 2.5), ("d", "2")])
 def test_integer_options_are_refused_when_built(name, value):
     assert _raised(lambda: TestConfig(**{name: value}), ValueError) == (
-        f"{name} must be an integer, got {value!r}")
+        f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _power_study(tmp_path, n, m):
@@ -326,10 +342,10 @@ def test_replicate_count_rule_has_one_message(call, replicates, tmp_path, capsys
 
 
 @pytest.mark.parametrize("grids, message", [
-    ({"n_grid": [20.5]}, "n must be an integer, got 20.5"),
-    ({"n_grid": [20, 30], "m_grid": [20, np.float64(30.0)]},
-     "m must be an integer, got np.float64(30.0)"),
-    ({"n_grid": ["20"]}, "n must be an integer, got '20'"),
+    pytest.param({"n_grid": [20.5]}, "n must be an integer >= 1, got 20.5", id="n-float"),
+    pytest.param({"n_grid": [20, 30], "m_grid": [20, np.float64(30.0)]},
+                 "m must be an integer >= 1, got np.float64(30.0)", id="m-numpy-float"),
+    pytest.param({"n_grid": ["20"]}, "n must be an integer >= 1, got '20'", id="n-string"),
 ])
 def test_study_sizes_must_be_integers(grids, message):
     assert _raised(lambda: ExperimentConfig(
@@ -338,6 +354,62 @@ def test_study_sizes_must_be_integers(grids, message):
     assert _raised(lambda: w_comparison_experiment(
         *two_block_pair(0.0), grids["n_grid"][-1], 2, GaussianKernel(), 1, 0,
         m=grids.get("m_grid", grids["n_grid"])[-1]), ValueError) == message
+
+
+COUNT_CASES = {
+    "ase-d": (lambda graphs, pair: ase(graphs[0], 2.0), "d", 2.0, 1),
+    "pairwise_dissimilarity-d": (
+        lambda graphs, pair: pairwise_dissimilarity(graphs, 2.0, GaussianKernel()), "d", 2.0, 1),
+    "w_comparison_experiment-d": (lambda graphs, pair: w_comparison_experiment(
+        *pair, 20, 2.0, GaussianKernel(), 1, 0), "d", 2.0, 1),
+    **{f"w_comparison_experiment-surrogate_size-{value}": (
+        lambda graphs, pair, value=value: w_comparison_experiment(
+            *pair, 20, 2, GaussianKernel(), 1, 0, surrogate_size=value),
+        "surrogate_size", value, 1) for value in (2.5, 0)},
+    "knn-k": (lambda graphs, pair: knn_classify(np.zeros((4, 4)), "aabb", 2.5, folds=2),
+              "k", 2.5, 1),
+    **{f"knn-folds-{value}": (
+        lambda graphs, pair, value=value: knn_classify(np.zeros((4, 4)), "aabb", 1, folds=value),
+        "folds", value, 2) for value in (2.5, 1)},
+    **{f"mmd_population_oracle-{value}": (
+        lambda graphs, pair, value=value: mmd_population_oracle(
+            GaussianKernel(), *uniform_box_pair(0.1), value, rng=substream(0)),
+        "sample_size", value, 2) for value in (2.5, 1)},
+    "sample_latent-n": (lambda graphs, pair: sample_latent(pair[0], 2.5, substream(0)), "n", 2.5, 1),
+    "permutation_null": (lambda graphs, pair: permutation_null(
+        np.ones((4, 1)), 2, 2, GaussianKernel(), 2.5, substream(0)), "permutations", 2.5, 1),
+    "permutation_null-n": (lambda graphs, pair: permutation_null(
+        np.ones((5, 1)), 2.5, 2.5, GaussianKernel(), 5, substream(0)), "n", 2.5, 1),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_CASES.values(), ids=COUNT_CASES.keys())
+def test_count_rule_has_one_message(case, monkeypatch):
+    # No embedding and no replicate may run before the count is refused.
+    call, name, value, minimum = case
+    graphs, pair = _graphs(2), two_block_pair(0.0)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the count was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", never)
+    for target in ("_replicate", "_moment_frame"):
+        monkeypatch.setattr(harness, target, never)
+    assert _raised(lambda: call(graphs, pair), ValueError) == (
+        f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def test_wcompare_surrogate_size_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran before the surrogate size was checked")
+
+    for name in ("_replicate", "_moment_frame"):
+        monkeypatch.setattr(harness, name, never)
+    path = tmp_path / "w.ini"
+    path.write_text("[experiment]\nfamily = two_block\nn = 20\nsurrogate_size = 0\n")
+    assert _cli_error(capsys, "w-compare", path, "--output", tmp_path / "w.csv") == (
+        "surrogate_size must be an integer >= 1, got 0")
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_sample_size_rule_is_checked_with_the_study():

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import kstest
 
 import rdpgtest
+from rdpgtest import mmd
 from rdpgtest.embed import ase
 from rdpgtest.errors import DegenerateRowError, InsufficientSampleError, ModelError
 from rdpgtest.harness import pairwise_dissimilarity, two_block_pair, uniform_box_pair
@@ -261,6 +262,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="permutations"):
             TestConfig(permutations=0)
 
+    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    def test_eps_floor_is_a_number_at_least_zero(self, value):
+        # A nan floor would switch off the projection variant's degenerate-row check.
+        with pytest.raises(ValueError) as info:
+            TestConfig(eps_floor=value)
+        assert str(info.value) == f"eps_floor must be >= 0, got {value}"
+
     def test_alpha_open_interval(self):
         with pytest.raises(ValueError, match="alpha"):
             TestConfig(alpha_level=1.0)
@@ -487,3 +495,16 @@ class TestPointTest:
             f.sample(200, rng), g.sample(200, rng), TestConfig(d=2, seed=95)
         )
         assert report.reject
+
+    @pytest.mark.parametrize("sigma", [0.5, None])
+    def test_rows_of_different_widths_are_refused_first(self, sigma, monkeypatch):
+        def never(*args):
+            raise AssertionError("a kernel block was built")
+
+        monkeypatch.setattr(mmd, "gram", never)
+        monkeypatch.setattr(mmd, "median_heuristic", never)
+        rng = substream(96)
+        with pytest.raises(ValueError) as info:
+            two_sample_point_test(rng.random((5, 2)), rng.random((5, 3)),
+                                  TestConfig(kernel=GaussianKernel(sigma)))
+        assert str(info.value) == "dimension mismatch: 2 vs 3"

@@ -15,9 +15,10 @@ difference. The grid records:
 - the bytes of written files;
 - stdout, stderr, exit code and files of CLI invocations;
 - the input rules: edge-list reader branches, array graphs that are not
-  adjacencies, sample and study sizes, replicate counts, extreme and median
-  bandwidths, INI keys and values, seeds, integer options, matrix labels,
-  sparsity factors at every entry point and non-finite statistics;
+  adjacencies, sample and study sizes, replicate counts and every other
+  count, extreme and median bandwidths, INI keys and values, seeds, integer
+  options, matrix labels, sparsity factors at every entry point, point
+  clouds of two widths, the ``eps_floor`` bound and non-finite statistics;
 - the repr of each error raised.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
@@ -299,6 +300,8 @@ def grid_harness(grid, rt, graphs, workdir):
     grid.run("dissim/too-small", lambda: rt.pairwise_dissimilarity(
         [graphs["f20"], np.zeros((1, 1))], 2, rt.GaussianKernel()), grid.put)
     grid.run("knn/too-large-k", lambda: rt.knn_classify(np.zeros((4, 4)), "aabb", 3, folds=2), grid.put)
+    grid.run("dissim/d-float", lambda: rt.pairwise_dissimilarity(collection, 2.0, rt.GaussianKernel()),
+             grid.put)
     for params in ({}, {"kernel": "imq", "c": "2"}, {"sigma": "median", "b": 50, "d": "3"},
                    {"kernel": "energy", "sigma": "1"}, {"variant": "nope"}, {"kernel": "x"}):
         grid.run(f"build_test_config/{sorted(params.items())}",
@@ -479,6 +482,10 @@ concentration = 1 1
     "weights.ini": "[experiment]\nn = 20\n\n[F]\nkind = point_mass_mixture\natoms = 0.5\n"
                    "weights = 0.4 x\n\n[G]\nkind = dirichlet\nconcentration = 1 1\n",
     "wn.ini": "[experiment]\nfamily = two_block\nn = 20 30\noutput = wn.csv\n",
+    # [test] keys that w-compare does not read.
+    "wkeys.ini": "[experiment]\nfamily = two_block\nn = 20\nreplicates = 2\noutput = wkeys.csv\n"
+                 "\n[test]\nvariant = projection\nB = 7\nalpha_level = 0.3\n"
+                 "align_reflections = false\n",
 }
 
 INVOCATIONS = [
@@ -530,6 +537,8 @@ INVOCATIONS = [
     "w-compare wn.ini",
     "test a.edges b.edges --d 2 --sigma wide",
     "classify d.csv --k 1 --folds 2 --seed -1",
+    "w-compare wkeys.ini",
+    "test a.edges b.edges --d 2 --eps-floor nan",
 ]
 
 
@@ -643,7 +652,24 @@ def grid_errors(grid, rt):
         "v/non-finite": lambda: rt.v_statistic(rt.EnergyKernel(), [[1e200, -1e200], [-1e200, 1e200]],
                                                [[1e200, 1e200], [-1e200, -1e200]]),
         "v/empty": lambda: rt.v_statistic(rt.GaussianKernel(), np.zeros((0, 1)), [[1.0]]),
+        "config/eps-nan": lambda: rt.TestConfig(eps_floor=np.nan),
+        "point/widths": lambda: rt.two_sample_point_test(
+            rt.substream(15).random((5, 2)), rt.substream(16).random((5, 3)), rt.TestConfig()),
+        "embed/d-float": lambda: rt.ase(np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1), 2.0),
+        "wcompare/d-float": lambda: rt.w_comparison_experiment(
+            *rt.two_block_pair(0.0), 20, 2.0, rt.GaussianKernel(), 1, 0),
+        "knn/k-float": lambda: rt.knn_classify(np.zeros((4, 4)), "aabb", 2.5, folds=2),
+        "knn/folds-float": lambda: rt.knn_classify(np.zeros((4, 4)), "aabb", 1, folds=2.5),
+        "null/n-float": lambda: rt.permutation_null(np.ones((5, 1)), 2.5, 2.5, rt.GaussianKernel(), 5,
+                                                    rt.substream(0)),
     }
+    box, cube = rt.uniform_box_pair(0.2)
+    logit = rt.LogitNormalMixture([[0.0, 0.0], [4.0, 4.0]], [np.eye(2), np.eye(2)], [0.4, 0.6])
+    for value in (2.5, 0):
+        cases[f"oracle/sample_size-{value}"] = lambda value=value: rt.mmd_population_oracle(
+            rt.GaussianKernel(), box, cube, value, rng=rt.substream(2))
+        cases[f"wcompare/surrogate_size-{value}"] = lambda value=value: rt.w_comparison_experiment(
+            logit, logit, 20, 2, rt.GaussianKernel(), 1, 0, surrogate_size=value)
     for field, value in product(("sparsity_x", "sparsity_y"), (None, 0, 1.5)):
         cases[f"sparsity/config-{field}-{value}"] = lambda field=field, value=value: rt.TestConfig(
             variant="sparse", **{"sparsity_x": 0.5, "sparsity_y": 0.5, field: value})
