@@ -14,7 +14,6 @@ against a null hypothesis lives in :mod:`rdpgtest.testing`.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import InsufficientSampleError
 from . import model as _model
@@ -52,7 +51,7 @@ class KernelSpec:
 
     def pairwise(self, a, b):
         """Kernel matrix with entry ``(i, j) = k(a_i, b_j)``."""
-        return self._from_sq(cdist(a, b, "sqeuclidean"), a[:, None, :], b[None, :, :])
+        return self._from_sq(_sq_distances(a, b), a[:, None, :], b[None, :, :])
 
     def rowwise(self, a, b):
         """Vector of ``k(a_i, b_i)`` for row-aligned inputs."""
@@ -141,6 +140,36 @@ class EnergyKernel(KernelSpec):
 
     def describe(self):
         return f"energy(q={self.exponent:g})"
+
+
+# Entries of the one scratch buffer of a distance block: 96 KB, below the
+# 128 KB at which glibc's malloc starts to map blocks afresh. A buffer mapped
+# anew on every call page-faults more than the distances cost (a 256 KB one
+# gave 128k faults per power_grid op and 0.5 s of its 2.6 s).
+_CHUNK_ENTRIES = 12288
+
+
+def _sq_distances(a, b):
+    """Squared Euclidean distances between the rows of ``a`` and ``b``,
+    added up column by column in order: the bits of
+    ``scipy.spatial.distance.cdist(a, b, "sqeuclidean")``. Rows go in
+    chunks through one small buffer, so the result is the only
+    ``len(a) x len(b)`` block. A difference is ``a``'s entry copied along
+    the row less ``b``'s column: numpy is slow to broadcast a column."""
+    out = (np.empty if a.shape[1] else np.zeros)((a.shape[0], b.shape[0]))
+    step = max(1, min(_CHUNK_ENTRIES // max(1, len(b)), len(a)))
+    term = np.empty((step, b.shape[0]))
+    columns = np.ascontiguousarray(b.T)
+    for start in range(0, a.shape[0], step):
+        block = out[start:start + step]
+        for k, column in enumerate(columns):
+            diff = term[:block.shape[0]] if k else block
+            diff[...] = a[start:start + step, k, None]
+            np.subtract(diff, column, out=diff)
+            np.multiply(diff, diff, out=diff)
+            if k:
+                np.add(block, diff, out=block)
+    return out
 
 
 def fixed_bandwidth(kernel):
@@ -291,9 +320,19 @@ def median_heuristic(points):
     two points or if the median distance is zero.
     """
     points = _as_points(points, "points")
-    if points.shape[0] < 2:
+    n = points.shape[0]
+    if n < 2:
         raise InsufficientSampleError("median heuristic needs at least 2 points")
-    med = float(np.median(pdist(points)))
+    # The n(n-1)/2 distances of pdist, copied in from row chunks of the
+    # upper triangle; the median then partitions them in place.
+    dist = np.empty(n * (n - 1) // 2)
+    step, filled = max(1, _CHUNK_ENTRIES // n), 0
+    for start in range(0, n - 1, step):
+        block = _sq_distances(points[start:start + step], points[start + 1:])
+        upper = block[~np.tri(*block.shape, -1, dtype=bool)]
+        dist[filled:filled + upper.size] = upper
+        filled += upper.size
+    med = float(np.median(np.sqrt(dist, out=dist), overwrite_input=True))
     if med <= 0:
         raise ValueError("median pairwise distance is zero; supply sigma explicitly")
     return med

@@ -28,7 +28,7 @@ def substream(seed, *path):
 
 def check_count(value, name, minimum=1):
     """The one rule for every count, size and seed: ``value`` is an integer
-    >= ``minimum``. Returns it as an ``int``."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    >= ``minimum``, not a bool. Returns it as an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

@@ -10,11 +10,11 @@ the options by :class:`TestConfig` (``d``, the permutation count and the
 seed by ``streams.check_count``), sparsity factors by
 ``model.check_sparsity``, 0/1 entries, a zero diagonal and symmetry by
 :class:`~rdpgtest.model.Graph` (an array is made one), ``d <= n`` by
-``embed.check_dimension`` (called by ``ase``), degenerate rows by
-:func:`preprocess`, ``n, m >= 2`` by ``mmd.check_sizes``, rows of one
-width by ``mmd.check_widths``, finite rows by ``_calibrate`` and a finite
-statistic by ``mmd.finite_statistic``; ``mmd.fixed_bandwidth`` refuses an
-unresolved median.
+``embed.check_dimension`` (called by ``ase``), the row-norm floor by
+:func:`check_floor`, degenerate rows by :func:`preprocess`, ``n, m >= 2``
+by ``mmd.check_sizes``, rows of one width by ``mmd.check_widths``, finite
+rows by ``_calibrate`` and a finite statistic by ``mmd.finite_statistic``;
+``mmd.fixed_bandwidth`` refuses an unresolved median.
 The variants are:
 
 ``identity``
@@ -90,8 +90,7 @@ class TestConfig:
         check_count(self.seed, "seed", 0)
         if not 0.0 < self.alpha_level < 1.0:
             raise ValueError(f"alpha_level must lie in (0, 1), got {self.alpha_level}")
-        if not self.eps_floor >= 0:
-            raise ValueError(f"eps_floor must be >= 0, got {self.eps_floor}")
+        check_floor(self.eps_floor)
         if self.variant == "sparse":
             check_sparsity(self.sparsity_x, "sparsity_x")
             check_sparsity(self.sparsity_y, "sparsity_y")
@@ -131,6 +130,12 @@ class TestReport:
         return "\n".join(f"{key}={_fmt(value)}" for key, value in self.to_dict().items())
 
 
+def check_floor(eps_floor):
+    """The one rule for the projection variant's row-norm floor: a number >= 0."""
+    if not eps_floor >= 0:
+        raise ValueError(f"eps_floor must be >= 0, got {eps_floor}")
+
+
 def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_floor):
     """Apply the variant-specific normalization to embedded rows.
 
@@ -142,14 +147,15 @@ def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_fl
     sparsity : float, optional
         Known sparsity factor; required for the sparse variant.
     eps_floor : float
-        Rows with norm at or below this raise
-        :class:`DegenerateRowError` under the projection variant.
+        At least 0 (:func:`check_floor`). Rows with norm at or below this
+        raise :class:`DegenerateRowError` under the projection variant.
 
     Returns
     -------
     (ndarray, dict)
         The transformed rows and a summary of the factors applied.
     """
+    check_floor(eps_floor)
     x = getattr(embedding, "coordinates", embedding)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if variant == "identity":

@@ -1,7 +1,12 @@
-"""Every public name that the package and its modules declare resolves."""
+"""Every public name that the package and its modules declare resolves, and
+the package runs on numpy alone."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +56,19 @@ def test_package_exports_are_declared_by_their_modules():
     }
     assert exports and all(declared.get(name) is value for name, value in exports.items())
     exec("from rdpgtest import *", {})
+
+
+@pytest.mark.parametrize("argv", [["-c", "import rdpgtest"], ["-m", "rdpgtest", "--help"]],
+                         ids=["import", "help"])
+def test_package_loads_no_scipy(argv):
+    # scipy is only a test oracle; -X importtime lists every module a fresh
+    # interpreter imports.
+    src = str(Path(rdpgtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "rdpgtest" in imported
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []

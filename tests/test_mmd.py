@@ -1,9 +1,13 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
+from rdpgtest import mmd
 from rdpgtest.errors import InsufficientSampleError
 from rdpgtest.harness import two_block_pair, uniform_box_pair
 from rdpgtest.mmd import (
@@ -147,15 +151,20 @@ class TestGram:
         assert np.array_equal(gram(spec, a, b), formula(cdist(a, b, "sqeuclidean")))
         assert np.array_equal(spec.rowwise(a[:200], b), formula(np.sum((a[:200] - b) ** 2, axis=1)))
 
-    @pytest.mark.parametrize("spec", [GaussianKernel(0.5), InverseMultiquadricKernel(0.7, 1.3)],
-                             ids=lambda s: s.name)
-    def test_kernel_is_evaluated_in_the_distance_buffer(self, spec):
+    @pytest.mark.parametrize("pairwise", [
+        pytest.param(lambda a, b: gram(GaussianKernel(0.5), a, b), id="gaussian"),
+        pytest.param(lambda a, b: gram(InverseMultiquadricKernel(0.7, 1.3), a, b),
+                     id="inverse_multiquadric"),
+        pytest.param(mmd._sq_distances, id="sq_distances"),
+    ])
+    def test_kernel_is_evaluated_in_the_distance_buffer(self, pairwise):
         # The squared distances are the only N x M block: an out-of-place
-        # formula would hold two or three of them at once.
+        # formula would hold two or three of them at once, and the distances
+        # themselves work in row chunks.
         pts = random_cloud(1000, 2, substream(6))
         tracemalloc.start()
         try:
-            k = gram(spec, pts, pts)
+            k = pairwise(pts, pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -328,6 +337,71 @@ class TestPopulationOracle:
             values[r] = u_statistic(spec, f.sample(20, rng), g.sample(20, rng))
         se = values.std(ddof=1) / np.sqrt(redraws)
         assert abs(values.mean() - exact) <= 4.0 * se
+
+
+@st.composite
+def point_sets(draw, min_rows=1):
+    """Two point sets of one width d = 1-8 with 1-40 rows each, at one scale
+    between 1e-150 and 1e150, in C order, Fortran order, as a strided view
+    or with columns negated."""
+    d = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    sets = []
+    for _ in range(2):
+        n = draw(st.integers(min_rows, 40))
+        rows = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * d, max_size=n * d)))
+        x = rows.reshape(n, d) * scale
+        layout = draw(st.sampled_from(["c", "fortran", "strided", "signs"]))
+        if layout == "fortran":
+            x = np.asfortranarray(x)
+        elif layout == "strided":
+            x = np.repeat(x, 2, axis=0)[::2]
+        elif layout == "signs":
+            x = x * draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d))
+        sets.append(x)
+    return sets
+
+
+CHUNKS = st.sampled_from([1, 7, 64, mmd._CHUNK_ENTRIES])
+
+
+@contextlib.contextmanager
+def chunked(entries):
+    """Distance blocks in chunks of ``entries`` (small ones split even small
+    blocks), with overflow to inf allowed: it is part of the oracle's bits."""
+    default, mmd._CHUNK_ENTRIES = mmd._CHUNK_ENTRIES, entries
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            yield
+    finally:
+        mmd._CHUNK_ENTRIES = default
+
+
+class TestDistancesAgainstScipy:
+    # scipy stays the oracle of the pairwise distances: the package adds up
+    # the squared column differences in cdist's order and must keep its bits.
+    @settings(max_examples=150, deadline=None)
+    @given(sets=point_sets(), chunk=CHUNKS)
+    def test_sq_distances_are_cdist_bit_for_bit(self, sets, chunk):
+        a, b = sets
+        with chunked(chunk):
+            assert np.array_equal(mmd._sq_distances(a, b), cdist(a, b, "sqeuclidean"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sets=point_sets(min_rows=2), chunk=CHUNKS)
+    def test_median_heuristic_is_the_median_of_pdist_bit_for_bit(self, sets, chunk):
+        points = sets[0]
+        with chunked(chunk):
+            expected = float(np.median(pdist(points)))
+            if expected > 0:
+                assert median_heuristic(points) == expected
+            else:
+                with pytest.raises(ValueError, match="zero"):
+                    median_heuristic(points)
+
+    def test_no_columns_give_zero_distances(self):
+        a, b = np.empty((3, 0)), np.empty((2, 0))
+        assert np.array_equal(mmd._sq_distances(a, b), cdist(a, b, "sqeuclidean"))
 
 
 class TestMedianHeuristic:

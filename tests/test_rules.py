@@ -1,7 +1,8 @@
 """Each shared rule has one home and gives one result at every entry point:
 the sparsity factor, the refusal of the median bandwidth outside one test,
 the finite statistic, the 17-digit number format, the seed, the study sizes,
-the replicate count, every other count and INI values that do not parse."""
+the replicate count, every other count (never a bool), the row-norm floor
+and INI values that do not parse."""
 
 import re
 
@@ -397,6 +398,54 @@ def test_count_rule_has_one_message(case, monkeypatch):
         monkeypatch.setattr(harness, target, never)
     assert _raised(lambda: call(graphs, pair), ValueError) == (
         f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _study(**fields):
+    config = dict(pairs=[("x", *two_block_pair(0.0))], n_grid=[20], replicates=1,
+                  test=TestConfig(), master_seed=0)
+    return ExperimentConfig(**{**config, **fields})
+
+
+BOOL_COUNT_CASES = {
+    "TestConfig-d": (lambda v: TestConfig(d=v), "d", 1),
+    "TestConfig-permutations": (lambda v: TestConfig(permutations=v), "permutations", 1),
+    "TestConfig-seed": (lambda v: TestConfig(seed=v), "seed", 0),
+    "substream": (substream, "seed", 0),
+    "ExperimentConfig-replicates": (lambda v: _study(replicates=v), "replicates", 1),
+    "ExperimentConfig-master_seed": (lambda v: _study(master_seed=v), "master_seed", 0),
+    "ExperimentConfig-n": (lambda v: _study(n_grid=[v]), "n", 1),
+    "ase-d": (lambda v: ase(_graphs(1)[0], v), "d", 1),
+    "sample_latent-n": (lambda v: sample_latent(two_block_pair(0.0)[0], v, substream(0)), "n", 1),
+    "knn-k": (lambda v: knn_classify(np.zeros((4, 4)), "aabb", v, folds=2), "k", 1),
+    "knn-seed": (lambda v: knn_classify(np.zeros((4, 4)), "aabb", 1, folds=2, seed=v), "seed", 0),
+    "permutation_null": (lambda v: permutation_null(
+        np.ones((4, 1)), 2, 2, GaussianKernel(), v, substream(0)), "permutations", 1),
+    "w_comparison_experiment-replicates": (lambda v: w_comparison_experiment(
+        *two_block_pair(0.0), 20, 2, GaussianKernel(), v, 0), "replicates", 1),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("case", BOOL_COUNT_CASES.values(), ids=BOOL_COUNT_CASES.keys())
+def test_count_rule_refuses_a_bool(case, value):
+    # bool is an int subclass: True would count as 1 and False seed like 0.
+    call, name, minimum = case
+    assert _raised(lambda: call(value), ValueError) == (
+        f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+FLOOR_CASES = {
+    "TestConfig": lambda v: TestConfig(eps_floor=v),
+    "preprocess-projection": lambda v: preprocess(np.zeros((3, 2)), "projection", eps_floor=v),
+    "preprocess-identity": lambda v: preprocess(np.ones((3, 2)), "identity", eps_floor=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, -1.0, -np.inf])
+@pytest.mark.parametrize("call", FLOOR_CASES.values(), ids=FLOOR_CASES.keys())
+def test_eps_floor_rule_has_one_message(call, value):
+    # A nan floor switched off the degenerate-row check: preprocess returned nan rows.
+    assert _raised(lambda: call(value), ValueError) == f"eps_floor must be >= 0, got {value}"
 
 
 def test_wcompare_surrogate_size_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
