@@ -94,7 +94,7 @@ def ase(m, d):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[0]
-    asym = float(np.max(np.abs(m - m.T))) if n else 0.0
+    asym = _asymmetry(m) if n else 0.0
     if asym > 1e-12:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3g})")
     check_dimension(d, n)
@@ -104,6 +104,13 @@ def ase(m, d):
     top = order[:d]
     lam = vals[top]
     return Embedding(fix_signs(vecs[:, top]) * np.sqrt(np.abs(lam)), np.abs(lam))
+
+
+def _asymmetry(m):
+    """``max |M - M^T|`` of a nonempty square matrix, in one temporary that
+    is freed before the caller goes on."""
+    diff = m - m.T
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def check_dimension(d, n):

@@ -55,7 +55,7 @@ class KernelSpec:
 
     def rowwise(self, a, b):
         """Vector of ``k(a_i, b_i)`` for row-aligned inputs."""
-        return self._from_sq(np.sum((a - b) ** 2, axis=1), a, b)
+        return self._from_sq(_sq_distances_rowwise(a, b), a, b)
 
     def describe(self):
         return self.name
@@ -169,6 +169,17 @@ def _sq_distances(a, b):
             np.multiply(diff, diff, out=diff)
             if k:
                 np.add(block, diff, out=block)
+    return out
+
+
+def _sq_distances_rowwise(a, b):
+    """Squared distances between aligned rows of ``a`` and ``b``, added
+    up column by column in order, as :func:`_sq_distances` adds them: the
+    diagonal of its result, bit for bit, at every width."""
+    out = np.zeros(a.shape[0])
+    for k in range(a.shape[1]):
+        diff = a[:, k] - b[:, k]
+        out += diff * diff
     return out
 
 

@@ -313,7 +313,7 @@ class Graph:
             raise ModelError("adjacency must be symmetric")
         if np.any(np.diagonal(a) != 0):
             raise ModelError("adjacency must have a zero diagonal (no self-loops)")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ModelError("adjacency entries must be 0 or 1")
         self.adjacency = a.astype(np.int8)
 
@@ -420,7 +420,8 @@ def edge_prob_matrix(latent, sparsity=1.0):
     roundoff; probabilities are never clamped silently.
     """
     x = _positions(latent)
-    p = check_sparsity(sparsity) * (x @ x.T)
+    p = x @ x.T
+    p *= check_sparsity(sparsity)
     lo, hi = float(p.min()), float(p.max())
     if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise ModelError(f"edge probabilities span [{lo:.6g}, {hi:.6g}], outside [0, 1]")
@@ -432,17 +433,27 @@ def sample_rdpg(latent, sparsity=1.0, rng=None):
 
     Entries above the diagonal are independent Bernoulli draws with
     parameters ``alpha * <X_i, X_j>``, mirrored below; the diagonal is zero.
+    One uniform draw serves all ``n(n-1)/2`` pairs, row by row: pair
+    ``(i, j)`` with ``i < j`` is an edge when its draw is below ``p[i, j]``.
+    Each row's comparison is written straight into a boolean adjacency,
+    so the draw and the probabilities are the only float arrays. They are
+    freed before the graph is checked and copied: a copy made above them
+    would hold malloc's heap at their size after they are gone.
     """
     if rng is None:
         raise ValueError("a seeded rng is required")
     x = _positions(latent)
     p = edge_prob_matrix(x, sparsity)
     n = x.shape[0]
-    iu = np.triu_indices(n, k=1)
-    draws = rng.random(iu[0].size) < p[iu]
-    a = np.zeros((n, n), dtype=np.int8)
-    a[iu] = draws
-    a += a.T
+    u = rng.random(n * (n - 1) // 2)
+    a = np.zeros((n, n), dtype=bool)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.less(u[start:stop], p[i, i + 1:], out=a[i, i + 1:])
+        start = stop
+    del p, u
+    a |= a.T
     return Graph(a)
 
 

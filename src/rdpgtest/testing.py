@@ -183,9 +183,10 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     assigns the first ``n`` pooled rows to a pseudo first sample and the
     remaining ``m`` to a pseudo second sample, and the unbiased two-sample
     statistic is recorded. The kernel matrix of the pool is computed once;
-    each round only re-aggregates its entries, in panels of 1024 rounds
-    (the last takes the remainder, up to 2047), so the working memory is
-    O(N² + N·1024) with N = n + m, not O(N·B). Deterministic given ``rng``;
+    each round only re-aggregates its entries, in panels of 256 rounds
+    (wider for a pool under 64 rows; the last takes the remainder, up to
+    511), so the working memory is O(N² + N·512) with N = n + m, not
+    O(N·B). Deterministic given ``rng``;
     at one BLAS thread the values are the bits of one product over all
     rounds. :func:`two_sample_test` draws the same null from the one kernel
     matrix that also serves its reflection search and statistic, which it
@@ -204,25 +205,30 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     return _null_from_gram(mmd.gram(spec, pooled, pooled), n, m, permutations, rng)
 
 
-_PANEL = 1024  # permutations per column panel of the null
+_PANEL = 256  # permutations per column panel of the null
+_PANEL_MADDS = 2**20  # fewest multiply-adds of one panel's product with the gram
 
 
 def _null_from_gram(k, n, m, permutations, rng):
     """:func:`permutation_null` on the pooled kernel matrix ``k``.
 
     The permutations are drawn in order and aggregated in column panels of
-    ``_PANEL``; the last panel also takes the remainder, so no panel is
-    narrower than ``_PANEL`` unless all are. A narrow panel would reach
-    other BLAS kernels than the whole product and change last bits."""
+    ``_PANEL`` (a multiple of it for a pool under 64 rows); the last panel
+    also takes the remainder, so no panel is narrower than that unless all
+    are. A small panel would reach other BLAS kernels than the whole
+    product and change last bits: one under about 190 columns, or one whose
+    product with the gram takes under 10^6 multiply-adds (OpenBLAS's
+    small-matrix kernel), so a panel takes at least ``_PANEL_MADDS``."""
     total = n + m
     diag = np.diagonal(k).copy()
     row_sums = k.sum(axis=1)
     total_off = float(k.sum() - diag.sum())
 
     quad, diag_x, lin = np.empty((3, permutations))
-    panels = max(permutations // _PANEL, 1)
+    width = _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total))
+    panels = max(permutations // width, 1)
     for i in range(panels):
-        cols = slice(i * _PANEL, permutations if i == panels - 1 else (i + 1) * _PANEL)
+        cols = slice(i * width, permutations if i == panels - 1 else (i + 1) * width)
         z = np.zeros((total, cols.stop - cols.start))
         for b in range(z.shape[1]):
             z[rng.permutation(total)[:n], b] = 1.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,54 @@ class TestSampleLatent:
             sample_latent(PointMassMixture([[0.5]], [1.0]), 0, substream(29))
 
 
+def triu_sample(latent, sparsity, rng):
+    """The index sampler: one draw for the pairs ``i < j`` in row-major
+    order, gathered and scattered through ``np.triu_indices``, from
+    ``sparsity * (x @ x.T)`` out of place. The oracle of ``sample_rdpg``."""
+    x = np.atleast_2d(np.asarray(latent, float))
+    p = sparsity * (x @ x.T)
+    n = x.shape[0]
+    iu = np.triu_indices(n, k=1)
+    a = np.zeros((n, n), dtype=np.int8)
+    a[iu] = rng.random(iu[0].size) < p[iu]
+    return a + a.T
+
+
+SAMPLER_FAMILIES = {
+    "two_block": two_block_pair(0.1)[1],
+    "dirichlet": DirichletLatent([1.0, 2.0, 0.5]),
+    "box": UniformBox([0.1, 0.0], [0.6, 0.7]),
+    "logit_normal": LogitNormalMixture([[0.0, 0.0], [1.0, -1.0]], [np.eye(2), 0.5 * np.eye(2)],
+                                       [0.5, 0.5]),
+    "degree_corrected": DegreeCorrected(two_block_pair(0.0)[0], 0.4, 1.0),
+}
+
+
 class TestSampleRdpg:
+    @pytest.mark.parametrize("family", SAMPLER_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 150, 1201])
+    @pytest.mark.parametrize("sparsity", [1.0, 0.3])
+    def test_bit_identical_to_the_index_sampler(self, family, n, sparsity):
+        x = sample_latent(SAMPLER_FAMILIES[family], n, substream(39, n))
+        rng, oracle_rng = substream(40, n), substream(40, n)
+        graph = sample_rdpg(x, sparsity, rng)
+        assert np.array_equal(graph.adjacency, triu_sample(x, sparsity, oracle_rng))
+        assert graph.adjacency.dtype == np.int8
+        assert rng.random() == oracle_rng.random()
+
+    def test_working_memory_is_the_probabilities_and_the_draw(self):
+        # n = 1000: the probabilities take 8n² bytes and the one draw 4n²;
+        # index arrays and a boolean draw would add over 2 x 8n² more.
+        n = 1000
+        x = sample_latent(two_block_pair(0.0)[0], n, substream(41))
+        tracemalloc.start()
+        try:
+            sample_rdpg(x, 1.0, substream(42))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n
+
     def test_zero_positions_give_empty_graph(self):
         graph = sample_rdpg(np.zeros((6, 2)), 1.0, substream(30))
         assert graph.edge_count == 0

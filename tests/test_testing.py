@@ -142,8 +142,10 @@ def _whole_null(k, n, m, permutations, rng):
     return u_from_sums(sxx, cross, total_off - sxx - 2.0 * cross, n, m)
 
 
-PANEL_SIZES = [(13, 29), (150, 250)]
-PANEL_PERMUTATIONS = [1, 1023, 1024, 1025, 2 * 1024 + 17]
+# (7, 13) at B = 9217 moved one value's last bits with panels of 1024: the
+# last panel's product went to OpenBLAS's small-matrix kernel.
+PANEL_SIZES = [(7, 13), (13, 29), (150, 250)]
+PANEL_PERMUTATIONS = [1, 255, 256, 257, 511, 512, 767, 1023, 1024, 1025, 2 * 1024 + 17, 9217]
 
 
 def write_panel_nulls(path):
@@ -213,6 +215,18 @@ class TestPanelledNull:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+    def test_working_memory_beside_the_gram(self):
+        # N = 1600, B = 10000: the pooled gram takes 19.5 MiB; with it,
+        # panels of 1024 columns peaked at 63.9 MiB, panels of 256 at 26.4.
+        pooled = random_cloud(1600, 2, substream(136))
+        tracemalloc.start()
+        try:
+            permutation_null(pooled, 400, 1200, SPEC, 10000, substream(137))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestPooledMatrixInPlace:

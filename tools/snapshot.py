@@ -9,6 +9,8 @@ difference. The grid records:
 
 - test calls over kernels, d, variants, alignment and n != m, graph and point,
   and a test and a null with more permutations than one panel;
+- sampled graphs of every latent family, with the stream's next draw,
+  and permutation nulls around the panel boundaries;
 - ``sbm_to_latent`` atoms on random and structured block matrices;
 - embeddings, sign conventions and alignment diagnostics;
 - power-study, alignment-comparison and dissimilarity outputs;
@@ -161,7 +163,7 @@ def grid_tests(grid, rt, graphs):
         box, cube = rt.uniform_box_pair(0.2)
         grid.run(f"mmd/{kname}/oracle-mc", lambda: rt.mmd_population_oracle(
             kernel, box, cube, 200, rng=rt.substream(2)), grid.put)
-    # B = 2500 is two panels of the null: 1024, then 1476 with the remainder.
+    # B = 2500 is nine panels of the null: eight of 256, then 452 with the remainder.
     grid.run("test/B2500/25x45", lambda: rt.two_sample_test(
         graphs["f25"], graphs["g45"], rt.TestConfig(d=3, permutations=2500, seed=6)),
         lambda k, r: _report(grid, k, r))
@@ -169,6 +171,36 @@ def grid_tests(grid, rt, graphs):
         pooled, 30, 40, kernels["imq"], 2500, rt.substream(3)), grid.put)
     grid.run("mmd/median", lambda: rt.median_heuristic(pooled), grid.put)
     grid.run("mmd/p_value", lambda: rt.p_value(0.1, [0.0, 0.1, 0.2]), grid.put)
+
+
+def grid_sampler(grid, rt):
+    """Graphs of every latent family at sizes 1 to 1201 and two sparsity
+    factors, with the next draw of the sampling stream."""
+    families = {
+        "two_block": rt.two_block_pair(0.1)[1],
+        "dirichlet": rt.DirichletLatent([1.0, 2.0, 0.5]),
+        "box": rt.UniformBox([0.1, 0.0], [0.6, 0.7]),
+        "logit_normal": rt.LogitNormalMixture([[0.0, 0.0], [1.0, -1.0]],
+                                              [np.eye(2), 0.5 * np.eye(2)], [0.5, 0.5]),
+        "degree_corrected": rt.DegreeCorrected(rt.two_block_pair(0.0)[0], 0.4, 1.0),
+    }
+    for (name, dist), n, sparsity in product(families.items(), (1, 2, 3, 150, 1201), (1.0, 0.3)):
+        def sample():
+            rng = rt.substream(17, n)
+            graph = rt.sample_rdpg(rt.sample_latent(dist, n, rng), sparsity, rng)
+            return graph.adjacency, rng.random()
+        grid.run(f"sample/{name}/n{n}/s{sparsity}", sample,
+                 lambda key, out: (grid.put(f"{key}/adjacency", out[0]), grid.put(f"{key}/next", out[1])))
+
+
+def grid_null(grid, rt):
+    """Permutation nulls around the panel boundaries, for a pool under and
+    over 64 rows."""
+    for (n, m), b in product(((7, 13), (30, 40), (150, 250)),
+                             (255, 256, 511, 512, 1023, 1024, 2047, 2049, 10000)):
+        pooled = rt.substream(18, n).random((n + m, 2)) / np.sqrt(2.0)
+        grid.run(f"null/{n}x{m}/B{b}", lambda: rt.permutation_null(
+            pooled, n, m, rt.GaussianKernel(0.5), b, rt.substream(19, b)), grid.put)
 
 
 def grid_sbm(grid, rt):
@@ -688,6 +720,8 @@ def snapshot(tree):
     graphs = _graphs(rt)
     with tempfile.TemporaryDirectory() as workdir:
         grid_tests(grid, rt, graphs)
+        grid_sampler(grid, rt)
+        grid_null(grid, rt)
         grid_sbm(grid, rt)
         grid_embed(grid, rt, graphs)
         grid_harness(grid, rt, graphs, workdir)
