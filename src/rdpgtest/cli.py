@@ -70,10 +70,10 @@ def _cmd_simulate_power(args):
 
 def _cmd_w_compare(args):
     cfg = harness.load_wcompare_config(args.config)
-    output = args.output or cfg.pop("output")
+    configured = cfg.pop("output")
+    output = args.output or configured
     if not output:
         raise ValueError("an output path is required (--output or 'output =' in the config)")
-    cfg.pop("output", None)
     result = harness.w_comparison_experiment(**cfg)
     result.to_csv(output)
     return (

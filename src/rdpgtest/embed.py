@@ -161,6 +161,9 @@ def second_moment_rotation(x):
     n, d = x.shape
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
-    vals, vecs = np.linalg.eigh(x.T @ x)
-    vecs = vecs[:, ::-1]
-    return fix_signs(vecs)
+    return _descending_frame(x.T @ x)
+
+
+def _descending_frame(moment):
+    """Sign-fixed eigenvectors of the symmetric ``moment``, by descending eigenvalue."""
+    return fix_signs(np.linalg.eigh(moment)[1][:, ::-1])

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io as _io
 from . import mmd
-from .embed import ase, check_dimension, fix_signs, second_moment_rotation
+from .embed import _descending_frame, ase, check_dimension, second_moment_rotation
 from .model import (
     UniformBox,
     as_graph,
@@ -202,9 +202,7 @@ def run_power_experiment(config):
 
 
 def _moment_frame(dist, rng, surrogate_size):
-    moment = second_moment_matrix(dist, rng=rng, surrogate_size=surrogate_size)
-    _, vecs = np.linalg.eigh(moment)
-    return fix_signs(vecs[:, ::-1])
+    return _descending_frame(second_moment_matrix(dist, rng=rng, surrogate_size=surrogate_size))
 
 
 @dataclass(eq=False)

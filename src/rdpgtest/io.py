@@ -126,6 +126,9 @@ def write_table_csv(path, columns, rows, comments=()):
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+_LABELS = "# labels:"
+
+
 def write_matrix_csv(matrix, path, labels=None):
     """Write a numeric matrix in full precision, optionally tagged with row labels.
     A label with a comma, a line break or surrounding whitespace would not read back,
@@ -137,13 +140,15 @@ def write_matrix_csv(matrix, path, labels=None):
                 f"matrix label {label!r} has a comma, a line break or surrounding whitespace")
     with open(path, "w", encoding="utf-8") as handle:
         if labels is not None:
-            handle.write("# labels: " + ",".join(labels) + "\n")
+            handle.write(_LABELS + " " + ",".join(labels) + "\n")
         for row in np.atleast_2d(np.asarray(matrix, dtype=float)).tolist():
             handle.write(",".join(map(_fmt, row)) + "\n")
 
 
 def read_matrix_csv(path):
-    """Read a matrix written by :func:`write_matrix_csv`.
+    """Read a matrix written by :func:`write_matrix_csv`: the labels come
+    from its one ``# labels:`` line, any other ``#`` line is a comment, and
+    every row has the width of the first.
 
     Returns
     -------
@@ -152,15 +157,17 @@ def read_matrix_csv(path):
     labels = None
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, start=1):
             text = raw.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if "labels:" in text:
-                    labels = [t.strip() for t in text.split("labels:", 1)[1].split(",")]
-                continue
-            rows.append([float(t) for t in text.split(",")])
+            if text.startswith(_LABELS):
+                if labels is not None:
+                    raise ValueError(f"{path}, line {lineno}: a second '{_LABELS}' line")
+                labels = [t.strip() for t in text[len(_LABELS):].split(",")]
+            elif text and not text.startswith("#"):
+                rows.append([float(t) for t in text.split(",")])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"{path}, line {lineno}: {len(rows[-1])} values, "
+                                     f"but the first row has {len(rows[0])}")
     return np.asarray(rows, dtype=float), labels
 
 

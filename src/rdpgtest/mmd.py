@@ -16,22 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSampleError
-from . import model as _model
 from .io import _converted
-from .streams import check_count
 
 __all__ = [
     "KernelSpec",
     "GaussianKernel",
     "InverseMultiquadricKernel",
     "EnergyKernel",
-    "kernel_eval",
     "gram",
     "u_statistic",
     "v_statistic",
     "median_heuristic",
-    "MmdEstimate",
-    "mmd_population_oracle",
 ]
 
 
@@ -39,9 +34,9 @@ class KernelSpec:
     """Base class for kernel families usable with the two-sample statistics.
 
     A family states its formula once, in ``_from_sq``: ``k(x, y)`` from the
-    squared distances ``sq`` between the points ``a`` and ``b``, which hold
-    one point per entry of ``sq`` along their last axis. ``sq`` is a fresh
-    buffer, so a family may evaluate in it and return it.
+    squared distances ``sq`` between the rows of ``a`` and ``b``, given as
+    ``(n, 1, d)`` and ``(1, m, d)`` views. ``sq`` is a fresh buffer, so a
+    family may evaluate in it and return it.
     """
 
     name = "kernel"
@@ -52,10 +47,6 @@ class KernelSpec:
     def pairwise(self, a, b):
         """Kernel matrix with entry ``(i, j) = k(a_i, b_j)``."""
         return self._from_sq(_sq_distances(a, b), a[:, None, :], b[None, :, :])
-
-    def rowwise(self, a, b):
-        """Vector of ``k(a_i, b_i)`` for row-aligned inputs."""
-        return self._from_sq(_sq_distances_rowwise(a, b), a, b)
 
     def describe(self):
         return self.name
@@ -172,17 +163,6 @@ def _sq_distances(a, b):
     return out
 
 
-def _sq_distances_rowwise(a, b):
-    """Squared distances between aligned rows of ``a`` and ``b``, added
-    up column by column in order, as :func:`_sq_distances` adds them: the
-    diagonal of its result, bit for bit, at every width."""
-    out = np.zeros(a.shape[0])
-    for k in range(a.shape[1]):
-        diff = a[:, k] - b[:, k]
-        out += diff * diff
-    return out
-
-
 def fixed_bandwidth(kernel):
     """``kernel``, unless it asks for the median bandwidth: that needs one test's pooled rows."""
     if isinstance(kernel, GaussianKernel) and kernel.sigma is None:
@@ -229,11 +209,6 @@ def _as_points(x, name):
     if x.ndim != 2:
         raise ValueError(f"{name} must be a point or an (n, d) array, got shape {x.shape}")
     return x
-
-
-def kernel_eval(spec, x, y):
-    """Evaluate ``k(x, y)`` for two points of the same dimension."""
-    return float(gram(spec, np.ravel(x), np.ravel(y))[0, 0])
 
 
 def gram(spec, a, b):
@@ -347,53 +322,3 @@ def median_heuristic(points):
     if med <= 0:
         raise ValueError("median pairwise distance is zero; supply sigma explicitly")
     return med
-
-
-@dataclass(frozen=True)
-class MmdEstimate:
-    """Population MMD^2 estimate with its Monte Carlo standard error."""
-
-    value: float
-    standard_error: float
-    exact: bool
-
-
-def mmd_population_oracle(spec, f, g, sample_size, rng=None):
-    """Estimate the population squared maximum mean discrepancy of (F, G).
-
-    For two point-mass mixtures the three expectations are finite sums and
-    the value is exact. Otherwise a Monte Carlo estimate is formed from
-    ``sample_size`` independent draws of the unbiased one-draw kernel
-    combination ``k(x, x') + k(y, y') - k(x, y') - k(x', y)``, with the
-    standard error of the mean reported.
-
-    Intended as a test oracle rather than production inference.
-    """
-    exact = isinstance(f, _model.PointMassMixture) and isinstance(g, _model.PointMassMixture)
-    if exact:
-        kff = gram(spec, f.atoms, f.atoms)
-        kgg = gram(spec, g.atoms, g.atoms)
-        kfg = gram(spec, f.atoms, g.atoms)
-        value = (
-            f.weights @ kff @ f.weights
-            - 2.0 * f.weights @ kfg @ g.weights
-            + g.weights @ kgg @ g.weights
-        )
-        return MmdEstimate(float(value), 0.0, True)
-
-    check_count(sample_size, "sample_size", 2)
-    if rng is None:
-        raise ValueError("a seeded rng is required for Monte Carlo estimation")
-    x1 = f.sample(sample_size, rng)
-    x2 = f.sample(sample_size, rng)
-    y1 = g.sample(sample_size, rng)
-    y2 = g.sample(sample_size, rng)
-    h = (
-        spec.rowwise(x1, x2)
-        + spec.rowwise(y1, y2)
-        - spec.rowwise(x1, y2)
-        - spec.rowwise(x2, y1)
-    )
-    value = float(np.mean(h))
-    se = float(np.std(h, ddof=1) / np.sqrt(sample_size))
-    return MmdEstimate(value, se, False)

@@ -38,6 +38,7 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 _ATOM_TOL = 1e-10
 _PSD_TOL = 1e-10
+_MAX_RETRIES = 100
 
 
 def _check_weights(weights):
@@ -73,17 +74,17 @@ class LatentDistribution:
     def _rows_valid(self, x):
         return np.ones(x.shape[0], dtype=bool)
 
-    def sample(self, n, rng, max_retries=100):
+    def sample(self, n, rng):
         """Draw ``n`` i.i.d. rows, rejecting rows that could leave [0, 1]."""
         x = self._draw(n, rng)
         bad = ~self._rows_valid(x)
         tries = 0
         while bad.any():
             tries += 1
-            if tries > max_retries:
+            if tries > _MAX_RETRIES:
                 raise InvalidDistributionError(
                     f"{self.kind}: could not draw valid latent positions after "
-                    f"{max_retries} retries; the distribution can produce inner "
+                    f"{_MAX_RETRIES} retries; the distribution can produce inner "
                     "products outside [0, 1]"
                 )
             x[bad] = self._draw(int(bad.sum()), rng)
@@ -392,14 +393,14 @@ def sbm_to_latent(block_probabilities, weights):
     return PointMassMixture(ase(b, rank).coordinates, weights)
 
 
-def sample_latent(dist, n, rng, max_retries=100):
+def sample_latent(dist, n, rng):
     """Sample an ``(n, d)`` array of ``n`` i.i.d. latent positions from ``dist``.
 
     Deterministic given the state of ``rng``; rows that could produce inner
-    products outside [0, 1] are resampled up to ``max_retries`` times, after
+    products outside [0, 1] are resampled up to 100 times, after
     which an :class:`InvalidDistributionError` names the offending variant.
     """
-    return dist.sample(check_count(n, "n"), rng, max_retries=max_retries)
+    return dist.sample(check_count(n, "n"), rng)
 
 
 def _positions(latent):

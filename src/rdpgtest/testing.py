@@ -86,6 +86,8 @@ class TestConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         check_count(self.d, "d")
+        if not isinstance(self.kernel, mmd.KernelSpec):
+            raise ValueError(f"kernel must be a KernelSpec, got {self.kernel!r}")
         check_count(self.permutations, "permutations")
         check_count(self.seed, "seed", 0)
         if not 0.0 < self.alpha_level < 1.0:

@@ -25,9 +25,9 @@ def test_module_all_resolves(name):
 PUBLIC_NAMES = """
 AlignmentResult DegreeCorrected DirichletLatent DissimilarityMatrix Embedding EnergyKernel
 ExperimentConfig GaussianKernel Graph InverseMultiquadricKernel KernelSpec KnnReport
-LatentDistribution LogitNormalMixture MmdEstimate MomentDiagnostic PointMassMixture PowerTable
+LatentDistribution LogitNormalMixture MomentDiagnostic PointMassMixture PowerTable
 TestConfig TestReport UniformBox WComparison ase check_moment_assumption edge_prob_matrix
-fix_signs gram kernel_eval knn_classify median_heuristic mmd_population_oracle p_value
+fix_signs gram knn_classify median_heuristic p_value
 pairwise_dissimilarity permutation_null preprocess procrustes_align read_edge_list
 run_power_experiment sample_latent sample_rdpg sbm_to_latent second_moment_matrix
 second_moment_rotation substream two_block_pair two_sample_point_test two_sample_test
@@ -41,7 +41,7 @@ def test_package_exports_exactly_the_public_names():
         for name, value in vars(rdpgtest).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert len(PUBLIC_NAMES) == 53 and exports == set(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 50 and exports == set(PUBLIC_NAMES)
 
 
 def test_package_exports_are_declared_by_their_modules():

@@ -300,6 +300,26 @@ class TestCsv:
         write_matrix_csv(np.eye(5), path, labels=labels)
         assert read_matrix_csv(path)[1] == labels
 
+    def test_labels_come_from_the_labels_line_only(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(np.eye(4), path, labels="FFGG")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("# old labels: G,G,F,F\n#labels: x,y,z,w\n")
+        back, labels = read_matrix_csv(path)
+        assert np.array_equal(back, np.eye(4)) and labels == ["F", "F", "G", "G"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("# labels: a,b\n1,0\n# labels: b,a\n0,1\n", "line 3: a second '# labels:' line"),
+        ("# c\n1,0\n\n0,1,2\n", "line 4: 3 values, but the first row has 2"),
+        ("1,0,0\n0,1\n", "line 2: 2 values, but the first row has 3"),
+    ], ids=["second-labels-line", "wider-row", "narrower-row"])
+    def test_malformed_matrix_is_refused_with_its_line(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{path}, {message}"
+
     def test_labels_file(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("a\n\nb\n")

@@ -21,7 +21,6 @@ from rdpgtest.harness import (
     knn_classify,
     pairwise_dissimilarity,
     two_block_pair,
-    uniform_box_pair,
     w_comparison_experiment,
 )
 from rdpgtest.mmd import (
@@ -29,7 +28,6 @@ from rdpgtest.mmd import (
     GaussianKernel,
     KernelSpec,
     gram,
-    mmd_population_oracle,
     u_statistic,
     v_statistic,
 )
@@ -372,10 +370,6 @@ COUNT_CASES = {
     **{f"knn-folds-{value}": (
         lambda graphs, pair, value=value: knn_classify(np.zeros((4, 4)), "aabb", 1, folds=value),
         "folds", value, 2) for value in (2.5, 1)},
-    **{f"mmd_population_oracle-{value}": (
-        lambda graphs, pair, value=value: mmd_population_oracle(
-            GaussianKernel(), *uniform_box_pair(0.1), value, rng=substream(0)),
-        "sample_size", value, 2) for value in (2.5, 1)},
     "sample_latent-n": (lambda graphs, pair: sample_latent(pair[0], 2.5, substream(0)), "n", 2.5, 1),
     "permutation_null": (lambda graphs, pair: permutation_null(
         np.ones((4, 1)), 2, 2, GaussianKernel(), 2.5, substream(0)), "permutations", 2.5, 1),

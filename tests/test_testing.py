@@ -287,6 +287,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="alpha"):
             TestConfig(alpha_level=1.0)
 
+    @pytest.mark.parametrize("kernel", [0.5, "gaussian", None, GaussianKernel], ids=repr)
+    def test_kernel_must_be_a_kernel_spec(self, kernel, monkeypatch):
+        # The kernel was first used after both graphs were embedded.
+        def never(*args, **kwargs):
+            raise AssertionError("an embedding ran before the kernel was checked")
+
+        f, _ = two_block_pair(0.0)
+        rng = substream(130)
+        graphs = [sample_rdpg(sample_latent(f, 20, rng), 1.0, rng) for _ in range(2)]
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        with pytest.raises(ValueError) as info:
+            two_sample_test(*graphs, TestConfig(kernel=kernel))
+        assert str(info.value) == f"kernel must be a KernelSpec, got {kernel!r}"
+
     def test_sparse_requires_factors(self):
         with pytest.raises(ValueError, match="sparsity_x"):
             TestConfig(variant="sparse")

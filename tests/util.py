@@ -1,9 +1,23 @@
-"""Shared test helpers: brute-force oracles and random geometry."""
+"""Shared test helpers: brute-force and population oracles, and random geometry."""
 
 import numpy as np
 from scipy.stats import ortho_group
 
-from rdpgtest.mmd import kernel_eval
+from rdpgtest.mmd import gram
+
+
+def kernel_eval(spec, x, y):
+    """``k(x, y)`` for two points of the same dimension."""
+    return float(gram(spec, np.ravel(x), np.ravel(y))[0, 0])
+
+
+def population_mmd(spec, f, g):
+    """Exact population MMD^2 of two point-mass mixtures: three finite sums."""
+    return float(
+        f.weights @ gram(spec, f.atoms, f.atoms) @ f.weights
+        - 2.0 * f.weights @ gram(spec, f.atoms, g.atoms) @ g.weights
+        + g.weights @ gram(spec, g.atoms, g.atoms) @ g.weights
+    )
 
 
 def loop_u(spec, x, y):

@@ -158,11 +158,6 @@ def grid_tests(grid, rt, graphs):
         grid.run(f"mmd/{kname}/u", lambda: rt.u_statistic(kernel, x, y), grid.put)
         grid.run(f"mmd/{kname}/v", lambda: rt.v_statistic(kernel, x, y), grid.put)
         grid.run(f"mmd/{kname}/gram", lambda: rt.gram(kernel, x, y), grid.put)
-        grid.run(f"mmd/{kname}/eval", lambda: rt.kernel_eval(kernel, x[0], y[1]), grid.put)
-        grid.run(f"mmd/{kname}/oracle", lambda: rt.mmd_population_oracle(kernel, f, g, 10), grid.put)
-        box, cube = rt.uniform_box_pair(0.2)
-        grid.run(f"mmd/{kname}/oracle-mc", lambda: rt.mmd_population_oracle(
-            kernel, box, cube, 200, rng=rt.substream(2)), grid.put)
     # B = 2500 is nine panels of the null: eight of 256, then 452 with the remainder.
     grid.run("test/B2500/25x45", lambda: rt.two_sample_test(
         graphs["f25"], graphs["g45"], rt.TestConfig(d=3, permutations=2500, seed=6)),
@@ -695,11 +690,8 @@ def grid_errors(grid, rt):
         "null/n-float": lambda: rt.permutation_null(np.ones((5, 1)), 2.5, 2.5, rt.GaussianKernel(), 5,
                                                     rt.substream(0)),
     }
-    box, cube = rt.uniform_box_pair(0.2)
     logit = rt.LogitNormalMixture([[0.0, 0.0], [4.0, 4.0]], [np.eye(2), np.eye(2)], [0.4, 0.6])
     for value in (2.5, 0):
-        cases[f"oracle/sample_size-{value}"] = lambda value=value: rt.mmd_population_oracle(
-            rt.GaussianKernel(), box, cube, value, rng=rt.substream(2))
         cases[f"wcompare/surrogate_size-{value}"] = lambda value=value: rt.w_comparison_experiment(
             logit, logit, 20, 2, rt.GaussianKernel(), 1, 0, surrogate_size=value)
     for field, value in product(("sparsity_x", "sparsity_y"), (None, 0, 1.5)):
