@@ -88,6 +88,8 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.test, TestConfig):
+            raise ValueError(f"test must be a TestConfig, got {self.test!r}")
         check_count(self.replicates, "replicates")
         if not self.pairs or not self.n_grid:
             raise ValueError("pairs and n_grid must be nonempty")

@@ -164,7 +164,10 @@ def read_matrix_csv(path):
                     raise ValueError(f"{path}, line {lineno}: a second '{_LABELS}' line")
                 labels = [t.strip() for t in text[len(_LABELS):].split(",")]
             elif text and not text.startswith("#"):
-                rows.append([float(t) for t in text.split(",")])
+                try:
+                    rows.append([float(t) for t in text.split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
                 if len(rows[-1]) != len(rows[0]):
                     raise ValueError(f"{path}, line {lineno}: {len(rows[-1])} values, "
                                      f"but the first row has {len(rows[0])}")

@@ -32,6 +32,10 @@ The variants are:
 """
 
 import json
+import os
+import queue
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -56,7 +60,7 @@ __all__ = [
 VARIANTS = ("identity", "scaling", "projection", "sparse")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestConfig:
     """Configuration of a two-sample graph test.
 
@@ -66,7 +70,8 @@ class TestConfig:
     reflection ambiguity between two independently embedded graphs by
     minimizing the statistic over the 2^d per-column sign patterns of the
     second sample; reflections are orthogonal maps, so every supported
-    null hypothesis is unchanged by this search.
+    null hypothesis is unchanged by this search. Frozen, so the checks hold
+    for its lifetime: :func:`dataclasses.replace` makes a checked copy.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -188,11 +193,15 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     each round only re-aggregates its entries, in panels of 256 rounds
     (wider for a pool under 64 rows; the last takes the remainder, up to
     511), so the working memory is O(N² + N·512) with N = n + m, not
-    O(N·B). Deterministic given ``rng``;
-    at one BLAS thread the values are the bits of one product over all
-    rounds. :func:`two_sample_test` draws the same null from the one kernel
-    matrix that also serves its reflection search and statistic, which it
-    builds in place.
+    O(N·B). It uses up to two cores: with two panels or more and two
+    usable cores, a helper thread computes part of each panel's product
+    (see :func:`_null_from_gram`). Deterministic given ``rng``; at a fixed
+    BLAS thread count the values are bit-identical with the helper or
+    without it, and at one BLAS thread they are the bits of one product
+    over all rounds. With a multi-threaded BLAS the two threads compete for
+    the same cores. :func:`two_sample_test` draws the same null from the one
+    kernel matrix that also serves its reflection search and statistic,
+    which it builds in place.
 
     Returns
     -------
@@ -209,6 +218,14 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
 
 _PANEL = 256  # permutations per column panel of the null
 _PANEL_MADDS = 2**20  # fewest multiply-adds of one panel's product with the gram
+_ROWS = 8  # a split panel's width and its lower row block's start are multiples of this
+
+
+def _usable_cores():
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _null_from_gram(k, n, m, permutations, rng):
@@ -220,7 +237,16 @@ def _null_from_gram(k, n, m, permutations, rng):
     are. A small panel would reach other BLAS kernels than the whole
     product and change last bits: one under about 190 columns, or one whose
     product with the gram takes under 10^6 multiply-adds (OpenBLAS's
-    small-matrix kernel), so a panel takes at least ``_PANEL_MADDS``."""
+    small-matrix kernel), so a panel takes at least ``_PANEL_MADDS``.
+
+    With two panels or more and two usable cores, one daemon helper thread
+    computes the lower rows of each panel's ``k @ z`` while the calling
+    thread computes the upper ones: both row blocks start at a multiple of
+    ``_ROWS``, each takes at least ``_PANEL_MADDS``, and a panel whose
+    width is not a multiple of ``_ROWS`` is computed whole. Split that way,
+    each entry of the product keeps the bits of the whole product at one
+    BLAS thread. The calling thread draws every panel, and the helper
+    writes only into the arrays the calling thread allocated."""
     total = n + m
     diag = np.diagonal(k).copy()
     row_sums = k.sum(axis=1)
@@ -229,18 +255,71 @@ def _null_from_gram(k, n, m, permutations, rng):
     quad, diag_x, lin = np.empty((3, permutations))
     width = _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total))
     panels = max(permutations // width, 1)
-    for i in range(panels):
-        cols = slice(i * width, permutations if i == panels - 1 else (i + 1) * width)
-        z = np.zeros((total, cols.stop - cols.start))
-        for b in range(z.shape[1]):
-            z[rng.permutation(total)[:n], b] = 1.0
-        quad[cols] = np.einsum("ib,ib->b", z, k @ z)
-        diag_x[cols] = diag @ z
-        lin[cols] = row_sums @ z
+    z_slot, kz_slot = np.empty((2, total * (permutations - (panels - 1) * width)))
+    upper = _ROWS * round(total / (2 * _ROWS))
+    split = (panels > 1 and min(upper, total - upper) * total * width >= _PANEL_MADDS
+             and _usable_cores() > 1)
+    with _Helper() if split else nullcontext() as helper:
+        for i in range(panels):
+            cols = slice(i * width, permutations if i == panels - 1 else (i + 1) * width)
+            z = z_slot[: total * (cols.stop - cols.start)].reshape(total, -1)
+            kz = kz_slot[: z.size].reshape(z.shape)
+            z.fill(0.0)
+            for b in range(z.shape[1]):
+                z[rng.permutation(total)[:n], b] = 1.0
+            if helper is not None and z.shape[1] % _ROWS == 0:
+                helper.start(_rows_product, k, z, kz, slice(upper, None))
+                _rows_product(k, z, kz, slice(upper))
+                helper.wait()
+            else:
+                _rows_product(k, z, kz, slice(None))
+            np.einsum("ib,ib->b", z, kz, out=quad[cols])
+            np.matmul(diag, z, out=diag_x[cols])
+            np.matmul(row_sums, z, out=lin[cols])
     sxx = quad - diag_x
     cross = lin - quad
     syy = total_off - sxx - 2.0 * cross
     return mmd.u_from_sums(sxx, cross, syy, n, m)
+
+
+def _rows_product(k, z, out, rows):
+    """``(k @ z)[rows]`` into ``out[rows]``."""
+    np.matmul(k[rows], z, out=out[rows])
+
+
+class _Helper:
+    """One daemon thread that runs one call at a time: :meth:`start` hands
+    it a call, :meth:`wait` returns once the call is done and raises its
+    exception, if any. Leaving the ``with`` block ends the thread."""
+
+    def __init__(self):
+        self._calls, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while (call := self._calls.get()) is not None:
+            try:
+                call[0](*call[1:])
+            except BaseException as exc:  # raised on the calling thread by wait()
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def start(self, fn, *args):
+        self._calls.put((fn, *args))
+
+    def wait(self):
+        exc = self._done.get()
+        if exc is not None:
+            raise exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._calls.put(None)
+        self._thread.join()
 
 
 def p_value(observed, null_values):

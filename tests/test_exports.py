@@ -58,11 +58,15 @@ def test_package_exports_are_declared_by_their_modules():
     exec("from rdpgtest import *", {})
 
 
-@pytest.mark.parametrize("argv", [["-c", "import rdpgtest"], ["-m", "rdpgtest", "--help"]],
+IMPORT = "import rdpgtest, threading; print('threads', threading.active_count())"
+
+
+@pytest.mark.parametrize("argv", [["-c", IMPORT], ["-m", "rdpgtest", "--help"]],
                          ids=["import", "help"])
 def test_package_loads_no_scipy(argv):
     # scipy is only a test oracle; -X importtime lists every module a fresh
-    # interpreter imports.
+    # interpreter imports. The import starts no thread and no thread pool:
+    # the null starts its helper thread only when it runs.
     src = str(Path(rdpgtest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
@@ -71,4 +75,6 @@ def test_package_loads_no_scipy(argv):
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "rdpgtest" in imported
-    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+    assert [name for name in imported if name.split(".")[0] in ("scipy", "concurrent")] == []
+    if argv[1] == IMPORT:
+        assert result.stdout.split() == ["threads", "1"]

@@ -157,6 +157,11 @@ class TestPowerExperiment:
         with pytest.raises(ValueError, match="nonempty"):
             ExperimentConfig(pairs=[], n_grid=[10], replicates=1,
                              test=TestConfig(), master_seed=0)
+        # Each size check reads test.d, which failed as an AttributeError.
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(pairs=[(0, f, g)], n_grid=[10], replicates=1,
+                             test=None, master_seed=0)
+        assert str(info.value) == "test must be a TestConfig, got None"
 
 
 class TestWComparison:

@@ -312,7 +312,8 @@ class TestCsv:
         ("# labels: a,b\n1,0\n# labels: b,a\n0,1\n", "line 3: a second '# labels:' line"),
         ("# c\n1,0\n\n0,1,2\n", "line 4: 3 values, but the first row has 2"),
         ("1,0,0\n0,1\n", "line 2: 2 values, but the first row has 3"),
-    ], ids=["second-labels-line", "wider-row", "narrower-row"])
+        ("1,0\n0,x\n", "line 2: could not convert string to float: 'x'"),
+    ], ids=["second-labels-line", "wider-row", "narrower-row", "not-a-number"])
     def test_malformed_matrix_is_refused_with_its_line(self, tmp_path, text, message):
         path = tmp_path / "m.csv"
         path.write_text(text)

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from scipy.stats import kstest
 
 import rdpgtest
-from rdpgtest import mmd
+from rdpgtest import mmd, testing
 from rdpgtest.embed import ase
 from rdpgtest.errors import DegenerateRowError, InsufficientSampleError, ModelError
 from rdpgtest.harness import pairwise_dissimilarity, two_block_pair, uniform_box_pair
@@ -146,18 +148,24 @@ def _whole_null(k, n, m, permutations, rng):
 # last panel's product went to OpenBLAS's small-matrix kernel.
 PANEL_SIZES = [(7, 13), (13, 29), (150, 250)]
 PANEL_PERMUTATIONS = [1, 255, 256, 257, 511, 512, 767, 1023, 1024, 1025, 2 * 1024 + 17, 9217]
+# (300, 500) at these B moved one value's last bits when the helper also
+# split the last panel, whose width is not a multiple of 8, by rows.
+RAGGED_SPLITS = [(300, 500, 519), (300, 500, 2059)]
 
 
 def write_panel_nulls(path):
     """Each (n, m) in PANEL_SIZES and B in PANEL_PERMUTATIONS: the null in
-    panels and from the whole matrix, saved to ``path`` (npz)."""
+    panels, with and without the helper thread, and from the whole matrix,
+    saved to ``path`` (npz)."""
+    cases = [(n, m, b) for n, m in PANEL_SIZES for b in PANEL_PERMUTATIONS] + RAGGED_SPLITS
     nulls = {}
-    for n, m in PANEL_SIZES:
+    for n, m, b in cases:
         pooled = random_cloud(n + m, 2, substream(130, n))
         k = gram(SPEC, pooled, pooled)
-        for b in PANEL_PERMUTATIONS:
-            nulls[f"panels-{n}-{m}-{b}"] = _null_from_gram(k, n, m, b, substream(131, b))
-            nulls[f"whole-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b))
+        for mode, cores in (("helper", 2), ("serial", 1)):
+            testing._usable_cores = lambda cores=cores: cores
+            nulls[f"{mode}-{n}-{m}-{b}"] = _null_from_gram(k, n, m, b, substream(131, b))
+        nulls[f"whole-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b))
     np.savez(path, **nulls)
 
 
@@ -182,15 +190,24 @@ def panel_nulls(tmp_path_factory):
 
 
 class TestPanelledNull:
-    """``_null_from_gram`` aggregates the null in column panels; each value
-    must be the bits of the whole-matrix oracle, the ragged last panel too."""
+    """``_null_from_gram`` aggregates the null in column panels, each
+    product split by rows with a helper thread when it can; each value must
+    be the bits of the whole-matrix oracle, the ragged last panel too, with
+    or without the helper."""
 
     @pytest.mark.parametrize("n, m", PANEL_SIZES)
     @pytest.mark.parametrize("permutations", PANEL_PERMUTATIONS)
     def test_bit_identical_to_whole_matrix(self, panel_nulls, n, m, permutations):
-        panels = panel_nulls[f"panels-{n}-{m}-{permutations}"]
-        assert panels.shape == (permutations,)
-        assert np.array_equal(panels, panel_nulls[f"whole-{n}-{m}-{permutations}"])
+        whole = panel_nulls[f"whole-{n}-{m}-{permutations}"]
+        for mode in ("helper", "serial"):
+            panels = panel_nulls[f"{mode}-{n}-{m}-{permutations}"]
+            assert panels.shape == (permutations,)
+            assert np.array_equal(panels, whole), mode
+
+    @pytest.mark.parametrize("n, m, permutations", RAGGED_SPLITS)
+    def test_ragged_last_panel_is_not_split(self, panel_nulls, n, m, permutations):
+        whole = panel_nulls[f"whole-{n}-{m}-{permutations}"]
+        assert np.array_equal(panel_nulls[f"helper-{n}-{m}-{permutations}"], whole)
 
     def test_stream_is_the_whole_matrix_stream(self):
         # Whatever the thread count, the panels draw the permutations in
@@ -202,6 +219,63 @@ class TestPanelledNull:
         whole = _whole_null(k, 13, 29, 2065, rng_b)
         assert np.allclose(panels, whole, rtol=0, atol=1e-14)
         assert rng_a.random() == rng_b.random()
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        helpers = []
+        product = testing._rows_product
+
+        def fail_on_the_helper(*args):
+            if threading.current_thread() is threading.main_thread():
+                return product(*args)
+            helpers.append(threading.current_thread())
+            raise FloatingPointError("the helper's product failed")
+
+        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(testing, "_rows_product", fail_on_the_helper)
+        pooled = random_cloud(400, 2, substream(138))
+        running = threading.active_count()
+        with pytest.raises(FloatingPointError, match="^the helper's product failed$"):
+            _null_from_gram(gram(SPEC, pooled, pooled), 100, 300, 512, substream(139))
+        assert len(helpers) == 1 and helpers[0].daemon
+        assert not helpers[0].is_alive() and threading.active_count() == running
+
+    @pytest.mark.parametrize("n, m, permutations, threads", [
+        (100, 300, 511, 0), (100, 300, 512, 1), (13, 29, 2065, 0)])
+    def test_only_a_split_product_starts_a_thread(self, monkeypatch, n, m, permutations, threads):
+        # N = 400 takes panels of 256, so B = 511 is one panel. N = 42 takes
+        # panels of 768, too small to split into two blocks of 2^20 multiply-adds.
+        started, thread_class = [], threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(thread := thread_class(*args, **kwargs))
+            return thread
+
+        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(testing.threading, "Thread", counted)
+        pooled = random_cloud(n + m, 2, substream(140))
+        k = gram(SPEC, pooled, pooled)
+        null = _null_from_gram(k, n, m, permutations, substream(141))
+        monkeypatch.undo()
+        assert len(started) == threads
+        whole = _whole_null(k, n, m, permutations, substream(141))
+        assert np.allclose(null, whole, rtol=0, atol=1e-14)
+
+    def test_split_null_under_fast_thread_switching(self, monkeypatch):
+        # Redrawing z or reading k @ z before the helper is done would move
+        # values by far more than rounding.
+        pooled = random_cloud(400, 2, substream(142))
+        k = gram(SPEC, pooled, pooled)
+        monkeypatch.setattr(testing, "_usable_cores", lambda: 1)
+        serial = _null_from_gram(k, 100, 300, 2048, substream(143))
+        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            nulls = [_null_from_gram(k, 100, 300, 2048, substream(143)) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for null in nulls:
+            assert np.allclose(null, serial, rtol=0, atol=1e-14)
 
     def test_working_memory_is_one_panel(self):
         # N = 400, B = 8192: the whole N x B indicator matrix and its
@@ -300,6 +374,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as info:
             two_sample_test(*graphs, TestConfig(kernel=kernel))
         assert str(info.value) == f"kernel must be a KernelSpec, got {kernel!r}"
+
+    def test_checks_hold_for_the_config_lifetime(self):
+        config = TestConfig(permutations=5)
+        with pytest.raises(FrozenInstanceError):
+            config.kernel = 0.5
+        assert replace(config, seed=3).seed == 3
+        with pytest.raises(ValueError, match="permutations"):
+            replace(config, permutations=0)
 
     def test_sparse_requires_factors(self):
         with pytest.raises(ValueError, match="sparsity_x"):

@@ -717,7 +717,12 @@ def snapshot(tree):
         grid_sbm(grid, rt)
         grid_embed(grid, rt, graphs)
         grid_harness(grid, rt, graphs, workdir)
-        grid_io(grid, rt, graphs, workdir)
+        cwd = os.getcwd()
+        os.chdir(workdir)  # error texts that name a file then name the same path each run
+        try:
+            grid_io(grid, rt, graphs, ".")
+        finally:
+            os.chdir(cwd)
         grid_cli(grid, rt, graphs, workdir)
     grid_errors(grid, rt)
     return grid.out
