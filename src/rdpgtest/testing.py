@@ -10,11 +10,13 @@ the options by :class:`TestConfig` (``d``, the permutation count and the
 seed by ``streams.check_count``), sparsity factors by
 ``model.check_sparsity``, 0/1 entries, a zero diagonal and symmetry by
 :class:`~rdpgtest.model.Graph` (an array is made one), ``d <= n`` by
-``embed.check_dimension`` (called by ``ase``), the row-norm floor by
-:func:`check_floor`, degenerate rows by :func:`preprocess`, ``n, m >= 2``
-by ``mmd.check_sizes``, rows of one width by ``mmd.check_widths``, finite
+``embed.check_dimension``, the row-norm floor by :func:`check_floor`,
+degenerate rows by :func:`preprocess`, ``n, m >= 2`` by
+``mmd.check_sizes``, rows of one width by ``mmd.check_widths``, finite
 rows by ``_calibrate`` and a finite statistic by ``mmd.finite_statistic``;
 ``mmd.fixed_bandwidth`` refuses an unresolved median.
+:func:`two_sample_test` applies the graph, dimension and size rules to
+both graphs before it embeds either or draws.
 The variants are:
 
 ``identity``
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import mmd
-from .embed import ase
+from .embed import ase, check_dimension
 from .errors import DegenerateRowError
 from .io import _fmt
 from .model import as_graph, check_sparsity
@@ -189,19 +191,21 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     For each of ``permutations`` rounds, a uniform random permutation
     assigns the first ``n`` pooled rows to a pseudo first sample and the
     remaining ``m`` to a pseudo second sample, and the unbiased two-sample
-    statistic is recorded. The kernel matrix of the pool is computed once;
-    each round only re-aggregates its entries, in panels of 256 rounds
-    (wider for a pool under 64 rows; the last takes the remainder, up to
-    511), so the working memory is O(N² + N·512) with N = n + m, not
-    O(N·B). It uses up to two cores: with two panels or more and two
-    usable cores, a helper thread computes part of each panel's product
-    (see :func:`_null_from_gram`). Deterministic given ``rng``; at a fixed
-    BLAS thread count the values are bit-identical with the helper or
-    without it, and at one BLAS thread they are the bits of one product
-    over all rounds. With a multi-threaded BLAS the two threads compete for
-    the same cores. :func:`two_sample_test` draws the same null from the one
-    kernel matrix that also serves its reflection search and statistic,
-    which it builds in place.
+    statistic is recorded. The kernel matrix of the pool is computed once
+    and every permutation is drawn first, packed into N·B/8 bytes with
+    N = n + m; each round then only re-aggregates the matrix's entries, in
+    panels of 256 rounds (wider for a pool under 64 rows; the last takes
+    the remainder, up to 511), so the working memory is O(N² + N·512) plus
+    N·B/8 bytes, not O(N·B). It uses up to two cores: with two panels or
+    more and two usable cores, a helper thread computes part of each
+    panel's product (see :func:`_null_from_gram`). Deterministic given
+    ``rng``; at a fixed BLAS thread count the values are bit-identical with
+    the helper or without it, and at one BLAS thread they are the bits of
+    one product over all rounds. With a multi-threaded BLAS the two threads
+    compete for the same cores. :func:`two_sample_test` draws the same null
+    from the one kernel matrix that also serves its reflection search and
+    statistic, which it builds in place, and draws the permutations while
+    it embeds the graphs.
 
     Returns
     -------
@@ -213,7 +217,7 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     if n + m != total:
         raise ValueError(f"pool has {total} rows but n + m = {n + m}")
     check_count(permutations, "permutations")
-    return _null_from_gram(mmd.gram(spec, pooled, pooled), n, m, permutations, rng)
+    return _null_drawn_first(mmd.gram(spec, pooled, pooled), n, m, permutations, rng)
 
 
 _PANEL = 256  # permutations per column panel of the null
@@ -228,54 +232,94 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
-def _null_from_gram(k, n, m, permutations, rng):
-    """:func:`permutation_null` on the pooled kernel matrix ``k``.
+def _layout(total, permutations):
+    """The null's panel width and count over a pool of ``total`` rows, and
+    the first row of the helper's row block (see :func:`_null_from_gram`)."""
+    width = _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total))
+    upper = _ROWS * round(total / (2 * _ROWS))
+    return width, max(permutations // width, 1), upper
 
-    The permutations are drawn in order and aggregated in column panels of
-    ``_PANEL`` (a multiple of it for a pool under 64 rows); the last panel
-    also takes the remainder, so no panel is narrower than that unless all
-    are. A small panel would reach other BLAS kernels than the whole
-    product and change last bits: one under about 190 columns, or one whose
-    product with the gram takes under 10^6 multiply-adds (OpenBLAS's
-    small-matrix kernel), so a panel takes at least ``_PANEL_MADDS``.
 
-    With two panels or more and two usable cores, one daemon helper thread
+def _null_helper(total, permutations):
+    """A :class:`_Helper` when the null's products split (two panels or
+    more, two row blocks of at least ``_PANEL_MADDS`` each and two usable
+    cores), else a context of ``None``."""
+    width, panels, upper = _layout(total, permutations)
+    split = (panels > 1 and min(upper, total - upper) * total * width >= _PANEL_MADDS
+             and _usable_cores() > 1)
+    return _Helper() if split else nullcontext()
+
+
+def _packed(total, permutations):
+    """Zeroed room for ``permutations`` draws over ``total`` rows, one bit each."""
+    return np.zeros((total, -(-permutations // 8)), dtype=np.uint8)
+
+
+def _draw(drawn, n, permutations, rng):
+    """Draw the permutations in order into the :func:`_packed` ``drawn``:
+    bit ``b`` of row ``i`` (most significant first) is set when
+    permutation ``b`` puts pooled row ``i`` in the first sample."""
+    total = drawn.shape[0]
+    for b in range(permutations):
+        drawn[rng.permutation(total)[:n], b >> 3] |= 128 >> (b & 7)
+
+
+def _null_drawn_first(k, n, m, permutations, rng):
+    """:func:`_null_from_gram` for a caller with nothing to overlap the
+    draw with: every permutation is drawn on the calling thread first."""
+    drawn = _packed(n + m, permutations)
+    _draw(drawn, n, permutations, rng)
+    with _null_helper(n + m, permutations) as helper:
+        return _null_from_gram(k, n, m, permutations, drawn, helper)
+
+
+def _null_from_gram(k, n, m, permutations, drawn, helper):
+    """:func:`permutation_null` on the pooled kernel matrix ``k`` and the
+    permutations ``drawn`` by :func:`_draw` beforehand: by the helper while
+    :func:`two_sample_test` embeds the graphs when the products split,
+    else on the calling thread (:func:`_null_drawn_first`).
+
+    The rounds are aggregated in column panels of ``_PANEL`` (a multiple
+    of it for a pool under 64 rows); the last panel also takes the
+    remainder, so no panel is narrower than that unless all are. A small
+    panel would reach other BLAS kernels than the whole product and change
+    last bits: one under about 190 columns, or one whose product with the
+    gram takes under 10^6 multiply-adds (OpenBLAS's small-matrix kernel),
+    so a panel takes at least ``_PANEL_MADDS``. Each panel's draws are
+    unpacked into one N x width slot, so beside ``k`` and the N·B/8 bytes
+    of ``drawn`` the working memory is O(N·512).
+
+    ``helper``, given exactly when :func:`_null_helper` makes one,
     computes the lower rows of each panel's ``k @ z`` while the calling
     thread computes the upper ones: both row blocks start at a multiple of
     ``_ROWS``, each takes at least ``_PANEL_MADDS``, and a panel whose
     width is not a multiple of ``_ROWS`` is computed whole. Split that way,
     each entry of the product keeps the bits of the whole product at one
-    BLAS thread. The calling thread draws every panel, and the helper
-    writes only into the arrays the calling thread allocated."""
+    BLAS thread. The helper writes only into the arrays the calling thread
+    allocated, and this function never touches the random stream."""
     total = n + m
     diag = np.diagonal(k).copy()
     row_sums = k.sum(axis=1)
     total_off = float(k.sum() - diag.sum())
 
     quad, diag_x, lin = np.empty((3, permutations))
-    width = _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total))
-    panels = max(permutations // width, 1)
+    width, panels, upper = _layout(total, permutations)
     z_slot, kz_slot = np.empty((2, total * (permutations - (panels - 1) * width)))
-    upper = _ROWS * round(total / (2 * _ROWS))
-    split = (panels > 1 and min(upper, total - upper) * total * width >= _PANEL_MADDS
-             and _usable_cores() > 1)
-    with _Helper() if split else nullcontext() as helper:
-        for i in range(panels):
-            cols = slice(i * width, permutations if i == panels - 1 else (i + 1) * width)
-            z = z_slot[: total * (cols.stop - cols.start)].reshape(total, -1)
-            kz = kz_slot[: z.size].reshape(z.shape)
-            z.fill(0.0)
-            for b in range(z.shape[1]):
-                z[rng.permutation(total)[:n], b] = 1.0
-            if helper is not None and z.shape[1] % _ROWS == 0:
-                helper.start(_rows_product, k, z, kz, slice(upper, None))
-                _rows_product(k, z, kz, slice(upper))
-                helper.wait()
-            else:
-                _rows_product(k, z, kz, slice(None))
-            np.einsum("ib,ib->b", z, kz, out=quad[cols])
-            np.matmul(diag, z, out=diag_x[cols])
-            np.matmul(row_sums, z, out=lin[cols])
+    for i in range(panels):
+        cols = slice(i * width, permutations if i == panels - 1 else (i + 1) * width)
+        z = z_slot[: total * (cols.stop - cols.start)].reshape(total, -1)
+        kz = kz_slot[: z.size].reshape(z.shape)
+        z[...] = np.unpackbits(drawn[:, cols.start // 8:-(-cols.stop // 8)], axis=1,
+                               count=z.shape[1])
+        if helper is not None and z.shape[1] % _ROWS == 0:
+            helper.start(_rows_product, k, z, kz, slice(upper, None))
+            _rows_product(k, z, kz, slice(upper))
+            helper.wait()
+        else:
+            _rows_product(k, z, kz, slice(None))
+        np.einsum("ib,ib->b", z, kz, out=quad[cols])
+        np.matmul(diag, z, out=diag_x[cols])
+        np.matmul(row_sums, z, out=lin[cols])
     sxx = quad - diag_x
     cross = lin - quad
     syy = total_off - sxx - 2.0 * cross
@@ -290,7 +334,8 @@ def _rows_product(k, z, out, rows):
 class _Helper:
     """One daemon thread that runs one call at a time: :meth:`start` hands
     it a call, :meth:`wait` returns once the call is done and raises its
-    exception, if any. Leaving the ``with`` block ends the thread."""
+    exception, if any. Leaving the ``with`` block ends the thread once its
+    call is done."""
 
     def __init__(self):
         self._calls, self._done = queue.SimpleQueue(), queue.SimpleQueue()
@@ -335,9 +380,10 @@ def p_value(observed, null_values):
 
 
 def _embed(graph, config, sparsity):
-    """Stage 1: spectral embedding of one graph, then the variant's row
-    normalization. The float adjacency lives only inside :func:`ase`."""
-    rows = ase(as_graph(graph), config.d)
+    """Stage 1: spectral embedding of one :class:`~rdpgtest.model.Graph`,
+    then the variant's row normalization. The float adjacency lives only
+    inside :func:`ase`."""
+    rows = ase(graph, config.d)
     return preprocess(rows, config.variant, sparsity=sparsity, eps_floor=config.eps_floor)
 
 
@@ -378,9 +424,12 @@ def _align(kernel, px, py, reflections):
     return signs, (sxx, sxy, syy), k
 
 
-def _calibrate(px, py, config, rng, info):
+def _calibrate(px, py, config, rng, info, drawing=None):
     """Stages 2-4 on preprocessed rows, then the report; its
-    ``preprocessing`` is the reflection signs (when aligning) and ``info``."""
+    ``preprocessing`` is the reflection signs (when aligning) and ``info``.
+    ``drawing`` is the helper and the array into which it is drawing the
+    permutations, when the caller started the draw; otherwise the stream
+    (``rng``, else one made from ``config.seed``) is drawn here."""
     n, m = px.shape[0], py.shape[0]
     mmd.check_sizes(n, m)
     mmd.check_widths(px, py)
@@ -389,9 +438,16 @@ def _calibrate(px, py, config, rng, info):
     kernel = _bandwidth(config.kernel, px, py)
     signs, sums, k = _align(kernel, px, py, config.align_reflections)
     observed = mmd.finite_statistic(mmd.u_from_sums(*sums, n, m), kernel)
-    if rng is None:
-        rng = substream(config.seed)
-    null_values = _null_from_gram(k, n, m, config.permutations, rng)
+    if drawing is None:
+        # Made after the embeddings, where the one-core path always made it:
+        # an allocation moved ahead of the first ``eigh`` can shift glibc's
+        # heap layout, and with it a large test's peak RSS.
+        rng = substream(config.seed) if rng is None else rng
+        null_values = _null_drawn_first(k, n, m, config.permutations, rng)
+    else:
+        helper, drawn = drawing
+        helper.wait()
+        null_values = _null_from_gram(k, n, m, config.permutations, drawn, helper)
     p = p_value(observed, null_values)
     if config.align_reflections:
         info = {"reflection": signs.tolist(), **info}
@@ -421,7 +477,18 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     statistic with its permutation null over the pooled rows. One kernel
     matrix serves the reflection search, the statistic and the null. All
     randomness derives from ``config.seed`` unless an explicit ``rng`` is
-    supplied.
+    supplied. Both graphs, ``d`` against each size and ``n, m >= 2`` are
+    checked before any embedding or draw.
+
+    When the null's products split over two cores (two panels or more and
+    two usable cores, see :func:`_null_helper`), the one helper thread
+    of the call draws every permutation, in the order of the one-core path,
+    while the calling thread embeds the graphs; it then shares each panel's
+    product. Otherwise the permutations are drawn after the embeddings and
+    no thread is started. Either way the null takes O(N² + N·512) working
+    memory plus N·B/8 bytes for the draws (N = n + m, B permutations), and
+    the result and ``rng``'s end state are the same bits at a fixed BLAS
+    thread count.
 
     Parameters
     ----------
@@ -436,11 +503,23 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     -------
     TestReport
     """
-    px, info_x = _embed(graph_a, config, config.sparsity_x)
-    py, info_y = _embed(graph_b, config, config.sparsity_y)
-    info = {f"{key}_x": value for key, value in info_x.items()}
-    info.update((f"{key}_y", value) for key, value in info_y.items())
-    return _calibrate(px, py, config, rng, info)
+    graph_a, graph_b = as_graph(graph_a), as_graph(graph_b)
+    n, m = graph_a.n, graph_b.n
+    check_dimension(config.d, n)
+    check_dimension(config.d, m)
+    mmd.check_sizes(n, m)
+    with _null_helper(n + m, config.permutations) as helper:
+        drawing = None
+        if helper is not None:
+            rng = substream(config.seed) if rng is None else rng
+            drawn = _packed(n + m, config.permutations)
+            helper.start(_draw, drawn, n, config.permutations, rng)
+            drawing = helper, drawn
+        px, info_x = _embed(graph_a, config, config.sparsity_x)
+        py, info_y = _embed(graph_b, config, config.sparsity_y)
+        info = {f"{key}_x": value for key, value in info_x.items()}
+        info.update((f"{key}_y", value) for key, value in info_y.items())
+        return _calibrate(px, py, config, rng, info, drawing)
 
 
 def two_sample_point_test(x, y, config, rng=None):

@@ -31,7 +31,7 @@ from rdpgtest.testing import (
     TestConfig,
     _align,
     _calibrate,
-    _null_from_gram,
+    _null_drawn_first,
     p_value,
     permutation_null,
     preprocess,
@@ -45,11 +45,13 @@ SPEC = GaussianKernel(0.5)
 
 
 def _two_graphs(epsilon, n, seed):
-    f, g = two_block_pair(epsilon)
-    rng = substream(seed)
-    a = sample_rdpg(sample_latent(f, n, rng), 1.0, rng)
-    b = sample_rdpg(sample_latent(g, n, rng), 1.0, rng)
-    return a, b
+    return _graph_pair(*two_block_pair(epsilon), n, n, substream(seed))
+
+
+def _graph_pair(f, g, n, m, rng):
+    """A graph of ``n`` vertices from ``f``, then one of ``m`` from ``g``."""
+    return (sample_rdpg(sample_latent(f, n, rng), 1.0, rng),
+            sample_rdpg(sample_latent(g, m, rng), 1.0, rng))
 
 
 class TestPreprocess:
@@ -164,29 +166,90 @@ def write_panel_nulls(path):
         k = gram(SPEC, pooled, pooled)
         for mode, cores in (("helper", 2), ("serial", 1)):
             testing._usable_cores = lambda cores=cores: cores
-            nulls[f"{mode}-{n}-{m}-{b}"] = _null_from_gram(k, n, m, b, substream(131, b))
+            nulls[f"{mode}-{n}-{m}-{b}"] = _null_drawn_first(k, n, m, b, substream(131, b))
         nulls[f"whole-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b))
     np.savez(path, **nulls)
 
 
-@pytest.fixture(scope="module")
-def panel_nulls(tmp_path_factory):
-    """:func:`write_panel_nulls` run in a fresh interpreter with one BLAS
-    thread. The claim is bit identity at a fixed thread count, like the
-    statistic's: with more threads BLAS may split a panel's product between
-    them elsewhere than the whole product, which moves last bits."""
-    path = tmp_path_factory.mktemp("panels") / "nulls.npz"
+# N = 600 takes panels of 256: B = 600 splits both panels (256, then 344),
+# while B = 603 computes its ragged last panel of 347 whole.
+SPLIT_TESTS = [(150, 450, 600), (150, 450, 603), (450, 150, 600)]
+
+
+def write_split_tests(path):
+    """Each (n, m, B) in SPLIT_TESTS: ``two_sample_test`` with one usable
+    core and with two, the second under ``sys.setswitchinterval(1e-6)``,
+    once with an explicit stream and once seeded. Saves to ``path`` (npz)
+    the null values, the statistics, p-values and the explicit stream's
+    next draw, the helpers made and the draws run off the main thread."""
+    helpers, off_main = [], []
+    helper_class, draw = testing._Helper, testing._draw
+
+    class CountedHelper(helper_class):
+        def __init__(self):
+            helpers.append(self)
+            super().__init__()
+
+    def recorded_draw(*args):
+        off_main.append(threading.current_thread() is not threading.main_thread())
+        return draw(*args)
+
+    testing._Helper, testing._draw = CountedHelper, recorded_draw
+    f, g = two_block_pair(0.1)
+    saved = {}
+    for n, m, b in SPLIT_TESTS:
+        graphs = _graph_pair(f, g, n, m, substream(150, n, m))
+        config = TestConfig(d=2, permutations=b, seed=151)
+        for mode, cores in (("serial", 1), ("helper", 2)):
+            testing._usable_cores = lambda cores=cores: cores
+            del helpers[:], off_main[:]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6 if cores == 2 else interval)
+            try:
+                stream = substream(152, b)
+                explicit = two_sample_test(*graphs, config, rng=stream)
+                seeded = two_sample_test(*graphs, config)
+            finally:
+                sys.setswitchinterval(interval)
+            key = f"{mode}-{n}-{m}-{b}"
+            saved[f"{key}-null"] = explicit.null_values
+            saved[f"{key}-seeded-null"] = seeded.null_values
+            saved[f"{key}-scalars"] = np.array([explicit.statistic, explicit.p_value,
+                                                seeded.statistic, seeded.p_value, stream.random()])
+            saved[f"{key}-threads"] = np.array([len(helpers), sum(off_main)])
+    np.savez(path, **saved)
+
+
+def _fresh_interpreter(tmp_path_factory, writer):
+    """``test_testing.<writer>(path)`` run in a fresh interpreter with one
+    BLAS thread; returns the arrays it saved. The claims are bit identity
+    at a fixed thread count, like the statistic's: with more threads BLAS
+    may split a panel's product between them elsewhere than the whole
+    product, which moves last bits."""
+    path = tmp_path_factory.mktemp(writer) / "saved.npz"
     src = str(Path(rdpgtest.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
                                                os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    code = f"import test_testing; test_testing.write_panel_nulls({str(path)!r})"
+    code = f"import test_testing; test_testing.{writer}({str(path)!r})"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     with np.load(path) as saved:
         return dict(saved)
+
+
+@pytest.fixture(scope="module")
+def panel_nulls(tmp_path_factory):
+    """:func:`write_panel_nulls` in a fresh interpreter with one BLAS thread."""
+    return _fresh_interpreter(tmp_path_factory, "write_panel_nulls")
+
+
+@pytest.fixture(scope="module")
+def split_tests(tmp_path_factory):
+    """:func:`write_split_tests` in a fresh interpreter with one BLAS thread."""
+    return _fresh_interpreter(tmp_path_factory, "write_split_tests")
 
 
 class TestPanelledNull:
@@ -215,7 +278,7 @@ class TestPanelledNull:
         pooled = random_cloud(42, 2, substream(132))
         k = gram(SPEC, pooled, pooled)
         rng_a, rng_b = substream(133), substream(133)
-        panels = _null_from_gram(k, 13, 29, 2065, rng_a)
+        panels = _null_drawn_first(k, 13, 29, 2065, rng_a)
         whole = _whole_null(k, 13, 29, 2065, rng_b)
         assert np.allclose(panels, whole, rtol=0, atol=1e-14)
         assert rng_a.random() == rng_b.random()
@@ -235,7 +298,7 @@ class TestPanelledNull:
         pooled = random_cloud(400, 2, substream(138))
         running = threading.active_count()
         with pytest.raises(FloatingPointError, match="^the helper's product failed$"):
-            _null_from_gram(gram(SPEC, pooled, pooled), 100, 300, 512, substream(139))
+            _null_drawn_first(gram(SPEC, pooled, pooled), 100, 300, 512, substream(139))
         assert len(helpers) == 1 and helpers[0].daemon
         assert not helpers[0].is_alive() and threading.active_count() == running
 
@@ -254,7 +317,7 @@ class TestPanelledNull:
         monkeypatch.setattr(testing.threading, "Thread", counted)
         pooled = random_cloud(n + m, 2, substream(140))
         k = gram(SPEC, pooled, pooled)
-        null = _null_from_gram(k, n, m, permutations, substream(141))
+        null = _null_drawn_first(k, n, m, permutations, substream(141))
         monkeypatch.undo()
         assert len(started) == threads
         whole = _whole_null(k, n, m, permutations, substream(141))
@@ -266,12 +329,12 @@ class TestPanelledNull:
         pooled = random_cloud(400, 2, substream(142))
         k = gram(SPEC, pooled, pooled)
         monkeypatch.setattr(testing, "_usable_cores", lambda: 1)
-        serial = _null_from_gram(k, 100, 300, 2048, substream(143))
+        serial = _null_drawn_first(k, 100, 300, 2048, substream(143))
         monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            nulls = [_null_from_gram(k, 100, 300, 2048, substream(143)) for _ in range(5)]
+            nulls = [_null_drawn_first(k, 100, 300, 2048, substream(143)) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
         for null in nulls:
@@ -284,7 +347,7 @@ class TestPanelledNull:
         k = gram(SPEC, pooled, pooled)
         tracemalloc.start()
         try:
-            _null_from_gram(k, 100, 300, 8192, substream(135))
+            _null_drawn_first(k, 100, 300, 8192, substream(135))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,6 +364,69 @@ class TestPanelledNull:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestDrawWhileEmbedding:
+    """With two usable cores, ``two_sample_test`` draws the permutations on
+    its one helper thread while it embeds the graphs; the report and the
+    stream's end state must be the bits of the one-core path."""
+
+    @pytest.mark.parametrize("n, m, permutations", SPLIT_TESTS)
+    def test_one_core_and_two_give_the_same_bits(self, split_tests, n, m, permutations):
+        serial, helper = (f"{mode}-{n}-{m}-{permutations}" for mode in ("serial", "helper"))
+        # Two calls each: no helper and no draw off the main thread on one
+        # core, a helper per call that also draws on two.
+        assert split_tests[f"{serial}-threads"].tolist() == [0, 0]
+        assert split_tests[f"{helper}-threads"].tolist() == [2, 2]
+        for part in ("null", "seeded-null", "scalars"):
+            assert np.array_equal(split_tests[f"{helper}-{part}"],
+                                  split_tests[f"{serial}-{part}"]), part
+        assert split_tests[f"{helper}-null"].shape == (permutations,)
+
+    def test_embedding_error_joins_the_drawing_helper(self, monkeypatch):
+        drawing, failed, draws = threading.Event(), threading.Event(), []
+        draw = testing._draw
+
+        def slow_draw(*args):
+            draws.append(threading.current_thread())
+            drawing.set()
+            assert failed.wait(timeout=30)
+            draw(*args)
+            draws.append("done")
+
+        def failing_ase(graph, d):
+            assert drawing.wait(timeout=30)
+            failed.set()
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(testing, "_draw", slow_draw)
+        monkeypatch.setattr(testing, "ase", failing_ase)
+        a, b = _two_graphs(0.0, 300, seed=153)
+        running = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="^eigh did not converge$"):
+            two_sample_test(a, b, TestConfig(permutations=600, seed=154))
+        helper = draws[0]
+        assert helper is not threading.main_thread() and helper.daemon
+        assert draws[1] == "done" and not helper.is_alive()
+        assert threading.active_count() == running
+
+    @pytest.mark.parametrize("n, m, permutations, threads", [
+        (150, 450, 600, 1), (150, 450, 511, 0), (20, 30, 5000, 0), (300, 300, 200, 0)])
+    def test_at_most_one_thread_per_call(self, monkeypatch, n, m, permutations, threads):
+        # N = 600 takes panels of 256, so B = 511 is one panel; N = 50 takes
+        # panels of 512, too small to split into two blocks of 2^20 multiply-adds.
+        started, thread_class = [], threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(thread := thread_class(*args, **kwargs))
+            return thread
+
+        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(testing.threading, "Thread", counted)
+        graphs = _graph_pair(*two_block_pair(0.0), n, m, substream(155))
+        two_sample_test(*graphs, TestConfig(permutations=permutations, seed=156))
+        assert len(started) == threads
 
 
 class TestPooledMatrixInPlace:
@@ -508,6 +634,26 @@ class TestTwoSampleTest:
         b = _two_graphs(0.0, m, seed=84)[1] if m else empty
         with pytest.raises(ValueError, match="exceeds"):
             two_sample_test(a, b, TestConfig(d=d))
+
+    @pytest.mark.parametrize("n, m, d, error, message", [
+        (40, 1, 1, InsufficientSampleError, "m=1"),
+        (40, 20, 25, ValueError, "d=25 exceeds the graph size n=20"),
+        (40, None, 2, ModelError, "entries must be 0 or 1"),
+        (None, 40, 2, ModelError, "entries must be 0 or 1"),
+    ])
+    def test_inputs_are_checked_before_any_embedding_or_draw(self, monkeypatch, n, m, d, error,
+                                                             message):
+        def refuse(*args):
+            raise AssertionError("ran before the inputs were checked")
+
+        sizes = [size or 40 for size in (n, m)]
+        graphs = [_two_graphs(0.0, size, seed=157)[0] for size in sizes]
+        graphs = [np.asarray(g) * 3 if size is None else g for g, size in zip(graphs, (n, m))]
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(testing, "_draw", refuse)
+        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        with pytest.raises(error, match=message):
+            two_sample_test(*graphs, TestConfig(d=d, permutations=600))
 
     @pytest.mark.parametrize(
         "make, message",

@@ -8,7 +8,8 @@ diff the two dumps. A change meant to keep every result gives no
 difference. The grid records:
 
 - test calls over kernels, d, variants, alignment and n != m, graph and point,
-  and a test and a null with more permutations than one panel;
+  tests and a null with more permutations than one panel, and a test whose
+  null draws on a helper thread where two cores are usable;
 - sampled graphs of every latent family, with the stream's next draw,
   and permutation nulls around the panel boundaries;
 - ``sbm_to_latent`` atoms on random and structured block matrices;
@@ -162,6 +163,13 @@ def grid_tests(grid, rt, graphs):
     grid.run("test/B2500/25x45", lambda: rt.two_sample_test(
         graphs["f25"], graphs["g45"], rt.TestConfig(d=3, permutations=2500, seed=6)),
         lambda k, r: _report(grid, k, r))
+    # N = 600 at B = 600 is two panels whose products split over two usable
+    # cores, so the helper thread draws the null while the graphs embed.
+    rng = rt.substream(13)
+    split = (rt.sample_rdpg(rt.sample_latent(f, 150, rng), 1.0, rng),
+             rt.sample_rdpg(rt.sample_latent(g, 450, rng), 1.0, rng))
+    grid.run("test/B600/150x450", lambda: rt.two_sample_test(
+        *split, rt.TestConfig(permutations=600, seed=7)), lambda k, r: _report(grid, k, r))
     grid.run("mmd/B2500/null", lambda: rt.permutation_null(
         pooled, 30, 40, kernels["imq"], 2500, rt.substream(3)), grid.put)
     grid.run("mmd/median", lambda: rt.median_heuristic(pooled), grid.put)
