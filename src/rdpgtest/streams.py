@@ -32,3 +32,11 @@ def check_count(value, name, minimum=1):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_generator(rng):
+    """The one rule for a stream passed in by a caller: a
+    ``numpy.random.Generator`` (the permutation null draws with
+    ``Generator.permuted``, which a legacy ``RandomState`` lacks)."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")

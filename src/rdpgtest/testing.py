@@ -14,9 +14,10 @@ seed by ``streams.check_count``), sparsity factors by
 degenerate rows by :func:`preprocess`, ``n, m >= 2`` by
 ``mmd.check_sizes``, rows of one width by ``mmd.check_widths``, finite
 rows by ``_calibrate`` and a finite statistic by ``mmd.finite_statistic``;
-``mmd.fixed_bandwidth`` refuses an unresolved median.
-:func:`two_sample_test` applies the graph, dimension and size rules to
-both graphs before it embeds either or draws.
+``mmd.fixed_bandwidth`` refuses an unresolved median and
+``streams.check_generator`` a caller's ``rng`` that is not a
+``numpy.random.Generator``. :func:`two_sample_test` applies the graph,
+dimension, size and stream rules before it embeds either graph or draws.
 The variants are:
 
 ``identity``
@@ -47,7 +48,7 @@ from .embed import ase, check_dimension
 from .errors import DegenerateRowError
 from .io import _fmt
 from .model import as_graph, check_sparsity
-from .streams import check_count, substream
+from .streams import check_count, check_generator, substream
 
 __all__ = [
     "TestConfig",
@@ -193,7 +194,9 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     remaining ``m`` to a pseudo second sample, and the unbiased two-sample
     statistic is recorded. The kernel matrix of the pool is computed once
     and every permutation is drawn first, packed into N·B/8 bytes with
-    N = n + m; each round then only re-aggregates the matrix's entries, in
+    N = n + m, in blocks of rounds of one ``rng.permuted`` call each (see
+    :func:`_draw`; its scratch is 96 KB up to N = 1536, 64·N bytes above);
+    each round then only re-aggregates the matrix's entries, in
     panels of 256 rounds (wider for a pool under 64 rows; the last takes
     the remainder, up to 511), so the working memory is O(N² + N·512) plus
     N·B/8 bytes, not O(N·B). It uses up to two cores: with two panels or
@@ -205,7 +208,8 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     compete for the same cores. :func:`two_sample_test` draws the same null
     from the one kernel matrix that also serves its reflection search and
     statistic, which it builds in place, and draws the permutations while
-    it embeds the graphs.
+    it embeds the graphs. ``rng`` must be a ``numpy.random.Generator``,
+    checked before the kernel matrix is built.
 
     Returns
     -------
@@ -217,6 +221,7 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     if n + m != total:
         raise ValueError(f"pool has {total} rows but n + m = {n + m}")
     check_count(permutations, "permutations")
+    check_generator(rng)
     return _null_drawn_first(mmd.gram(spec, pooled, pooled), n, m, permutations, rng)
 
 
@@ -255,13 +260,39 @@ def _packed(total, permutations):
     return np.zeros((total, -(-permutations // 8)), dtype=np.uint8)
 
 
-def _draw(drawn, n, permutations, rng):
+def _draw(drawn, n, permutations, rng, stop=None):
     """Draw the permutations in order into the :func:`_packed` ``drawn``:
     bit ``b`` of row ``i`` (most significant first) is set when
-    permutation ``b`` puts pooled row ``i`` in the first sample."""
+    permutation ``b`` puts pooled row ``i`` in the first sample.
+
+    The rounds go in blocks, each one ``rng.permuted`` call on int64 rows
+    of ``arange(N)``. That shuffles every row with the Fisher-Yates draws
+    of one ``rng.permutation(N)``, so the bits and the stream's end state
+    are those of one ``permutation`` call per round. A block's first
+    ``n`` columns are scattered, by flat index, into an N x rounds boolean
+    mask, which one ``np.packbits`` writes into ``drawn``. A block holds a
+    multiple of 8 rounds, so it fills whole bytes, and at least 8. It
+    holds as many as keep its rows within ``mmd._CHUNK_ENTRIES`` entries:
+    its int64 scratch stays within 96 KB up to N = 1536, below the 128 KB
+    at which glibc maps a block afresh; above that, 8 rounds take 64·N
+    bytes. ``stop``, an event, is checked before each block: once it is
+    set, the draw returns with ``drawn`` and the stream part-way."""
     total = drawn.shape[0]
-    for b in range(permutations):
-        drawn[rng.permutation(total)[:n], b >> 3] |= 128 >> (b & 7)
+    rounds = 8 * max(1, mmd._CHUNK_ENTRIES // (8 * total))
+    order = np.arange(total)
+    block = np.empty((rounds, total), dtype=np.int64)
+    for start in range(0, permutations, rounds):
+        if stop is not None and stop.is_set():
+            return
+        rows = block[:min(rounds, permutations - start)]
+        rows[...] = order
+        rng.permuted(rows, axis=1, out=rows)
+        width = len(rows)
+        picked = rows[:, :n] * width  # entry (i, r) of the mask is i * width + r
+        picked += np.arange(width)[:, None]
+        mask = np.zeros((total, width), dtype=bool)
+        mask.ravel()[picked] = True
+        drawn[:, start // 8:-(-(start + width) // 8)] = np.packbits(mask, axis=1)
 
 
 def _null_drawn_first(k, n, m, permutations, rng):
@@ -335,9 +366,11 @@ class _Helper:
     """One daemon thread that runs one call at a time: :meth:`start` hands
     it a call, :meth:`wait` returns once the call is done and raises its
     exception, if any. Leaving the ``with`` block ends the thread once its
-    call is done."""
+    call is done; leaving it by an exception first sets :attr:`stop`, which
+    a long call may check to end early."""
 
     def __init__(self):
+        self.stop = threading.Event()
         self._calls, self._done = queue.SimpleQueue(), queue.SimpleQueue()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -362,7 +395,9 @@ class _Helper:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, *exc_info):
+        if exc_type is not None:
+            self.stop.set()
         self._calls.put(None)
         self._thread.join()
 
@@ -477,8 +512,8 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     statistic with its permutation null over the pooled rows. One kernel
     matrix serves the reflection search, the statistic and the null. All
     randomness derives from ``config.seed`` unless an explicit ``rng`` is
-    supplied. Both graphs, ``d`` against each size and ``n, m >= 2`` are
-    checked before any embedding or draw.
+    supplied. Both graphs, ``d`` against each size, ``n, m >= 2`` and
+    ``rng`` are checked before any embedding or draw.
 
     When the null's products split over two cores (two panels or more and
     two usable cores, see :func:`_null_helper`), the one helper thread
@@ -488,7 +523,10 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     no thread is started. Either way the null takes O(N² + N·512) working
     memory plus N·B/8 bytes for the draws (N = n + m, B permutations), and
     the result and ``rng``'s end state are the same bits at a fixed BLAS
-    thread count.
+    thread count. When an embedding raises while the helper draws, the
+    helper stops within one block of rounds (see :func:`_draw`) and is
+    joined before the error reaches the caller; ``rng``'s end state after
+    an error is unspecified.
 
     Parameters
     ----------
@@ -497,7 +535,8 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
         ``config.d`` and at least 2 vertices.
     config : TestConfig
     rng : numpy.random.Generator, optional
-        Overrides the seed-derived stream (used by simulation harnesses).
+        Overrides the seed-derived stream (used by simulation harnesses);
+        anything else but ``None`` is refused.
 
     Returns
     -------
@@ -508,12 +547,14 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     check_dimension(config.d, n)
     check_dimension(config.d, m)
     mmd.check_sizes(n, m)
+    if rng is not None:
+        check_generator(rng)
     with _null_helper(n + m, config.permutations) as helper:
         drawing = None
         if helper is not None:
             rng = substream(config.seed) if rng is None else rng
             drawn = _packed(n + m, config.permutations)
-            helper.start(_draw, drawn, n, config.permutations, rng)
+            helper.start(_draw, drawn, n, config.permutations, rng, helper.stop)
             drawing = helper, drawn
         px, info_x = _embed(graph_a, config, config.sparsity_x)
         py, info_y = _embed(graph_b, config, config.sparsity_y)
@@ -530,8 +571,10 @@ def two_sample_point_test(x, y, config, rng=None):
     true latent positions, where no reflection ambiguity exists (the
     clouds share one coordinate frame, so the search is skipped). The
     sparse variant reduces to identity here because true positions carry
-    no sparsity scaling.
+    no sparsity scaling. ``rng`` is as in :func:`two_sample_test`.
     """
+    if rng is not None:
+        check_generator(rng)
     variant = "identity" if config.variant == "sparse" else config.variant
     px, _ = preprocess(x, variant, eps_floor=config.eps_floor)
     py, _ = preprocess(y, variant, eps_floor=config.eps_floor)

@@ -39,7 +39,7 @@ from rdpgtest.testing import (
     two_sample_test,
 )
 
-from util import random_cloud
+from util import loop_draw, random_cloud
 
 SPEC = GaussianKernel(0.5)
 
@@ -128,6 +128,64 @@ class TestPermutationNull:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSampleError):
             permutation_null(np.zeros((3, 2)), 1, 2, SPEC, 5, substream(78))
+
+
+# (N, n, B) around the blocks of ``_draw``: 6144 rounds at N = 2, 1752 at
+# N = 7, 240 at N = 50, 40 at N = 300, and exactly 8 from N = 1536 up.
+DRAW_GRID = [
+    (2, 1, 1), (2, 1, 7), (2, 1, 6144), (2, 1, 6145),
+    (7, 3, 5), (7, 6, 1753),
+    (50, 20, 239), (50, 20, 240), (50, 20, 241), (50, 25, 1000),
+    (300, 150, 100), (300, 1, 81), (300, 299, 13),
+    (1536, 400, 17), (1537, 400, 9), (1600, 400, 25),
+]
+
+
+class TestBlockDraw:
+    """``_draw`` takes each block of rounds with one ``Generator.permuted``
+    call; the packed bits and the stream's end state must be those of one
+    ``Generator.permutation`` per round."""
+
+    @pytest.mark.parametrize("total, n, permutations", DRAW_GRID)
+    def test_bits_and_stream_of_the_loop(self, total, n, permutations):
+        blocks, loop = (testing._packed(total, permutations) for _ in range(2))
+        rng_blocks, rng_loop = (substream(160, total, permutations) for _ in range(2))
+        testing._draw(blocks, n, permutations, rng_blocks)
+        loop_draw(loop, n, permutations, rng_loop)
+        assert np.array_equal(blocks, loop)
+        assert rng_blocks.random() == rng_loop.random()
+
+    @pytest.mark.parametrize("total, permutations, shapes", [
+        (2, 6145, [(6144, 2), (1, 2)]),
+        (50, 1000, [(240, 50)] * 4 + [(40, 50)]),
+        (1600, 17, [(8, 1600), (8, 1600), (1, 1600)]),
+    ])
+    def test_blocks_of_whole_bytes_within_the_budget(self, total, permutations, shapes):
+        calls = []
+
+        class Recorded(np.random.Generator):
+            def permuted(self, x, **kwargs):
+                calls.append(x.shape)
+                return super().permuted(x, **kwargs)
+
+        testing._draw(testing._packed(total, permutations), 1, permutations,
+                      Recorded(np.random.PCG64(161)))
+        assert calls == shapes
+
+    def test_a_set_stop_ends_the_draw_before_the_next_block(self):
+        stop, calls = threading.Event(), []
+
+        class Stopping(np.random.Generator):
+            def permuted(self, x, **kwargs):
+                calls.append(x.shape)
+                stop.set()
+                return super().permuted(x, **kwargs)
+
+        drawn = testing._packed(300, 100)
+        testing._draw(drawn, 150, 100, Stopping(np.random.PCG64(162)), stop)
+        # One block of 40 rounds: 5 bytes drawn, the other 8 left zero.
+        assert calls == [(40, 300)]
+        assert drawn[:, :5].any(axis=0).all() and not drawn[:, 5:].any()
 
 
 def _whole_null(k, n, m, permutations, rng):
@@ -384,31 +442,38 @@ class TestDrawWhileEmbedding:
         assert split_tests[f"{helper}-null"].shape == (permutations,)
 
     def test_embedding_error_joins_the_drawing_helper(self, monkeypatch):
-        drawing, failed, draws = threading.Event(), threading.Event(), []
-        draw = testing._draw
+        # The first block of the draw waits until the failed embedding has
+        # set the helper's stop, so the draw must end after that block.
+        drawing, helpers, blocks = threading.Event(), [], []
 
-        def slow_draw(*args):
-            draws.append(threading.current_thread())
-            drawing.set()
-            assert failed.wait(timeout=30)
-            draw(*args)
-            draws.append("done")
+        class Recorded(testing._Helper):
+            def __init__(self):
+                helpers.append(self)
+                super().__init__()
+
+        class Gated(np.random.Generator):
+            def permuted(self, x, **kwargs):
+                blocks.append(threading.current_thread())
+                drawing.set()
+                assert helpers[0].stop.wait(timeout=30)
+                return super().permuted(x, **kwargs)
 
         def failing_ase(graph, d):
             assert drawing.wait(timeout=30)
-            failed.set()
             raise np.linalg.LinAlgError("eigh did not converge")
 
         monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(testing, "_draw", slow_draw)
+        monkeypatch.setattr(testing, "_Helper", Recorded)
         monkeypatch.setattr(testing, "ase", failing_ase)
         a, b = _two_graphs(0.0, 300, seed=153)
         running = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError, match="^eigh did not converge$"):
-            two_sample_test(a, b, TestConfig(permutations=600, seed=154))
-        helper = draws[0]
+            two_sample_test(a, b, TestConfig(permutations=600, seed=154),
+                            rng=Gated(np.random.PCG64(154)))
+        # N = 600 draws 16 rounds per block: one block of 38 was drawn.
+        helper = blocks[0]
         assert helper is not threading.main_thread() and helper.daemon
-        assert draws[1] == "done" and not helper.is_alive()
+        assert len(blocks) == 1 and len(helpers) == 1 and not helper.is_alive()
         assert threading.active_count() == running
 
     @pytest.mark.parametrize("n, m, permutations, threads", [
@@ -654,6 +719,27 @@ class TestTwoSampleTest:
         monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
         with pytest.raises(error, match=message):
             two_sample_test(*graphs, TestConfig(d=d, permutations=600))
+
+    @pytest.mark.parametrize("rng", [None, 5, np.random.RandomState(0)],
+                             ids=["None", "int", "RandomState"])
+    def test_rng_must_be_a_generator(self, monkeypatch, rng):
+        # None still means config.seed in the two test functions.
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the rng was checked")
+
+        a, b = _two_graphs(0.0, 30, seed=158)
+        pooled = random_cloud(10, 2, substream(159))
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(testing, "preprocess", refuse)
+        monkeypatch.setattr(mmd, "gram", refuse)
+        calls = [lambda: permutation_null(pooled, 5, 5, SPEC, 10, rng)]
+        if rng is not None:
+            calls += [lambda: two_sample_test(a, b, TestConfig(permutations=600), rng=rng),
+                      lambda: two_sample_point_test(pooled[:5], pooled[5:], TestConfig(), rng=rng)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^rng must be a numpy.random.Generator, "
+                                                 f"got {type(rng).__name__}$"):
+                call()
 
     @pytest.mark.parametrize(
         "make, message",

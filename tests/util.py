@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force and population oracles, and random geometry."""
+"""Shared test helpers: brute-force and population oracles, a loop oracle of
+the permutation draw, and random geometry."""
 
 import numpy as np
 from scipy.stats import ortho_group
@@ -36,6 +37,14 @@ def loop_v(spec, x, y):
     sxy = sum(kernel_eval(spec, x[i], y[k]) for i in range(n) for k in range(m))
     syy = sum(kernel_eval(spec, y[k], y[l]) for k in range(m) for l in range(m))
     return sxx / n**2 - 2.0 * sxy / (n * m) + syy / m**2
+
+
+def loop_draw(drawn, n, permutations, rng):
+    """One ``rng.permutation`` per round, each scattered into the packed
+    bits ``drawn``: the oracle of ``testing._draw``."""
+    total = drawn.shape[0]
+    for b in range(permutations):
+        drawn[rng.permutation(total)[:n], b >> 3] |= 128 >> (b & 7)
 
 
 def edge_pairs(graph):

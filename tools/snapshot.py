@@ -11,7 +11,8 @@ difference. The grid records:
   tests and a null with more permutations than one panel, and a test whose
   null draws on a helper thread where two cores are usable;
 - sampled graphs of every latent family, with the stream's next draw,
-  and permutation nulls around the panel boundaries;
+  and permutation nulls around the panel boundaries and over several
+  blocks of the draw;
 - ``sbm_to_latent`` atoms on random and structured block matrices;
 - embeddings, sign conventions and alignment diagnostics;
 - power-study, alignment-comparison and dissimilarity outputs;
@@ -21,7 +22,8 @@ difference. The grid records:
   adjacencies, sample and study sizes, replicate counts and every other
   count, extreme and median bandwidths, INI keys and values, seeds, integer
   options, matrix labels, sparsity factors at every entry point, point
-  clouds of two widths, the ``eps_floor`` bound and non-finite statistics;
+  clouds of two widths, the ``eps_floor`` bound, non-finite statistics and
+  streams that are not a ``numpy.random.Generator``;
 - the repr of each error raised.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
@@ -198,12 +200,21 @@ def grid_sampler(grid, rt):
 
 def grid_null(grid, rt):
     """Permutation nulls around the panel boundaries, for a pool under and
-    over 64 rows."""
+    over 64 rows, and one whose draw takes five blocks of rounds (240 rounds
+    each at 50 rows), with the stream's next draw."""
     for (n, m), b in product(((7, 13), (30, 40), (150, 250)),
                              (255, 256, 511, 512, 1023, 1024, 2047, 2049, 10000)):
         pooled = rt.substream(18, n).random((n + m, 2)) / np.sqrt(2.0)
         grid.run(f"null/{n}x{m}/B{b}", lambda: rt.permutation_null(
             pooled, n, m, rt.GaussianKernel(0.5), b, rt.substream(19, b)), grid.put)
+
+    def blocks():
+        rng = rt.substream(19, 50)
+        pooled = rt.substream(18, 50).random((50, 2)) / np.sqrt(2.0)
+        return rt.permutation_null(pooled, 20, 30, rt.GaussianKernel(0.5), 1000, rng), rng.random()
+
+    grid.run("null/20x30/B1000", blocks,
+             lambda key, out: (grid.put(key, out[0]), grid.put(f"{key}/next", out[1])))
 
 
 def grid_sbm(grid, rt):
@@ -612,6 +623,7 @@ def grid_cli(grid, rt, graphs, workdir):
 
 
 def grid_errors(grid, rt):
+    path = np.eye(4, k=1, dtype=int) + np.eye(4, k=-1, dtype=int)
     cases = {
         "config/variant": lambda: rt.TestConfig(variant="x"),
         "config/permutations": lambda: rt.TestConfig(permutations=0),
@@ -697,6 +709,10 @@ def grid_errors(grid, rt):
         "knn/folds-float": lambda: rt.knn_classify(np.zeros((4, 4)), "aabb", 1, folds=2.5),
         "null/n-float": lambda: rt.permutation_null(np.ones((5, 1)), 2.5, 2.5, rt.GaussianKernel(), 5,
                                                     rt.substream(0)),
+        "rng/null-None": lambda: rt.permutation_null(np.eye(4), 2, 2, rt.GaussianKernel(), 5, None),
+        "rng/test-int": lambda: rt.two_sample_test(path, path, rt.TestConfig(), rng=5),
+        "rng/point-RandomState": lambda: rt.two_sample_point_test(
+            np.eye(4), np.eye(4), rt.TestConfig(), rng=np.random.RandomState(0)),
     }
     logit = rt.LogitNormalMixture([[0.0, 0.0], [4.0, 4.0]], [np.eye(2), np.eye(2)], [0.4, 0.6])
     for value in (2.5, 0):
