@@ -24,6 +24,7 @@ from .model import (
     LogitNormalMixture,
     PointMassMixture,
     UniformBox,
+    as_graph,
 )
 
 __all__ = ["read_edge_list", "write_edge_list"]
@@ -102,11 +103,54 @@ def _scatter_edges(body, adjacency):
     return Graph(adjacency)
 
 
+# Adjacency entries in one block of rows of write_edge_list (one row if longer).
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _names(n, end):
+    """The names ``0 … n-1``, each followed by ``end``, as fixed-width void
+    records; zero bytes pad a shorter name on the left."""
+    width = len(str(max(n - 1, 0)))
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    index = np.arange(n)[:, None]
+    table = np.empty((n, width + 1), np.uint8)
+    table[:, :-1] = index // powers % 10 + ord("0")
+    table[:, :-1][(index < powers) & (powers > 1)] = 0  # leading zeros, but 0 keeps its digit
+    table[:, -1] = ord(end)
+    return table.view(f"V{width + 1}").ravel()
+
+
 def write_edge_list(graph, path):
-    """Write a graph in the edge-list format read by :func:`read_edge_list`."""
-    u, v = np.nonzero(np.triu(graph.adjacency, 1))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# vertices: {graph.n}\n" + "".join(map("{} {}\n".format, u.tolist(), v.tolist())))
+    """Write a graph, or an adjacency array checked as a :class:`Graph` before
+    the file is opened, in the edge-list format read by :func:`read_edge_list`.
+
+    The edges go in whole-array passes over blocks of rows: the indices
+    right of the diagonal are looked up in a byte table of the names
+    ``0 … n-1``, the ``u v`` lines are laid out in one zero-padded byte
+    array, and one compress drops the padding. Beyond the name tables the
+    working memory is bounded by a block of 2**16 adjacency entries (one
+    row if longer). The bytes are those of one ``"{} {}\\n".format`` per
+    edge, with ``\\n`` line ends on every platform.
+    """
+    graph = as_graph(graph)
+    n = graph.n
+    heads, tails = _names(n, " "), _names(n, "\n")
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    with open(path, "wb") as handle:
+        handle.write(f"# vertices: {n}\n".encode())
+        for start in range(0, n, rows):
+            handle.write(_edge_lines(graph.adjacency[start:start + rows], start, heads, tails))
+
+
+def _edge_lines(block, start, heads, tails):
+    """The bytes of the ``u v`` lines of the rows ``block``, the first of
+    them row ``start``, right of the diagonal; its scratch dies with the call."""
+    u, v = np.nonzero(np.triu(block, start + 1))
+    lines = np.empty((len(u), 2), heads.dtype)
+    lines[:, 0] = heads[u + start]
+    lines[:, 1] = tails[v]
+    text = lines.view(np.uint8).ravel()
+    return text[text != 0]
 
 
 def _fmt(value):

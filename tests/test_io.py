@@ -1,5 +1,6 @@
 import configparser
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdpgtest import io
-from rdpgtest.errors import EdgeListFormatError
+from rdpgtest.errors import EdgeListFormatError, ModelError
 from rdpgtest.harness import (
     load_power_config,
     load_wcompare_config,
@@ -37,7 +38,7 @@ from rdpgtest.model import (
     sample_rdpg,
 )
 from rdpgtest.streams import substream
-from util import edge_pairs
+from util import edge_pairs, format_edge_list
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,6 +149,76 @@ class TestEdgeList:
             read_edge_list(path)
 
 
+def _graph_of(n, kind, seed):
+    """An edgeless, a sparse (about 1.5 edges per vertex) or a complete graph on n vertices."""
+    if kind == "empty":
+        return Graph(np.zeros((n, n), dtype=int))
+    if kind == "complete":
+        return Graph(1 - np.eye(n, dtype=int))
+    upper = np.triu(substream(seed, n).random((n, n)) < 3 / max(n, 1), 1)
+    return Graph(upper | upper.T)
+
+
+class TestEdgeListWriter:
+    """The block writer gives the bytes of one ``str.format`` per edge, and they read back."""
+
+    def check(self, graph, path):
+        write_edge_list(graph, path)
+        assert path.read_bytes() == format_edge_list(graph).encode()
+        assert np.array_equal(read_edge_list(path).adjacency, graph.adjacency)
+
+    @pytest.mark.parametrize("kind", ["empty", "sparse", "complete"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001])
+    def test_same_bytes_as_the_format_oracle(self, tmp_path, n, kind):
+        self.check(_graph_of(n, kind, 122), tmp_path / "g.edges")
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_edges_on_both_sides_of_a_block_boundary(self, tmp_path, n):
+        rows = io._BLOCK_ENTRIES // n  # the first row of the second block
+        assert 1 < rows < n // 2
+        a = np.zeros((n, n), dtype=int)
+        for u, v in [(0, n - 1), (rows - 1, rows), (rows - 1, n - 1), (rows, rows + 1),
+                     (rows, n - 1), (2 * rows - 1, 2 * rows)]:
+            a[u, v] = a[v, u] = 1
+        self.check(Graph(a), tmp_path / "g.edges")
+
+    @pytest.mark.parametrize("entries", [1, 10, 11, 25])
+    @pytest.mark.parametrize("kind", ["sparse", "complete"])
+    def test_blocks_of_one_row_and_of_several(self, tmp_path, monkeypatch, entries, kind):
+        monkeypatch.setattr(io, "_BLOCK_ENTRIES", entries)  # n = 11: rows of 1, 1, 1 and 2
+        self.check(_graph_of(11, kind, 123), tmp_path / "g.edges")
+
+    def test_an_array_writes_the_bytes_of_its_graph(self, tmp_path):
+        graph = _graph_of(12, "sparse", 124)
+        write_edge_list(graph, tmp_path / "graph.edges")
+        write_edge_list(graph.adjacency.tolist(), tmp_path / "list.edges")
+        write_edge_list(np.array([[0, 1], [1, 0]]), tmp_path / "pair.edges")
+        assert (tmp_path / "list.edges").read_bytes() == (tmp_path / "graph.edges").read_bytes()
+        assert (tmp_path / "pair.edges").read_bytes() == b"# vertices: 2\n0 1\n"
+
+    def test_an_array_with_a_self_loop_is_refused_before_the_file_is_created(self, tmp_path):
+        path = tmp_path / "g.edges"
+        with pytest.raises(ModelError, match=r"^adjacency must have a zero diagonal \(no self-loops\)$"):
+            write_edge_list(np.array([[0, 1], [1, 1]]), path)
+        assert not path.exists()
+
+    def test_memory_of_a_dense_graph_is_bounded_by_a_block(self, tmp_path):
+        n = 2000
+        graph = _graph_of(n, "complete", 0)
+        path = tmp_path / "g.edges"
+        tracemalloc.start()
+        try:
+            write_edge_list(graph, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One str.format per edge peaked at 308 MB on this graph: the index
+        # arrays, two lists of ints and the joined text of all 1 999 000 edges.
+        assert peak < 64 * io._BLOCK_ENTRIES  # 4 MiB: 64 bytes per entry of a block
+        names = sum(len(str(i)) for i in range(n))
+        assert path.stat().st_size == len(f"# vertices: {n}\n") + (n - 1) * names + n * (n - 1)
+
+
 def _outcome(read, path):
     """What a reader gives for ``path``: the adjacency bytes, dtype and shape, or the error."""
     try:
@@ -173,10 +244,12 @@ ODD_LINES = ["", "   ", "\t", "# note", "  # c", "x", "0 1 2", "0", "-1 0", "1_0
 
 @st.composite
 def edge_files(draw):
-    n = draw(st.integers(0, 7))
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    n = draw(st.integers(0, 120))  # indices of one, two and three digits
     # Drawn with replacement, both orders: duplicates and reversed duplicates.
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=15)) if pairs else []
+    # v is drawn from n - 1 values and skips u, so no pair is a self-loop.
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+        lambda p: (p[0], p[1] + (p[1] >= p[0])))
+    edges = draw(st.lists(pair, max_size=15)) if n > 1 else []
     # Each file uses one or two separators and spellings, so many files are plain ASCII.
     sep = st.sampled_from(draw(st.lists(st.sampled_from(SEPARATORS), min_size=1, max_size=2)))
     spell = st.sampled_from(draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=2)))

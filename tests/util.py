@@ -1,5 +1,5 @@
-"""Shared test helpers: brute-force and population oracles, a loop oracle of
-the permutation draw, and random geometry."""
+"""Shared test helpers: brute-force and population oracles, loop oracles of
+the permutation draw and the edge-list writer, and random geometry."""
 
 import numpy as np
 from scipy.stats import ortho_group
@@ -45,6 +45,13 @@ def loop_draw(drawn, n, permutations, rng):
     total = drawn.shape[0]
     for b in range(permutations):
         drawn[rng.permutation(total)[:n], b >> 3] |= 128 >> (b & 7)
+
+
+def format_edge_list(graph):
+    """The edge-list text of ``graph``, one ``str.format`` per edge: the
+    oracle of ``io.write_edge_list``."""
+    u, v = np.nonzero(np.triu(graph.adjacency, 1))
+    return f"# vertices: {graph.n}\n" + "".join(map("{} {}\n".format, u.tolist(), v.tolist()))
 
 
 def edge_pairs(graph):

@@ -409,6 +409,13 @@ def grid_io(grid, rt, graphs, workdir):
     grid.run("io/edges/dissim_io-g000", lambda: rt.write_edge_list(graph, path),
              lambda k, _: grid.put(k, hashlib.sha256(_file(path)).hexdigest()))
     grid.run("io/read/dissim_io-g000", lambda: rt.read_edge_list(path), lambda k, g: grid.put(k, g.adjacency))
+    # Names of 1 to 4 digits: edges at vertices 9/10, 99/100 and 999/1000 of n = 1001.
+    widths = np.zeros((1001, 1001), dtype=int)
+    for u, v in ((0, 9), (9, 10), (10, 99), (99, 100), (100, 999), (999, 1000), (0, 1000)):
+        widths[u, v] = widths[v, u] = 1
+    grid.run("io/edges/digit-widths", lambda: rt.write_edge_list(rt.Graph(widths), path),
+             lambda k, _: grid.put(k, _file(path)))
+    grid.run("io/read/digit-widths", lambda: rt.read_edge_list(path), lambda k, g: grid.put(k, g.adjacency))
     dists = {
         "pmm": {"kind": "point_mass_mixture", "atoms": "0.5 0.2 ; 0.1 0.6", "weights": "0.3 0.7"},
         "dirichlet": {"kind": "dirichlet", "concentration": "1, 2 3"},
