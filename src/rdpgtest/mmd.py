@@ -303,12 +303,14 @@ def median_heuristic(points):
     """Median pairwise Euclidean distance of a pooled sample.
 
     Common bandwidth preset for the Gaussian kernel. Raises if fewer than
-    two points or if the median distance is zero.
+    two points, if a point is not finite or if the median distance is zero.
     """
     points = _as_points(points, "points")
     n = points.shape[0]
     if n < 2:
         raise InsufficientSampleError("median heuristic needs at least 2 points")
+    if not np.isfinite(points).all():
+        raise ValueError("median heuristic needs finite points")
     # The n(n-1)/2 distances of pdist, copied in from row chunks of the
     # upper triangle; the median then partitions them in place.
     dist = np.empty(n * (n - 1) // 2)

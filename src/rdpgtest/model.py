@@ -423,7 +423,7 @@ def edge_prob_matrix(latent, sparsity=1.0):
     x = _positions(latent)
     p = x @ x.T
     p *= check_sparsity(sparsity)
-    lo, hi = float(p.min()), float(p.max())
+    lo, hi = float(p.min(initial=np.inf)), float(p.max(initial=-np.inf))  # no rows: none to check
     if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise ModelError(f"edge probabilities span [{lo:.6g}, {hi:.6g}], outside [0, 1]")
     return p

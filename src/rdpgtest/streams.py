@@ -37,6 +37,7 @@ def check_count(value, name, minimum=1):
 def check_generator(rng):
     """The one rule for a stream passed in by a caller: a
     ``numpy.random.Generator`` (the permutation null draws with
-    ``Generator.permuted``, which a legacy ``RandomState`` lacks)."""
+    ``Generator.permuted``, which a legacy ``RandomState`` lacks). Returns it."""
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    return rng

@@ -5,20 +5,9 @@ embedding of one graph, then its row normalization), bandwidth
 (:func:`_bandwidth`: the median heuristic, when asked for), align
 (:func:`_align`: the reflection search, which yields the kernel sums of the
 statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
-the permutation null, from that one matrix). Each input is checked once:
-the options by :class:`TestConfig` (``d``, the permutation count and the
-seed by ``streams.check_count``), sparsity factors by
-``model.check_sparsity``, 0/1 entries, a zero diagonal and symmetry by
-:class:`~rdpgtest.model.Graph` (an array is made one), ``d <= n`` by
-``embed.check_dimension``, the row-norm floor by :func:`check_floor`,
-degenerate rows by :func:`preprocess`, ``n, m >= 2`` by
-``mmd.check_sizes``, rows of one width by ``mmd.check_widths``, finite
-rows by ``_calibrate`` and a finite statistic by ``mmd.finite_statistic``;
-``mmd.fixed_bandwidth`` refuses an unresolved median and
-``streams.check_generator`` a caller's ``rng`` that is not a
-``numpy.random.Generator``. :func:`two_sample_test` applies the graph,
-dimension, size and stream rules before it embeds either graph or draws.
-The variants are:
+the permutation null, from that one matrix, with the permutations that
+:func:`_drawn` drew before any kernel block or embedding). Each input is
+checked once, by the one rule README lists for it. The variants are:
 
 ``identity``
     Equality of the latent-position distributions up to an orthogonal
@@ -36,9 +25,8 @@ The variants are:
 
 import json
 import os
-import queue
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -171,9 +159,9 @@ def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_fl
     if variant == "identity":
         return x.copy(), {}
     if variant == "scaling":
-        s = np.linalg.norm(x) / np.sqrt(x.shape[0])
-        if s <= 0:
-            raise ValueError("cannot scale an all-zero embedding")
+        s = np.linalg.norm(x) / np.sqrt(max(x.shape[0], 1))  # no rows: 0, refused
+        if not s > 0:
+            raise ValueError(f"scale must be > 0, got {s}")
         return x / s, {"scale": float(s)}
     if variant == "projection":
         norms = np.linalg.norm(x, axis=1)
@@ -192,24 +180,26 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     For each of ``permutations`` rounds, a uniform random permutation
     assigns the first ``n`` pooled rows to a pseudo first sample and the
     remaining ``m`` to a pseudo second sample, and the unbiased two-sample
-    statistic is recorded. The kernel matrix of the pool is computed once
-    and every permutation is drawn first, packed into N·B/8 bytes with
-    N = n + m, in blocks of rounds of one ``rng.permuted`` call each (see
-    :func:`_draw`; its scratch is 96 KB up to N = 1536, 64·N bytes above);
-    each round then only re-aggregates the matrix's entries, in
-    panels of 256 rounds (wider for a pool under 64 rows; the last takes
-    the remainder, up to 511), so the working memory is O(N² + N·512) plus
-    N·B/8 bytes, not O(N·B). It uses up to two cores: with two panels or
-    more and two usable cores, a helper thread computes part of each
-    panel's product (see :func:`_null_from_gram`). Deterministic given
-    ``rng``; at a fixed BLAS thread count the values are bit-identical with
-    the helper or without it, and at one BLAS thread they are the bits of
-    one product over all rounds. With a multi-threaded BLAS the two threads
-    compete for the same cores. :func:`two_sample_test` draws the same null
-    from the one kernel matrix that also serves its reflection search and
-    statistic, which it builds in place, and draws the permutations while
-    it embeds the graphs. ``rng`` must be a ``numpy.random.Generator``,
-    checked before the kernel matrix is built.
+    statistic is recorded. Every permutation is drawn first (see
+    :func:`_drawn`), packed into N·B/8 bytes with N = n + m, in blocks of
+    rounds of one ``rng.permuted`` call each (see :func:`_draw`; its
+    scratch is 96 KB up to N = 1536, 64·N bytes above). The kernel matrix
+    of the pool is computed once, and each round then only re-aggregates
+    the matrix's entries, in panels of 256 rounds (wider for a pool under
+    64 rows; the last takes the remainder, up to 511), so the working
+    memory is O(N² + N·512) plus N·B/8 bytes, not O(N·B). It uses up to
+    two cores: with two panels or more and two usable cores, one worker
+    thread draws while the kernel matrix is built, then computes part of
+    each panel's product (see :func:`_null_from_gram`). Deterministic given
+    ``rng``; at a fixed BLAS thread count the values and ``rng``'s end
+    state are bit-identical on one core or two, and at one BLAS thread the
+    values are the bits of one product over all rounds. With a
+    multi-threaded BLAS the two threads compete for the same cores.
+    :func:`two_sample_test` draws the same null, in the same order, before
+    it embeds the graphs, from the one kernel matrix that also serves its
+    reflection search and statistic. ``rng`` must be a
+    ``numpy.random.Generator`` and ``spec`` a fixed bandwidth
+    (``mmd.fixed_bandwidth``), both checked before the draw.
 
     Returns
     -------
@@ -222,7 +212,9 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
         raise ValueError(f"pool has {total} rows but n + m = {n + m}")
     check_count(permutations, "permutations")
     check_generator(rng)
-    return _null_drawn_first(mmd.gram(spec, pooled, pooled), n, m, permutations, rng)
+    mmd.fixed_bandwidth(spec)
+    with _drawn(n, m, permutations, rng) as draw:
+        return _null_from_gram(mmd.gram(spec, pooled, pooled), n, m, permutations, draw)
 
 
 _PANEL = 256  # permutations per column panel of the null
@@ -239,20 +231,19 @@ def _usable_cores():
 
 def _layout(total, permutations):
     """The null's panel width and count over a pool of ``total`` rows, and
-    the first row of the helper's row block (see :func:`_null_from_gram`)."""
+    the first row of the lower row block (see :func:`_null_from_gram`)."""
     width = _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total))
     upper = _ROWS * round(total / (2 * _ROWS))
     return width, max(permutations // width, 1), upper
 
 
-def _null_helper(total, permutations):
-    """A :class:`_Helper` when the null's products split (two panels or
+def _splits(total, permutations):
+    """Whether the null's products split over two cores: two panels or
     more, two row blocks of at least ``_PANEL_MADDS`` each and two usable
-    cores), else a context of ``None``."""
+    cores."""
     width, panels, upper = _layout(total, permutations)
-    split = (panels > 1 and min(upper, total - upper) * total * width >= _PANEL_MADDS
-             and _usable_cores() > 1)
-    return _Helper() if split else nullcontext()
+    return (panels > 1 and min(upper, total - upper) * total * width >= _PANEL_MADDS
+            and _usable_cores() > 1)
 
 
 def _packed(total, permutations):
@@ -295,20 +286,42 @@ def _draw(drawn, n, permutations, rng, stop=None):
         drawn[:, start // 8:-(-(start + width) // 8)] = np.packbits(mask, axis=1)
 
 
-def _null_drawn_first(k, n, m, permutations, rng):
-    """:func:`_null_from_gram` for a caller with nothing to overlap the
-    draw with: every permutation is drawn on the calling thread first."""
+@contextmanager
+def _drawn(n, m, permutations, rng):
+    """The one way into the null: every permutation is drawn into
+    :func:`_packed` bits, in order, as the block is entered. When the
+    products split (:func:`_splits`), the draw runs on a one-thread pool
+    while the block goes on, and the same pool later takes the lower row
+    blocks of each panel's product; otherwise it runs at once on the
+    calling thread and no thread starts. Yields ``(drawn, pool, future)``
+    for :func:`_null_from_gram`, with the pool and the draw's future
+    ``None`` when nothing splits. Leaving the block by an exception sets
+    the draw's ``stop``, so it ends within one block of rounds, and the
+    pool's thread is joined before the block is left; ``rng``'s end state
+    after an error is unspecified."""
     drawn = _packed(n + m, permutations)
-    _draw(drawn, n, permutations, rng)
-    with _null_helper(n + m, permutations) as helper:
-        return _null_from_gram(k, n, m, permutations, drawn, helper)
+    if not _splits(n + m, permutations):
+        _draw(drawn, n, permutations, rng)
+        yield drawn, None, None
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here: import rdpgtest loads no concurrent
+
+    stop = threading.Event()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            yield drawn, pool, pool.submit(_draw, drawn, n, permutations, rng, stop)
+        except BaseException:
+            stop.set()
+            raise
 
 
-def _null_from_gram(k, n, m, permutations, drawn, helper):
+def _null_from_gram(k, n, m, permutations, draw):
     """:func:`permutation_null` on the pooled kernel matrix ``k`` and the
-    permutations ``drawn`` by :func:`_draw` beforehand: by the helper while
-    :func:`two_sample_test` embeds the graphs when the products split,
-    else on the calling thread (:func:`_null_drawn_first`).
+    ``draw`` of :func:`_drawn`, entered before ``k`` was built: the
+    permutations were drawn then on the calling thread, or are drawn on the
+    pool while the caller builds ``k`` (and, in :func:`two_sample_test`,
+    embeds the graphs) when the products split. That draw is waited for,
+    and its exception raised, before the first panel.
 
     The rounds are aggregated in column panels of ``_PANEL`` (a multiple
     of it for a pool under 64 rows); the last panel also takes the
@@ -320,14 +333,17 @@ def _null_from_gram(k, n, m, permutations, drawn, helper):
     unpacked into one N x width slot, so beside ``k`` and the N·B/8 bytes
     of ``drawn`` the working memory is O(N·512).
 
-    ``helper``, given exactly when :func:`_null_helper` makes one,
-    computes the lower rows of each panel's ``k @ z`` while the calling
-    thread computes the upper ones: both row blocks start at a multiple of
-    ``_ROWS``, each takes at least ``_PANEL_MADDS``, and a panel whose
-    width is not a multiple of ``_ROWS`` is computed whole. Split that way,
-    each entry of the product keeps the bits of the whole product at one
-    BLAS thread. The helper writes only into the arrays the calling thread
-    allocated, and this function never touches the random stream."""
+    With the pool, its thread computes the lower rows of each panel's
+    ``k @ z`` while the calling thread computes the upper ones: both row
+    blocks start at a multiple of ``_ROWS``, each takes at least
+    ``_PANEL_MADDS``, and a panel whose width is not a multiple of
+    ``_ROWS`` is computed whole. Split that way, each entry of the product
+    keeps the bits of the whole product at one BLAS thread. The pool writes
+    only into the arrays the calling thread allocated, and this function
+    never touches the random stream."""
+    drawn, pool, future = draw
+    if future is not None:
+        future.result()
     total = n + m
     diag = np.diagonal(k).copy()
     row_sums = k.sum(axis=1)
@@ -342,10 +358,10 @@ def _null_from_gram(k, n, m, permutations, drawn, helper):
         kz = kz_slot[: z.size].reshape(z.shape)
         z[...] = np.unpackbits(drawn[:, cols.start // 8:-(-cols.stop // 8)], axis=1,
                                count=z.shape[1])
-        if helper is not None and z.shape[1] % _ROWS == 0:
-            helper.start(_rows_product, k, z, kz, slice(upper, None))
+        if pool is not None and z.shape[1] % _ROWS == 0:
+            lower = pool.submit(_rows_product, k, z, kz, slice(upper, None))
             _rows_product(k, z, kz, slice(upper))
-            helper.wait()
+            lower.result()
         else:
             _rows_product(k, z, kz, slice(None))
         np.einsum("ib,ib->b", z, kz, out=quad[cols])
@@ -362,46 +378,6 @@ def _rows_product(k, z, out, rows):
     np.matmul(k[rows], z, out=out[rows])
 
 
-class _Helper:
-    """One daemon thread that runs one call at a time: :meth:`start` hands
-    it a call, :meth:`wait` returns once the call is done and raises its
-    exception, if any. Leaving the ``with`` block ends the thread once its
-    call is done; leaving it by an exception first sets :attr:`stop`, which
-    a long call may check to end early."""
-
-    def __init__(self):
-        self.stop = threading.Event()
-        self._calls, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while (call := self._calls.get()) is not None:
-            try:
-                call[0](*call[1:])
-            except BaseException as exc:  # raised on the calling thread by wait()
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-
-    def start(self, fn, *args):
-        self._calls.put((fn, *args))
-
-    def wait(self):
-        exc = self._done.get()
-        if exc is not None:
-            raise exc
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *exc_info):
-        if exc_type is not None:
-            self.stop.set()
-        self._calls.put(None)
-        self._thread.join()
-
-
 def p_value(observed, null_values):
     """Permutation p-value with the add-one convention.
 
@@ -411,6 +387,8 @@ def p_value(observed, null_values):
     null_values = np.asarray(null_values, dtype=float)
     if null_values.size == 0:
         raise ValueError("null sample is empty")
+    if np.isnan(observed) or np.isnan(null_values).any():
+        raise ValueError("the observed statistic and the null values must not be nan")
     return float((1 + int(np.sum(null_values >= observed))) / (null_values.size + 1))
 
 
@@ -459,30 +437,15 @@ def _align(kernel, px, py, reflections):
     return signs, (sxx, sxy, syy), k
 
 
-def _calibrate(px, py, config, rng, info, drawing=None):
-    """Stages 2-4 on preprocessed rows, then the report; its
-    ``preprocessing`` is the reflection signs (when aligning) and ``info``.
-    ``drawing`` is the helper and the array into which it is drawing the
-    permutations, when the caller started the draw; otherwise the stream
-    (``rng``, else one made from ``config.seed``) is drawn here."""
+def _calibrate(px, py, config, info, draw):
+    """Stages 2-4 on checked, preprocessed rows with the permutations of
+    ``draw`` (:func:`_drawn`), then the report; its ``preprocessing`` is
+    the reflection signs (when aligning) and ``info``."""
     n, m = px.shape[0], py.shape[0]
-    mmd.check_sizes(n, m)
-    mmd.check_widths(px, py)
-    if not (np.isfinite(px).all() and np.isfinite(py).all()):
-        raise ValueError("rows must be finite")
     kernel = _bandwidth(config.kernel, px, py)
     signs, sums, k = _align(kernel, px, py, config.align_reflections)
     observed = mmd.finite_statistic(mmd.u_from_sums(*sums, n, m), kernel)
-    if drawing is None:
-        # Made after the embeddings, where the one-core path always made it:
-        # an allocation moved ahead of the first ``eigh`` can shift glibc's
-        # heap layout, and with it a large test's peak RSS.
-        rng = substream(config.seed) if rng is None else rng
-        null_values = _null_drawn_first(k, n, m, config.permutations, rng)
-    else:
-        helper, drawn = drawing
-        helper.wait()
-        null_values = _null_from_gram(k, n, m, config.permutations, drawn, helper)
+    null_values = _null_from_gram(k, n, m, config.permutations, draw)
     p = p_value(observed, null_values)
     if config.align_reflections:
         info = {"reflection": signs.tolist(), **info}
@@ -515,18 +478,18 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     supplied. Both graphs, ``d`` against each size, ``n, m >= 2`` and
     ``rng`` are checked before any embedding or draw.
 
-    When the null's products split over two cores (two panels or more and
-    two usable cores, see :func:`_null_helper`), the one helper thread
-    of the call draws every permutation, in the order of the one-core path,
-    while the calling thread embeds the graphs; it then shares each panel's
-    product. Otherwise the permutations are drawn after the embeddings and
-    no thread is started. Either way the null takes O(N² + N·512) working
-    memory plus N·B/8 bytes for the draws (N = n + m, B permutations), and
-    the result and ``rng``'s end state are the same bits at a fixed BLAS
-    thread count. When an embedding raises while the helper draws, the
-    helper stops within one block of rounds (see :func:`_draw`) and is
-    joined before the error reaches the caller; ``rng``'s end state after
-    an error is unspecified.
+    Every permutation is drawn before the graphs are embedded, in the
+    order of :func:`permutation_null` (see :func:`_drawn`). When the
+    null's products split over two cores (two panels or more and two
+    usable cores), one worker thread draws while the calling thread embeds
+    the graphs, then shares each panel's product; otherwise the calling
+    thread draws first and no thread is started. Either way the null takes
+    O(N² + N·512) working memory plus N·B/8 bytes for the draws (N = n + m,
+    B permutations), and the result and ``rng``'s end state are the same
+    bits at a fixed BLAS thread count. When an embedding raises while the
+    worker draws, the draw stops within one block of rounds (see
+    :func:`_draw`) and the worker is joined before the error reaches the
+    caller; ``rng``'s end state after an error is unspecified.
 
     Parameters
     ----------
@@ -547,20 +510,13 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     check_dimension(config.d, n)
     check_dimension(config.d, m)
     mmd.check_sizes(n, m)
-    if rng is not None:
-        check_generator(rng)
-    with _null_helper(n + m, config.permutations) as helper:
-        drawing = None
-        if helper is not None:
-            rng = substream(config.seed) if rng is None else rng
-            drawn = _packed(n + m, config.permutations)
-            helper.start(_draw, drawn, n, config.permutations, rng, helper.stop)
-            drawing = helper, drawn
+    rng = substream(config.seed) if rng is None else check_generator(rng)
+    with _drawn(n, m, config.permutations, rng) as draw:
         px, info_x = _embed(graph_a, config, config.sparsity_x)
         py, info_y = _embed(graph_b, config, config.sparsity_y)
         info = {f"{key}_x": value for key, value in info_x.items()}
         info.update((f"{key}_y", value) for key, value in info_y.items())
-        return _calibrate(px, py, config, rng, info, drawing)
+        return _calibrate(px, py, config, info, draw)
 
 
 def two_sample_point_test(x, y, config, rng=None):
@@ -571,11 +527,18 @@ def two_sample_point_test(x, y, config, rng=None):
     true latent positions, where no reflection ambiguity exists (the
     clouds share one coordinate frame, so the search is skipped). The
     sparse variant reduces to identity here because true positions carry
-    no sparsity scaling. ``rng`` is as in :func:`two_sample_test`.
+    no sparsity scaling. ``rng`` is as in :func:`two_sample_test`. The
+    normalized rows are checked (``n, m >= 2``, one width, finite) before
+    the permutations are drawn, in the order of :func:`two_sample_test`.
     """
-    if rng is not None:
-        check_generator(rng)
+    rng = substream(config.seed) if rng is None else check_generator(rng)
     variant = "identity" if config.variant == "sparse" else config.variant
     px, _ = preprocess(x, variant, eps_floor=config.eps_floor)
     py, _ = preprocess(y, variant, eps_floor=config.eps_floor)
-    return _calibrate(px, py, replace(config, align_reflections=False), rng, {})
+    n, m = px.shape[0], py.shape[0]
+    mmd.check_sizes(n, m)
+    mmd.check_widths(px, py)
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise ValueError("rows must be finite")
+    with _drawn(n, m, config.permutations, rng) as draw:
+        return _calibrate(px, py, replace(config, align_reflections=False), {}, draw)

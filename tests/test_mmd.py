@@ -387,3 +387,11 @@ class TestMedianHeuristic:
     def test_degenerate_cloud_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             median_heuristic(np.tile([0.1, 0.1], (5, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # They gave a nan median, or an inf one past the nan distances.
+        points = np.array([[0.0, 0.1], [0.5, 0.2], [0.3, 0.9]])
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match="^median heuristic needs finite points$"):
+            median_heuristic(points)

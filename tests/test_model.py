@@ -9,6 +9,7 @@ from rdpgtest.errors import (
     NotPositiveSemidefiniteError,
 )
 from rdpgtest.harness import two_block_pair
+from rdpgtest.io import read_edge_list, write_edge_list
 from rdpgtest.model import (
     DegreeCorrected,
     DirichletLatent,
@@ -226,6 +227,16 @@ class TestSampleRdpg:
     def test_zero_positions_give_empty_graph(self):
         graph = sample_rdpg(np.zeros((6, 2)), 1.0, substream(30))
         assert graph.edge_count == 0
+
+    def test_no_positions_give_the_graph_of_no_vertices(self, tmp_path):
+        # Both failed in the bounds check: a minimum of no entries.
+        assert edge_prob_matrix(np.empty((0, 2))).shape == (0, 0)
+        rng, untouched = substream(32), substream(32)
+        graph = sample_rdpg(np.empty((0, 2)), 0.5, rng)
+        assert graph.n == graph.edge_count == 0 and graph.adjacency.shape == (0, 0)
+        assert rng.random() == untouched.random()
+        write_edge_list(graph, tmp_path / "empty.txt")
+        assert read_edge_list(tmp_path / "empty.txt").n == 0
 
     def test_unit_positions_give_complete_graph(self):
         x = np.tile([1.0, 0.0], (6, 1))

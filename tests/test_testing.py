@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from rdpgtest.testing import (
     TestConfig,
     _align,
     _calibrate,
-    _null_drawn_first,
     p_value,
     permutation_null,
     preprocess,
@@ -52,6 +52,19 @@ def _graph_pair(f, g, n, m, rng):
     """A graph of ``n`` vertices from ``f``, then one of ``m`` from ``g``."""
     return (sample_rdpg(sample_latent(f, n, rng), 1.0, rng),
             sample_rdpg(sample_latent(g, m, rng), 1.0, rng))
+
+
+def _drawn_null(k, n, m, permutations, rng):
+    """The null of the pooled kernel matrix ``k`` by the package's one path:
+    ``_drawn``, then ``_null_from_gram``."""
+    with testing._drawn(n, m, permutations, rng) as draw:
+        return testing._null_from_gram(k, n, m, permutations, draw)
+
+
+def _calibrated(px, py, config):
+    """``_calibrate`` with the permutations of ``config.seed`` drawn first."""
+    with testing._drawn(len(px), len(py), config.permutations, substream(config.seed)) as draw:
+        return _calibrate(px, py, config, {}, draw)
 
 
 class TestPreprocess:
@@ -86,6 +99,18 @@ class TestPreprocess:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             preprocess(np.ones((2, 2)), "bogus")
+
+    @pytest.mark.parametrize("x, scale", [
+        (np.empty((0, 2)), "0.0"), (np.zeros((3, 2)), "0.0"), ([[np.nan, 0.1], [0.2, 0.3]], "nan")],
+        ids=["no-rows", "all-zero", "nan"])
+    def test_scaling_refuses_a_scale_not_above_zero(self, x, scale):
+        # No rows gave {"scale": nan} after a divide warning, and a nan row
+        # a nan scale.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                preprocess(x, "scaling")
+        assert str(info.value) == f"scale must be > 0, got {scale}"
 
 
 class TestPermutationNull:
@@ -128,6 +153,17 @@ class TestPermutationNull:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSampleError):
             permutation_null(np.zeros((3, 2)), 1, 2, SPEC, 5, substream(78))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_median_bandwidth_is_refused_before_the_draw(self, monkeypatch, cores):
+        def refuse(*args):
+            raise AssertionError("drew before the kernel was checked")
+
+        monkeypatch.setattr(testing, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(testing, "_draw", refuse)
+        with pytest.raises(ValueError, match="^sigma = median needs the pooled rows"):
+            permutation_null(random_cloud(600, 2, substream(79)), 150, 450, GaussianKernel(None),
+                             600, substream(80))
 
 
 # (N, n, B) around the blocks of ``_draw``: 6144 rounds at N = 2, 1752 at
@@ -215,7 +251,7 @@ RAGGED_SPLITS = [(300, 500, 519), (300, 500, 2059)]
 
 def write_panel_nulls(path):
     """Each (n, m) in PANEL_SIZES and B in PANEL_PERMUTATIONS: the null in
-    panels, with and without the helper thread, and from the whole matrix,
+    panels, with and without the worker thread, and from the whole matrix,
     saved to ``path`` (npz)."""
     cases = [(n, m, b) for n, m in PANEL_SIZES for b in PANEL_PERMUTATIONS] + RAGGED_SPLITS
     nulls = {}
@@ -224,7 +260,7 @@ def write_panel_nulls(path):
         k = gram(SPEC, pooled, pooled)
         for mode, cores in (("helper", 2), ("serial", 1)):
             testing._usable_cores = lambda cores=cores: cores
-            nulls[f"{mode}-{n}-{m}-{b}"] = _null_drawn_first(k, n, m, b, substream(131, b))
+            nulls[f"{mode}-{n}-{m}-{b}"] = _drawn_null(k, n, m, b, substream(131, b))
         nulls[f"whole-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b))
     np.savez(path, **nulls)
 
@@ -232,49 +268,61 @@ def write_panel_nulls(path):
 # N = 600 takes panels of 256: B = 600 splits both panels (256, then 344),
 # while B = 603 computes its ragged last panel of 347 whole.
 SPLIT_TESTS = [(150, 450, 600), (150, 450, 603), (450, 150, 600)]
+# Every caller of the null: the graph test at SPLIT_TESTS, the point test
+# and the null alone at the first two.
+SPLIT_CALLS = ([("test", *case) for case in SPLIT_TESTS]
+               + [(name, *case) for name in ("point", "null") for case in SPLIT_TESTS[:2]])
 
 
 def write_split_tests(path):
-    """Each (n, m, B) in SPLIT_TESTS: ``two_sample_test`` with one usable
-    core and with two, the second under ``sys.setswitchinterval(1e-6)``,
-    once with an explicit stream and once seeded. Saves to ``path`` (npz)
-    the null values, the statistics, p-values and the explicit stream's
-    next draw, the helpers made and the draws run off the main thread."""
-    helpers, off_main = [], []
-    helper_class, draw = testing._Helper, testing._draw
+    """Each (call, n, m, B) in SPLIT_CALLS with one usable core and with
+    two, the second under ``sys.setswitchinterval(1e-6)``, once with an
+    explicit stream and once with the stream of the seed. Saves to ``path``
+    (npz) the null values, the statistics and p-values of the tests, the
+    explicit stream's next draw, the threads started and the draws run off
+    the main thread."""
+    started, off_main = [], []
+    thread_class, draw = threading.Thread, testing._draw
 
-    class CountedHelper(helper_class):
-        def __init__(self):
-            helpers.append(self)
-            super().__init__()
+    def counted(*args, **kwargs):
+        started.append(thread := thread_class(*args, **kwargs))
+        return thread
 
     def recorded_draw(*args):
         off_main.append(threading.current_thread() is not threading.main_thread())
         return draw(*args)
 
-    testing._Helper, testing._draw = CountedHelper, recorded_draw
+    threading.Thread, testing._draw = counted, recorded_draw
     f, g = two_block_pair(0.1)
     saved = {}
-    for n, m, b in SPLIT_TESTS:
+    for name, n, m, b in SPLIT_CALLS:
         graphs = _graph_pair(f, g, n, m, substream(150, n, m))
+        pooled = random_cloud(n + m, 2, substream(153, n, m))
         config = TestConfig(d=2, permutations=b, seed=151)
+        call = {
+            "test": lambda rng: two_sample_test(*graphs, config, rng=rng),
+            "point": lambda rng: two_sample_point_test(pooled[:n], pooled[n:], config, rng=rng),
+            "null": lambda rng: permutation_null(
+                pooled, n, m, SPEC, b, substream(151) if rng is None else rng),
+        }[name]
         for mode, cores in (("serial", 1), ("helper", 2)):
             testing._usable_cores = lambda cores=cores: cores
-            del helpers[:], off_main[:]
+            del started[:], off_main[:]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6 if cores == 2 else interval)
             try:
                 stream = substream(152, b)
-                explicit = two_sample_test(*graphs, config, rng=stream)
-                seeded = two_sample_test(*graphs, config)
+                explicit, seeded = call(stream), call(None)
             finally:
                 sys.setswitchinterval(interval)
-            key = f"{mode}-{n}-{m}-{b}"
-            saved[f"{key}-null"] = explicit.null_values
-            saved[f"{key}-seeded-null"] = seeded.null_values
-            saved[f"{key}-scalars"] = np.array([explicit.statistic, explicit.p_value,
-                                                seeded.statistic, seeded.p_value, stream.random()])
-            saved[f"{key}-threads"] = np.array([len(helpers), sum(off_main)])
+            key = f"{name}-{mode}-{n}-{m}-{b}"
+            scalars = [stream.random()]
+            if name != "null":
+                scalars += [explicit.statistic, explicit.p_value, seeded.statistic, seeded.p_value]
+                explicit, seeded = explicit.null_values, seeded.null_values
+            saved[f"{key}-null"], saved[f"{key}-seeded-null"] = explicit, seeded
+            saved[f"{key}-scalars"] = np.array(scalars)
+            saved[f"{key}-threads"] = np.array([len(started), sum(off_main)])
     np.savez(path, **saved)
 
 
@@ -312,9 +360,9 @@ def split_tests(tmp_path_factory):
 
 class TestPanelledNull:
     """``_null_from_gram`` aggregates the null in column panels, each
-    product split by rows with a helper thread when it can; each value must
+    product split by rows with a worker thread when it can; each value must
     be the bits of the whole-matrix oracle, the ragged last panel too, with
-    or without the helper."""
+    or without the worker."""
 
     @pytest.mark.parametrize("n, m", PANEL_SIZES)
     @pytest.mark.parametrize("permutations", PANEL_PERMUTATIONS)
@@ -336,7 +384,7 @@ class TestPanelledNull:
         pooled = random_cloud(42, 2, substream(132))
         k = gram(SPEC, pooled, pooled)
         rng_a, rng_b = substream(133), substream(133)
-        panels = _null_drawn_first(k, 13, 29, 2065, rng_a)
+        panels = _drawn_null(k, 13, 29, 2065, rng_a)
         whole = _whole_null(k, 13, 29, 2065, rng_b)
         assert np.allclose(panels, whole, rtol=0, atol=1e-14)
         assert rng_a.random() == rng_b.random()
@@ -356,8 +404,8 @@ class TestPanelledNull:
         pooled = random_cloud(400, 2, substream(138))
         running = threading.active_count()
         with pytest.raises(FloatingPointError, match="^the helper's product failed$"):
-            _null_drawn_first(gram(SPEC, pooled, pooled), 100, 300, 512, substream(139))
-        assert len(helpers) == 1 and helpers[0].daemon
+            _drawn_null(gram(SPEC, pooled, pooled), 100, 300, 512, substream(139))
+        assert len(helpers) == 1
         assert not helpers[0].is_alive() and threading.active_count() == running
 
     @pytest.mark.parametrize("n, m, permutations, threads", [
@@ -375,7 +423,7 @@ class TestPanelledNull:
         monkeypatch.setattr(testing.threading, "Thread", counted)
         pooled = random_cloud(n + m, 2, substream(140))
         k = gram(SPEC, pooled, pooled)
-        null = _null_drawn_first(k, n, m, permutations, substream(141))
+        null = _drawn_null(k, n, m, permutations, substream(141))
         monkeypatch.undo()
         assert len(started) == threads
         whole = _whole_null(k, n, m, permutations, substream(141))
@@ -387,12 +435,12 @@ class TestPanelledNull:
         pooled = random_cloud(400, 2, substream(142))
         k = gram(SPEC, pooled, pooled)
         monkeypatch.setattr(testing, "_usable_cores", lambda: 1)
-        serial = _null_drawn_first(k, 100, 300, 2048, substream(143))
+        serial = _drawn_null(k, 100, 300, 2048, substream(143))
         monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            nulls = [_null_drawn_first(k, 100, 300, 2048, substream(143)) for _ in range(5)]
+            nulls = [_drawn_null(k, 100, 300, 2048, substream(143)) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
         for null in nulls:
@@ -405,7 +453,7 @@ class TestPanelledNull:
         k = gram(SPEC, pooled, pooled)
         tracemalloc.start()
         try:
-            _null_drawn_first(k, 100, 300, 8192, substream(135))
+            _drawn_null(k, 100, 300, 8192, substream(135))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,15 +473,25 @@ class TestPanelledNull:
 
 
 class TestDrawWhileEmbedding:
-    """With two usable cores, ``two_sample_test`` draws the permutations on
-    its one helper thread while it embeds the graphs; the report and the
-    stream's end state must be the bits of the one-core path."""
+    """Every caller of the null draws the permutations first. With two
+    usable cores the draw goes to one worker thread, which in
+    ``two_sample_test`` draws while the graphs embed; the null, the report
+    and the stream's end state must be the bits of the one-core path."""
 
     @pytest.mark.parametrize("n, m, permutations", SPLIT_TESTS)
     def test_one_core_and_two_give_the_same_bits(self, split_tests, n, m, permutations):
-        serial, helper = (f"{mode}-{n}-{m}-{permutations}" for mode in ("serial", "helper"))
-        # Two calls each: no helper and no draw off the main thread on one
-        # core, a helper per call that also draws on two.
+        self._assert_same_bits(split_tests, "test", n, m, permutations)
+
+    @pytest.mark.parametrize("name, n, m, permutations", SPLIT_CALLS[len(SPLIT_TESTS):])
+    def test_point_test_and_null_alone_too(self, split_tests, name, n, m, permutations):
+        self._assert_same_bits(split_tests, name, n, m, permutations)
+
+    @staticmethod
+    def _assert_same_bits(split_tests, name, n, m, permutations):
+        serial, helper = (f"{name}-{mode}-{n}-{m}-{permutations}"
+                          for mode in ("serial", "helper"))
+        # Two calls each: no thread and no draw off the main thread on one
+        # core, a worker per call that also draws on two.
         assert split_tests[f"{serial}-threads"].tolist() == [0, 0]
         assert split_tests[f"{helper}-threads"].tolist() == [2, 2]
         for part in ("null", "seeded-null", "scalars"):
@@ -443,19 +501,20 @@ class TestDrawWhileEmbedding:
 
     def test_embedding_error_joins_the_drawing_helper(self, monkeypatch):
         # The first block of the draw waits until the failed embedding has
-        # set the helper's stop, so the draw must end after that block.
-        drawing, helpers, blocks = threading.Event(), [], []
+        # set the draw's stop, so the draw must end after that block.
+        drawing, stops, blocks, stopped = threading.Event(), [], [], []
+        draw = testing._draw
 
-        class Recorded(testing._Helper):
-            def __init__(self):
-                helpers.append(self)
-                super().__init__()
+        def recorded_draw(*args):
+            stops.append(args[-1])
+            return draw(*args)
 
         class Gated(np.random.Generator):
             def permuted(self, x, **kwargs):
                 blocks.append(threading.current_thread())
                 drawing.set()
-                assert helpers[0].stop.wait(timeout=30)
+                if len(blocks) == 1:  # an assert here would go unseen
+                    stopped.append(stops[0].wait(timeout=30))
                 return super().permuted(x, **kwargs)
 
         def failing_ase(graph, d):
@@ -463,7 +522,7 @@ class TestDrawWhileEmbedding:
             raise np.linalg.LinAlgError("eigh did not converge")
 
         monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(testing, "_Helper", Recorded)
+        monkeypatch.setattr(testing, "_draw", recorded_draw)
         monkeypatch.setattr(testing, "ase", failing_ase)
         a, b = _two_graphs(0.0, 300, seed=153)
         running = threading.active_count()
@@ -471,9 +530,9 @@ class TestDrawWhileEmbedding:
             two_sample_test(a, b, TestConfig(permutations=600, seed=154),
                             rng=Gated(np.random.PCG64(154)))
         # N = 600 draws 16 rounds per block: one block of 38 was drawn.
-        helper = blocks[0]
-        assert helper is not threading.main_thread() and helper.daemon
-        assert len(blocks) == 1 and len(helpers) == 1 and not helper.is_alive()
+        worker = blocks[0]
+        assert worker is not threading.main_thread()
+        assert stopped == [True] and len(blocks) == len(stops) == 1 and not worker.is_alive()
         assert threading.active_count() == running
 
     @pytest.mark.parametrize("n, m, permutations, threads", [
@@ -530,6 +589,13 @@ class TestPValue:
     def test_empty_null_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             p_value(0.0, [])
+
+    @pytest.mark.parametrize("observed, null", [(np.nan, [1.0, 2.0]), (1.5, [1.0, np.nan])])
+    def test_nan_rejected(self, observed, null):
+        # A nan statistic compared below every null value: 1/3, the smallest p-value.
+        with pytest.raises(ValueError, match="^the observed statistic and the null values "
+                                             "must not be nan$"):
+            p_value(observed, null)
 
 
 class TestConfigValidation:
@@ -589,7 +655,7 @@ class TestReflectionSearch:
         x = np.array([[1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
         config = TestConfig(kernel=EnergyKernel(), permutations=5, align_reflections=align)
         with pytest.raises(ValueError, match="statistic is not finite"):
-            _calibrate(x, x[::-1].copy(), config, None, {})
+            _calibrated(x, x[::-1].copy(), config)
 
     def test_finds_mirroring(self):
         f, _ = two_block_pair(0.0)
@@ -597,7 +663,7 @@ class TestReflectionSearch:
         x = sample_latent(f, 150, rng)
         y = sample_latent(f, 150, rng)
         mirrored = y * np.array([1.0, -1.0])
-        report = _calibrate(x, mirrored, TestConfig(kernel=SPEC, permutations=1), None, {})
+        report = _calibrated(x, mirrored, TestConfig(kernel=SPEC, permutations=1))
         signs = np.array(report.preprocessing["reflection"])
         assert np.array_equal(signs, [1.0, -1.0])
         aligned = u_statistic(SPEC, x, mirrored * signs)

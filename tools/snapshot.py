@@ -8,8 +8,9 @@ diff the two dumps. A change meant to keep every result gives no
 difference. The grid records:
 
 - test calls over kernels, d, variants, alignment and n != m, graph and point,
-  tests and a null with more permutations than one panel, and a test whose
-  null draws on a helper thread where two cores are usable;
+  tests and a null with more permutations than one panel, and a graph test
+  and a point test whose null draws on a worker thread where two cores are
+  usable;
 - sampled graphs of every latent family, with the stream's next draw,
   and permutation nulls around the panel boundaries and over several
   blocks of the draw;
@@ -166,12 +167,18 @@ def grid_tests(grid, rt, graphs):
         graphs["f25"], graphs["g45"], rt.TestConfig(d=3, permutations=2500, seed=6)),
         lambda k, r: _report(grid, k, r))
     # N = 600 at B = 600 is two panels whose products split over two usable
-    # cores, so the helper thread draws the null while the graphs embed.
+    # cores, so a worker thread draws the null while the graphs embed; the
+    # point test at the same sizes draws on it while the kernel blocks are built.
     rng = rt.substream(13)
     split = (rt.sample_rdpg(rt.sample_latent(f, 150, rng), 1.0, rng),
              rt.sample_rdpg(rt.sample_latent(g, 450, rng), 1.0, rng))
     grid.run("test/B600/150x450", lambda: rt.two_sample_test(
         *split, rt.TestConfig(permutations=600, seed=7)), lambda k, r: _report(grid, k, r))
+    box_f, box_g = rt.uniform_box_pair(0.1)
+    rng = rt.substream(14)
+    clouds = rt.sample_latent(box_f, 150, rng), rt.sample_latent(box_g, 450, rng)
+    grid.run("point/B600/150x450", lambda: rt.two_sample_point_test(
+        *clouds, rt.TestConfig(permutations=600, seed=8)), lambda k, r: _report(grid, k, r))
     grid.run("mmd/B2500/null", lambda: rt.permutation_null(
         pooled, 30, 40, kernels["imq"], 2500, rt.substream(3)), grid.put)
     grid.run("mmd/median", lambda: rt.median_heuristic(pooled), grid.put)
@@ -662,6 +669,7 @@ def grid_errors(grid, rt):
         "null/sizes": lambda: rt.permutation_null(np.ones((4, 1)), 2, 3, rt.GaussianKernel(), 5,
                                                   rt.substream(0)),
         "p_value/empty": lambda: rt.p_value(0.0, []),
+        "p_value/nan": lambda: rt.p_value(float("nan"), [1.0, 2.0]),
         "graph/asym": lambda: rt.Graph(np.triu(np.ones((3, 3), dtype=int), 1)),
         "graph/loop": lambda: rt.Graph(np.eye(2, dtype=int)),
         "graph/values": lambda: rt.Graph(2 * (np.ones((2, 2), dtype=int) - np.eye(2, dtype=int))),
