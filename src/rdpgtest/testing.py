@@ -140,6 +140,7 @@ def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_fl
     Parameters
     ----------
     embedding : Embedding or (n, d) array_like
+        Finite rows; any other is refused with ``rows must be finite``.
     variant : str
         One of ``identity``, ``scaling``, ``projection``, ``sparse``.
     sparsity : float, optional
@@ -156,6 +157,8 @@ def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_fl
     check_floor(eps_floor)
     x = getattr(embedding, "coordinates", embedding)
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("rows must be finite")
     if variant == "identity":
         return x.copy(), {}
     if variant == "scaling":
@@ -186,14 +189,15 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     scratch is 96 KB up to N = 1536, 64·N bytes above). The kernel matrix
     of the pool is computed once, and each round then only re-aggregates
     the matrix's entries, in panels of 256 rounds (wider for a pool under
-    64 rows; the last takes the remainder, up to 511), so the working
-    memory is O(N² + N·512) plus N·B/8 bytes, not O(N·B). It uses up to
-    two cores: with two panels or more and two usable cores, one worker
-    thread draws while the kernel matrix is built, then computes part of
-    each panel's product (see :func:`_null_from_gram`). Deterministic given
-    ``rng``; at a fixed BLAS thread count the values and ``rng``'s end
-    state are bit-identical on one core or two, and at one BLAS thread the
-    values are the bits of one product over all rounds. With a
+    64 rows; the last takes the remainder, up to 511), from the upper
+    triangle of the matrix in row blocks of 192, so the working memory is
+    O(N² + N·512) plus N·B/8 bytes, not O(N·B). It uses up to two cores:
+    with two panels or more, N >= 384 and two usable cores, one worker
+    thread draws while the kernel matrix is built, then computes a share
+    of each panel's blocks (see :func:`_null_from_gram`). Deterministic
+    given ``rng``; at a fixed BLAS thread count the values and ``rng``'s
+    end state are bit-identical on one core or two, and at one BLAS thread
+    they are the bits of the block formula over all rounds at once. With a
     multi-threaded BLAS the two threads compete for the same cores.
     :func:`two_sample_test` draws the same null, in the same order, before
     it embeds the graphs, from the one kernel matrix that also serves its
@@ -219,7 +223,7 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
 
 _PANEL = 256  # permutations per column panel of the null
 _PANEL_MADDS = 2**20  # fewest multiply-adds of one panel's product with the gram
-_ROWS = 8  # a split panel's width and its lower row block's start are multiples of this
+_BLOCK = 192  # rows per block of the null's quadratic form; the last takes the remainder
 
 
 def _usable_cores():
@@ -230,19 +234,15 @@ def _usable_cores():
 
 
 def _layout(total, permutations):
-    """The null's panel width and count over a pool of ``total`` rows, and
-    the first row of the lower row block (see :func:`_null_from_gram`)."""
+    """The null's panel width and count over a pool of ``total`` rows."""
     width = _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total))
-    upper = _ROWS * round(total / (2 * _ROWS))
-    return width, max(permutations // width, 1), upper
+    return width, max(permutations // width, 1)
 
 
 def _splits(total, permutations):
-    """Whether the null's products split over two cores: two panels or
-    more, two row blocks of at least ``_PANEL_MADDS`` each and two usable
-    cores."""
-    width, panels, upper = _layout(total, permutations)
-    return (panels > 1 and min(upper, total - upper) * total * width >= _PANEL_MADDS
+    """Whether the null's block products split over two cores: two panels
+    or more, two blocks or more and two usable cores."""
+    return (_layout(total, permutations)[1] > 1 and total >= 2 * _BLOCK
             and _usable_cores() > 1)
 
 
@@ -291,14 +291,14 @@ def _drawn(n, m, permutations, rng):
     """The one way into the null: every permutation is drawn into
     :func:`_packed` bits, in order, as the block is entered. When the
     products split (:func:`_splits`), the draw runs on a one-thread pool
-    while the block goes on, and the same pool later takes the lower row
-    blocks of each panel's product; otherwise it runs at once on the
-    calling thread and no thread starts. Yields ``(drawn, pool, future)``
-    for :func:`_null_from_gram`, with the pool and the draw's future
-    ``None`` when nothing splits. Leaving the block by an exception sets
-    the draw's ``stop``, so it ends within one block of rounds, and the
-    pool's thread is joined before the block is left; ``rng``'s end state
-    after an error is unspecified."""
+    while the block goes on, and the same pool later takes its share of
+    each panel's block products; otherwise it runs at once on the calling
+    thread and no thread starts. Yields ``(drawn, pool, future)`` for
+    :func:`_null_from_gram`, with the pool and the draw's future ``None``
+    when nothing splits. Leaving the block by an exception sets the draw's
+    ``stop``, so it ends within one block of rounds, and the pool's thread
+    is joined before the block is left; ``rng``'s end state after an error
+    is unspecified."""
     drawn = _packed(n + m, permutations)
     if not _splits(n + m, permutations):
         _draw(drawn, n, permutations, rng)
@@ -329,18 +329,24 @@ def _null_from_gram(k, n, m, permutations, draw):
     panel would reach other BLAS kernels than the whole product and change
     last bits: one under about 190 columns, or one whose product with the
     gram takes under 10^6 multiply-adds (OpenBLAS's small-matrix kernel),
-    so a panel takes at least ``_PANEL_MADDS``. Each panel's draws are
-    unpacked into one N x width slot, so beside ``k`` and the N·B/8 bytes
-    of ``drawn`` the working memory is O(N·512).
+    so a panel takes at least ``_PANEL_MADDS``.
 
-    With the pool, its thread computes the lower rows of each panel's
-    ``k @ z`` while the calling thread computes the upper ones: both row
-    blocks start at a multiple of ``_ROWS``, each takes at least
-    ``_PANEL_MADDS``, and a panel whose width is not a multiple of
-    ``_ROWS`` is computed whole. Split that way, each entry of the product
-    keeps the bits of the whole product at one BLAS thread. The pool writes
-    only into the arrays the calling thread allocated, and this function
-    never touches the random stream."""
+    ``k`` is symmetric, so each round's quadratic form z·(k z) needs only
+    its upper block triangle: over the row blocks I = [s, e) of
+    :func:`_shares`, it is the sum, in block order, of
+    z_I·(k[I, I] z_I) + 2·z_I·(k[I, e:] z[e:]), each term from one product;
+    about (1/2 + 96/N)·N² multiply-adds a round instead of N². A pool
+    under 384 rows is one block, whose form is the bits of z·(k z). Each
+    panel's draws are unpacked into one N x width slot and each block's
+    products go through one slot of at most 383 rows per thread, so beside
+    ``k`` and the N·B/8 bytes of ``drawn`` the working memory is O(N·512).
+
+    With the pool, its thread computes its share of each panel's blocks
+    while the calling thread computes the other and adds them up. Each
+    block's products run whole on one thread, so the values keep their
+    bits on one core or two. The pool writes only into the arrays the
+    calling thread allocated, and this function never touches the random
+    stream."""
     drawn, pool, future = draw
     if future is not None:
         future.result()
@@ -350,21 +356,25 @@ def _null_from_gram(k, n, m, permutations, draw):
     total_off = float(k.sum() - diag.sum())
 
     quad, diag_x, lin = np.empty((3, permutations))
-    width, panels, upper = _layout(total, permutations)
-    z_slot, kz_slot = np.empty((2, total * (permutations - (panels - 1) * width)))
+    width, panels = _layout(total, permutations)
+    last = permutations - (panels - 1) * width
+    mine, helper = _shares(total, pool is not None)
+    parts = np.zeros((2, len(mine) + len(helper), last))  # the two terms of each block
+    z_slot = np.empty(total * last)
+    # One product slot per thread: a spare one took power_grid's heap per
+    # call past glibc's trim threshold, so each call faulted its pages anew.
+    slots = np.empty((1 + bool(helper), min(total, 2 * _BLOCK - 1) * last))
     for i in range(panels):
         cols = slice(i * width, permutations if i == panels - 1 else (i + 1) * width)
         z = z_slot[: total * (cols.stop - cols.start)].reshape(total, -1)
-        kz = kz_slot[: z.size].reshape(z.shape)
         z[...] = np.unpackbits(drawn[:, cols.start // 8:-(-cols.stop // 8)], axis=1,
                                count=z.shape[1])
-        if pool is not None and z.shape[1] % _ROWS == 0:
-            lower = pool.submit(_rows_product, k, z, kz, slice(upper, None))
-            _rows_product(k, z, kz, slice(upper))
-            lower.result()
-        else:
-            _rows_product(k, z, kz, slice(None))
-        np.einsum("ib,ib->b", z, kz, out=quad[cols])
+        d, o = parts[:, :, :z.shape[1]]
+        helped = helper and pool.submit(_block_terms, k, z, helper, d, o, slots[-1])
+        _block_terms(k, z, mine, d, o, slots[0])
+        if helped:
+            helped.result()
+        quad[cols] = sum(d + 2.0 * o)
         np.matmul(diag, z, out=diag_x[cols])
         np.matmul(row_sums, z, out=lin[cols])
     sxx = quad - diag_x
@@ -373,16 +383,43 @@ def _null_from_gram(k, n, m, permutations, draw):
     return mmd.u_from_sums(sxx, cross, syy, n, m)
 
 
-def _rows_product(k, z, out, rows):
-    """``(k @ z)[rows]`` into ``out[rows]``."""
-    np.matmul(k[rows], z, out=out[rows])
+def _shares(total, split):
+    """The row blocks ``(j, s, e)`` of the null's quadratic form, numbered
+    in order: 192 rows each, the last with the remainder (192-383 rows), so
+    a pool under 384 rows is one block. In two shares: when ``split``, each
+    block in turn goes to the share of fewer multiply-adds, else all go to
+    the first."""
+    stops = [_BLOCK * i for i in range(1, total // _BLOCK)] + [total]
+    shares, loads = ([], []), [0, 0]
+    for j, (start, stop) in enumerate(zip([0] + stops[:-1], stops)):
+        lighter = int(split and loads[1] < loads[0])
+        shares[lighter].append((j, start, stop))
+        loads[lighter] += (stop - start) * (total - start)
+    return shares
+
+
+def _block_terms(k, z, blocks, d, o, slot):
+    """For each block ``(j, s, e)`` of ``blocks``, I = [s, e): z_I·(k[I, I] z_I)
+    into ``d[j]`` and, unless e is the last row, z_I·(k[I, e:] z[e:]) into
+    ``o[j]``, each product computed whole into ``slot``."""
+    for j, start, stop in blocks:
+        zi = z[start:stop]
+        kz = slot[: zi.size].reshape(zi.shape)
+        np.matmul(k[start:stop, start:stop], zi, out=kz)
+        np.einsum("ib,ib->b", zi, kz, out=d[j])
+        if stop < len(z):
+            np.matmul(k[start:stop, stop:], z[stop:], out=kz)
+            np.einsum("ib,ib->b", zi, kz, out=o[j])
 
 
 def p_value(observed, null_values):
-    """Permutation p-value with the add-one convention.
-
-    Ties count toward the null, so the result is never anti-conservative:
+    """Permutation p-value with the add-one convention:
     ``(1 + #{b : U_b >= observed}) / (B + 1)``.
+
+    Computed null values equal to ``observed`` count toward the null. The
+    two are summed in different orders, though, so a permutation whose
+    exact statistic ties the observed one (common on point tests of
+    atom-valued positions) may round to either side and go uncounted.
     """
     null_values = np.asarray(null_values, dtype=float)
     if null_values.size == 0:
@@ -480,16 +517,17 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
 
     Every permutation is drawn before the graphs are embedded, in the
     order of :func:`permutation_null` (see :func:`_drawn`). When the
-    null's products split over two cores (two panels or more and two
-    usable cores), one worker thread draws while the calling thread embeds
-    the graphs, then shares each panel's product; otherwise the calling
-    thread draws first and no thread is started. Either way the null takes
-    O(N² + N·512) working memory plus N·B/8 bytes for the draws (N = n + m,
-    B permutations), and the result and ``rng``'s end state are the same
-    bits at a fixed BLAS thread count. When an embedding raises while the
-    worker draws, the draw stops within one block of rounds (see
-    :func:`_draw`) and the worker is joined before the error reaches the
-    caller; ``rng``'s end state after an error is unspecified.
+    null's products split over two cores (two panels or more, N >= 384 and
+    two usable cores), one worker thread draws while the calling thread
+    embeds the graphs, then shares each panel's block products; otherwise
+    the calling thread draws first and no thread is started. Either way
+    the null takes O(N² + N·512) working memory plus N·B/8 bytes for the
+    draws (N = n + m, B permutations), and the result and ``rng``'s end
+    state are the same bits at a fixed BLAS thread count. When an
+    embedding raises while the worker draws, the draw stops within one
+    block of rounds (see :func:`_draw`) and the worker is joined before
+    the error reaches the caller; ``rng``'s end state after an error is
+    unspecified.
 
     Parameters
     ----------
@@ -528,8 +566,9 @@ def two_sample_point_test(x, y, config, rng=None):
     clouds share one coordinate frame, so the search is skipped). The
     sparse variant reduces to identity here because true positions carry
     no sparsity scaling. ``rng`` is as in :func:`two_sample_test`. The
-    normalized rows are checked (``n, m >= 2``, one width, finite) before
-    the permutations are drawn, in the order of :func:`two_sample_test`.
+    rows are checked (finite, by :func:`preprocess`; then ``n, m >= 2``
+    and one width) before the permutations are drawn, in the order of
+    :func:`two_sample_test`.
     """
     rng = substream(config.seed) if rng is None else check_generator(rng)
     variant = "identity" if config.variant == "sparse" else config.variant
@@ -538,7 +577,5 @@ def two_sample_point_test(x, y, config, rng=None):
     n, m = px.shape[0], py.shape[0]
     mmd.check_sizes(n, m)
     mmd.check_widths(px, py)
-    if not (np.isfinite(px).all() and np.isfinite(py).all()):
-        raise ValueError("rows must be finite")
     with _drawn(n, m, config.permutations, rng) as draw:
         return _calibrate(px, py, replace(config, align_reflections=False), {}, draw)

@@ -100,17 +100,31 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="variant"):
             preprocess(np.ones((2, 2)), "bogus")
 
-    @pytest.mark.parametrize("x, scale", [
-        (np.empty((0, 2)), "0.0"), (np.zeros((3, 2)), "0.0"), ([[np.nan, 0.1], [0.2, 0.3]], "nan")],
+    @pytest.mark.parametrize("x, message", [
+        (np.empty((0, 2)), "scale must be > 0, got 0.0"),
+        (np.zeros((3, 2)), "scale must be > 0, got 0.0"),
+        ([[np.nan, 0.1], [0.2, 0.3]], "rows must be finite")],
         ids=["no-rows", "all-zero", "nan"])
-    def test_scaling_refuses_a_scale_not_above_zero(self, x, scale):
+    def test_scaling_refuses_a_scale_not_above_zero(self, x, message):
         # No rows gave {"scale": nan} after a divide warning, and a nan row
-        # a nan scale.
+        # a nan scale; a nan row is now refused first, as in every variant.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 preprocess(x, "scaling")
-        assert str(info.value) == f"scale must be > 0, got {scale}"
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("variant", testing.VARIANTS)
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_rows_are_refused(self, variant, entry):
+        # An infinite entry gave {"scale": inf} and nan rows under scaling,
+        # and a nan row after a divide warning under projection.
+        x = np.array([[entry, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                preprocess(x, variant, sparsity=0.5)
+        assert str(info.value) == "rows must be finite"
 
 
 class TestPermutationNull:
@@ -224,9 +238,13 @@ class TestBlockDraw:
         assert drawn[:, :5].any(axis=0).all() and not drawn[:, 5:].any()
 
 
-def _whole_null(k, n, m, permutations, rng):
+def _whole_null(k, n, m, permutations, rng, blocks=True):
     """The permutation null from one N x B indicator matrix: the oracle of
-    the panels of ``_null_from_gram``."""
+    the panels of ``_null_from_gram``. Its quadratic form is summed over
+    row blocks I = [s, e) of 192 rows, the last with the remainder, as
+    z_I·(k[I, I] z_I) + 2·z_I·(k[I, e:] z[e:]) in block order; with
+    ``blocks=False`` it is one z·(k z) over all rows, which agrees to
+    rounding, and bit for bit under 384 rows."""
     total = n + m
     diag = np.diagonal(k).copy()
     row_sums = k.sum(axis=1)
@@ -234,39 +252,52 @@ def _whole_null(k, n, m, permutations, rng):
     z = np.zeros((total, permutations))
     for b in range(permutations):
         z[rng.permutation(total)[:n], b] = 1.0
-    quad = np.einsum("ib,ib->b", z, k @ z)
+    if blocks:
+        stops = list(range(192, total - 191, 192)) + [total]
+        quad = sum(np.einsum("ib,ib->b", z[s:e], k[s:e, s:e] @ z[s:e])
+                   + 2.0 * np.einsum("ib,ib->b", z[s:e], k[s:e, e:] @ z[e:])
+                   for s, e in zip([0] + stops[:-1], stops))
+    else:
+        quad = np.einsum("ib,ib->b", z, k @ z)
     sxx = quad - diag @ z
     cross = row_sums @ z - quad
     return u_from_sums(sxx, cross, total_off - sxx - 2.0 * cross, n, m)
 
 
 # (7, 13) at B = 9217 moved one value's last bits with panels of 1024: the
-# last panel's product went to OpenBLAS's small-matrix kernel.
+# last panel's product went to OpenBLAS's small-matrix kernel. N = 400 is
+# two blocks, of 192 and 208 rows.
 PANEL_SIZES = [(7, 13), (13, 29), (150, 250)]
 PANEL_PERMUTATIONS = [1, 255, 256, 257, 511, 512, 767, 1023, 1024, 1025, 2 * 1024 + 17, 9217]
-# (300, 500) at these B moved one value's last bits when the helper also
-# split the last panel, whose width is not a multiple of 8, by rows.
+# (300, 500) at these B moved one value's last bits when the helper split
+# the last panel, whose width is not a multiple of 8, by rows.
 RAGGED_SPLITS = [(300, 500, 519), (300, 500, 2059)]
+# N = 383 is one block of 383 rows and 384 two of 192; 575 is two blocks,
+# the last of 383 rows, and 576 three of 192; 1600 is seven of 192, then 256.
+BLOCK_SPLITS = [(100, 283, 600), (100, 284, 600), (175, 400, 600), (176, 400, 600),
+                (400, 1200, 600)]
+PANEL_CASES = ([(n, m, b) for n, m in PANEL_SIZES for b in PANEL_PERMUTATIONS]
+               + RAGGED_SPLITS + BLOCK_SPLITS)
 
 
 def write_panel_nulls(path):
-    """Each (n, m) in PANEL_SIZES and B in PANEL_PERMUTATIONS: the null in
-    panels, with and without the worker thread, and from the whole matrix,
-    saved to ``path`` (npz)."""
-    cases = [(n, m, b) for n, m in PANEL_SIZES for b in PANEL_PERMUTATIONS] + RAGGED_SPLITS
+    """Each (n, m, B) in PANEL_CASES: the null in panels, with and without
+    the worker thread, and from the whole matrix, by blocks and by one
+    product, saved to ``path`` (npz)."""
     nulls = {}
-    for n, m, b in cases:
+    for n, m, b in PANEL_CASES:
         pooled = random_cloud(n + m, 2, substream(130, n))
         k = gram(SPEC, pooled, pooled)
         for mode, cores in (("helper", 2), ("serial", 1)):
             testing._usable_cores = lambda cores=cores: cores
             nulls[f"{mode}-{n}-{m}-{b}"] = _drawn_null(k, n, m, b, substream(131, b))
         nulls[f"whole-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b))
+        nulls[f"product-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b), blocks=False)
     np.savez(path, **nulls)
 
 
-# N = 600 takes panels of 256: B = 600 splits both panels (256, then 344),
-# while B = 603 computes its ragged last panel of 347 whole.
+# N = 600 is three blocks (192, 192, 216) and takes panels of 256: B = 600
+# and B = 603 split both panels, the last of 344 and 347 columns.
 SPLIT_TESTS = [(150, 450, 600), (150, 450, 603), (450, 150, 600)]
 # Every caller of the null: the graph test at SPLIT_TESTS, the point test
 # and the null alone at the first two.
@@ -359,10 +390,11 @@ def split_tests(tmp_path_factory):
 
 
 class TestPanelledNull:
-    """``_null_from_gram`` aggregates the null in column panels, each
-    product split by rows with a worker thread when it can; each value must
-    be the bits of the whole-matrix oracle, the ragged last panel too, with
-    or without the worker."""
+    """``_null_from_gram`` aggregates the null in column panels, each by
+    row blocks of the upper triangle, shared with a worker thread when it
+    can; each value must be the bits of the whole-matrix block oracle, the
+    ragged last panel too, with or without the worker, and within 1e-14 of
+    one product over all rows."""
 
     @pytest.mark.parametrize("n, m", PANEL_SIZES)
     @pytest.mark.parametrize("permutations", PANEL_PERMUTATIONS)
@@ -375,8 +407,24 @@ class TestPanelledNull:
 
     @pytest.mark.parametrize("n, m, permutations", RAGGED_SPLITS)
     def test_ragged_last_panel_is_not_split(self, panel_nulls, n, m, permutations):
+        # Not by rows within a block: each block's products run whole.
         whole = panel_nulls[f"whole-{n}-{m}-{permutations}"]
         assert np.array_equal(panel_nulls[f"helper-{n}-{m}-{permutations}"], whole)
+
+    @pytest.mark.parametrize("n, m, permutations", BLOCK_SPLITS)
+    def test_block_boundaries_keep_the_oracle_bits(self, panel_nulls, n, m, permutations):
+        whole = panel_nulls[f"whole-{n}-{m}-{permutations}"]
+        for mode in ("helper", "serial"):
+            assert np.array_equal(panel_nulls[f"{mode}-{n}-{m}-{permutations}"], whole), mode
+
+    @pytest.mark.parametrize("n, m, permutations", PANEL_CASES)
+    def test_within_rounding_of_one_product(self, panel_nulls, n, m, permutations):
+        # Under 384 rows the blocks are one product: the same bits.
+        whole, product = (panel_nulls[f"{oracle}-{n}-{m}-{permutations}"]
+                          for oracle in ("whole", "product"))
+        assert np.allclose(whole, product, rtol=0, atol=1e-14)
+        if n + m < 384:
+            assert np.array_equal(whole, product)
 
     def test_stream_is_the_whole_matrix_stream(self):
         # Whatever the thread count, the panels draw the permutations in
@@ -385,13 +433,13 @@ class TestPanelledNull:
         k = gram(SPEC, pooled, pooled)
         rng_a, rng_b = substream(133), substream(133)
         panels = _drawn_null(k, 13, 29, 2065, rng_a)
-        whole = _whole_null(k, 13, 29, 2065, rng_b)
+        whole = _whole_null(k, 13, 29, 2065, rng_b, blocks=False)
         assert np.allclose(panels, whole, rtol=0, atol=1e-14)
         assert rng_a.random() == rng_b.random()
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         helpers = []
-        product = testing._rows_product
+        product = testing._block_terms
 
         def fail_on_the_helper(*args):
             if threading.current_thread() is threading.main_thread():
@@ -400,7 +448,7 @@ class TestPanelledNull:
             raise FloatingPointError("the helper's product failed")
 
         monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(testing, "_rows_product", fail_on_the_helper)
+        monkeypatch.setattr(testing, "_block_terms", fail_on_the_helper)
         pooled = random_cloud(400, 2, substream(138))
         running = threading.active_count()
         with pytest.raises(FloatingPointError, match="^the helper's product failed$"):
@@ -409,10 +457,11 @@ class TestPanelledNull:
         assert not helpers[0].is_alive() and threading.active_count() == running
 
     @pytest.mark.parametrize("n, m, permutations, threads", [
-        (100, 300, 511, 0), (100, 300, 512, 1), (13, 29, 2065, 0)])
+        (100, 300, 511, 0), (100, 300, 512, 1), (13, 29, 2065, 0), (100, 283, 512, 0),
+        (100, 284, 512, 1)])
     def test_only_a_split_product_starts_a_thread(self, monkeypatch, n, m, permutations, threads):
-        # N = 400 takes panels of 256, so B = 511 is one panel. N = 42 takes
-        # panels of 768, too small to split into two blocks of 2^20 multiply-adds.
+        # N = 400 takes panels of 256, so B = 511 is one panel. N = 42 and
+        # N = 383 are one block of rows; N = 384 is two.
         started, thread_class = [], threading.Thread
 
         def counted(*args, **kwargs):
@@ -428,6 +477,27 @@ class TestPanelledNull:
         assert len(started) == threads
         whole = _whole_null(k, n, m, permutations, substream(141))
         assert np.allclose(null, whole, rtol=0, atol=1e-14)
+
+    def test_block_products_take_about_half_the_multiply_adds(self, monkeypatch):
+        # N = 1600, B = 10000: one product over all rows took N²·B = 2.56e10
+        # multiply-adds; seven blocks of 192 rows and one of 256 take
+        # (N² + 7·192² + 256²)/2·B = 1.44e10.
+        total, permutations = 1600, 10000
+        pooled = random_cloud(total, 2, substream(144))
+        k = gram(SPEC, pooled, pooled)
+        madds, matmul = [], np.matmul
+
+        def counted(a, b, **kwargs):
+            if a.ndim == b.ndim == 2:
+                madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(np, "matmul", counted)
+        _drawn_null(k, 400, 1200, permutations, substream(145))
+        monkeypatch.undo()
+        assert sum(madds) == (total**2 + 7 * 192**2 + 256**2) // 2 * permutations
+        assert sum(madds) <= (1 / 2 + 192 / total) * total**2 * permutations
 
     def test_split_null_under_fast_thread_switching(self, monkeypatch):
         # Redrawing z or reading k @ z before the helper is done would move

@@ -12,8 +12,9 @@ difference. The grid records:
   and a point test whose null draws on a worker thread where two cores are
   usable;
 - sampled graphs of every latent family, with the stream's next draw,
-  and permutation nulls around the panel boundaries and over several
-  blocks of the draw;
+  and permutation nulls around the panel boundaries, over several blocks
+  of the draw and around the row blocks of the null's quadratic form,
+  with a point test of atom-valued positions over two row blocks;
 - ``sbm_to_latent`` atoms on random and structured block matrices;
 - embeddings, sign conventions and alignment diagnostics;
 - power-study, alignment-comparison and dissimilarity outputs;
@@ -222,6 +223,18 @@ def grid_null(grid, rt):
 
     grid.run("null/20x30/B1000", blocks,
              lambda key, out: (grid.put(key, out[0]), grid.put(f"{key}/next", out[1])))
+    # Pools of 383 rows (one row block of the quadratic form), 384 (two of
+    # 192), 576 (three) and 1600 (seven, then 256 rows), each two panels.
+    for n, m in ((100, 283), (100, 284), (176, 400), (400, 1200)):
+        pooled = rt.substream(20, n, m).random((n + m, 2)) / np.sqrt(2.0)
+        grid.run(f"null/{n}x{m}/B600", lambda: rt.permutation_null(
+            pooled, n, m, rt.GaussianKernel(0.5), 600, rt.substream(21, n, m)), grid.put)
+    # Atom-valued positions over two row blocks: many permutations tie.
+    f, g = rt.two_block_pair(0.1)
+    rng = rt.substream(22)
+    atoms = rt.sample_latent(f, 200, rng), rt.sample_latent(g, 200, rng)
+    grid.run("point/atoms/200x200", lambda: rt.two_sample_point_test(
+        *atoms, rt.TestConfig(permutations=600, seed=23)), lambda k, r: _report(grid, k, r))
 
 
 def grid_sbm(grid, rt):
