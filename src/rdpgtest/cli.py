@@ -19,6 +19,7 @@ diagnostic.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,7 +58,7 @@ def _cmd_embed(args):
 def _cmd_simulate_power(args):
     config = harness.load_power_config(args.config)
     if args.output:
-        config.output_path = args.output
+        config = replace(config, output_path=args.output)
     table = harness.run_power_experiment(config)
     lines = [
         f"n={cell.n} m={cell.m} sweep={cell.sweep} power={io._fmt(cell.power)} se={io._fmt(cell.se)}"

@@ -31,7 +31,9 @@ class Embedding:
     """Estimated latent positions with the retained spectrum.
 
     ``coordinates`` is ``n x d``; ``eigenvalues`` holds the corresponding
-    absolute eigenvalues in descending order.
+    eigenvalues, each with its sign, in descending order of absolute value.
+    A negative one marks a column that the nuisance group O(p, q), not
+    O(d), acts on.
     """
 
     coordinates: np.ndarray
@@ -74,7 +76,8 @@ def ase(m, d):
     Computes the full symmetric eigendecomposition of ``m``, keeps the
     ``d`` eigenpairs of largest absolute eigenvalue (ties prefer the
     positive eigenvalue, then the lower index in descending eigenvalue
-    order), and returns ``U |S|^(1/2)`` with sign-fixed eigenvectors.
+    order), and returns ``U |S|^(1/2)`` with sign-fixed eigenvectors,
+    along with the retained eigenvalues ``S``, signs kept.
     Accepts any symmetric real matrix, so a noiseless edge-probability
     matrix can be embedded as an oracle alongside sampled adjacencies.
 
@@ -103,7 +106,7 @@ def ase(m, d):
     order = np.lexsort((np.arange(n), -np.sign(vals), -np.abs(vals)))
     top = order[:d]
     lam = vals[top]
-    return Embedding(fix_signs(vecs[:, top]) * np.sqrt(np.abs(lam)), np.abs(lam))
+    return Embedding(fix_signs(vecs[:, top]) * np.sqrt(np.abs(lam)), lam)
 
 
 def _asymmetry(m):

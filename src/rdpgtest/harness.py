@@ -66,7 +66,7 @@ def uniform_box_pair(epsilon, f_upper=1.0 / np.sqrt(2.0), g_upper=1.0 / np.sqrt(
     return f, g
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Grid specification for a power study.
 
@@ -74,7 +74,9 @@ class ExperimentConfig:
     sample sizes (``m`` defaults to ``n`` unless ``m_grid`` is given, one
     entry per ``n_grid`` entry). When ``oracle_arm`` is set, each replicate
     also runs the test on the true latent positions for side-by-side
-    comparison.
+    comparison. Frozen, as :class:`~rdpgtest.testing.TestConfig` is, so the
+    checks hold for its lifetime: :func:`dataclasses.replace` makes a
+    checked copy.
     """
 
     pairs: list

@@ -465,8 +465,10 @@ def check_moment_assumption(latent, gap_tol=1e-3):
     population second-moment matrix has ``d`` distinct eigenvalues. This
     returns the empirical eigenvalues in descending order together with the
     minimum consecutive gap, flagging (never raising) when the gap falls
-    below ``gap_tol``.
+    below ``gap_tol``, a number >= 0 (a nan one would never flag).
     """
+    if not gap_tol >= 0:
+        raise ValueError(f"gap_tol must be >= 0, got {gap_tol}")
     x = _positions(latent)
     n, d = x.shape
     if n < d:

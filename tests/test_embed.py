@@ -60,13 +60,17 @@ class TestAse:
             m = (m + m.T) / 2.0
             d = int(rng.integers(1, n + 1))
             emb = ase(m, d)
-            expected = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1][:d]
+            # Signed values by descending magnitude, a positive one first on a tie.
+            values = np.linalg.eigvalsh(m)
+            expected = values[np.lexsort((-values, -np.abs(values)))][:d]
             assert np.allclose(emb.eigenvalues, expected, atol=1e-10)
 
     def test_negative_dominant_eigenvalue_enters(self):
         m = np.diag([-5.0, 3.0, 1.0])
         emb = ase(m, 2)
-        assert np.allclose(emb.eigenvalues, [5.0, 3.0])
+        assert np.allclose(emb.eigenvalues, [-5.0, 3.0])
+        assert np.allclose(np.abs(emb.coordinates), [[np.sqrt(5.0), 0.0], [0.0, np.sqrt(3.0)],
+                                                     [0.0, 0.0]])
 
     def test_magnitude_tie_prefers_positive_eigenvalue(self):
         emb = ase(np.diag([2.0, -2.0, 1.0]), 1)

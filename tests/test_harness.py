@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,20 @@ class TestPowerExperiment:
                              test=None, master_seed=0)
         assert str(info.value) == "test must be a TestConfig, got None"
 
+    def test_checks_hold_for_the_config_lifetime(self):
+        # Assigned replicates = 0 ended in a ZeroDivisionError, and an
+        # assigned test = None got round the constructor's check.
+        f, g = two_block_pair(0.0)
+        config = ExperimentConfig(pairs=[(0, f, g)], n_grid=[10], replicates=1,
+                                  test=TestConfig(permutations=5), master_seed=0)
+        for name, value in (("replicates", 0), ("test", None), ("output_path", "p.csv")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, name, value)
+        assert replace(config, output_path="p.csv").output_path == "p.csv"
+        assert config.output_path is None
+        with pytest.raises(ValueError, match="replicates"):
+            replace(config, replicates=0)
+
 
 class TestWComparison:
     def test_same_sample_and_graph_degenerate(self):
@@ -223,7 +239,7 @@ class TestTraceContract:
     def test_two_sample_test(self, calls):
         a, b = _graphs(0.0, 30, 2, seed=140)
         testing.two_sample_test(a, b, TestConfig(d=2, permutations=10))
-        # two within-sample blocks and one cross block per reflection
+        # two within-sample blocks and one cross block per candidate map (2^d sign patterns)
         assert calls == {"testing.ase": 2, "testing.preprocess": 2, "mmd.gram": 2 + 4}
 
     def test_pairwise_dissimilarity(self, calls):

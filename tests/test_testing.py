@@ -61,10 +61,11 @@ def _drawn_null(k, n, m, permutations, rng):
         return testing._null_from_gram(k, n, m, permutations, draw)
 
 
-def _calibrated(px, py, config):
-    """``_calibrate`` with the permutations of ``config.seed`` drawn first."""
+def _calibrated(px, py, maps, config):
+    """``_calibrate`` over the candidate ``maps`` with the permutations of
+    ``config.seed`` drawn first."""
     with testing._drawn(len(px), len(py), config.permutations, substream(config.seed)) as draw:
-        return _calibrate(px, py, config, {}, draw)
+        return _calibrate(px, py, maps, config, {}, draw)
 
 
 class TestPreprocess:
@@ -634,13 +635,16 @@ class TestPooledMatrixInPlace:
         # Blocks this large sum in another order as strided views of the pool.
         px = rng.normal(size=(200, d))
         py = rng.normal(size=(260, d)) * np.array([-1.0, 1.0, -1.0][:d]) + 0.4
-        signs, sums, k = _align(SPEC, px, py, reflections)
+        maps = testing._reflections(d)[:None if reflections else 1]
+        w, sums, k = _align(SPEC, px, py, maps)
+        # Pattern b flips column j when bit j of b is set: map 0 is the identity.
         patterns = [np.array([1.0 if bits & (1 << j) == 0 else -1.0 for j in range(d)])
                     for bits in range(2**d if reflections else 1)]
+        assert np.array_equal(maps, [np.diag(p) for p in patterns])
         crosses = [gram(SPEC, px, py * p) for p in patterns]
         best = int(np.argmax([c.sum() for c in crosses]))
         kxx, kyy, kxy = gram(SPEC, px, px), gram(SPEC, py, py), crosses[best]
-        assert np.array_equal(signs, patterns[best])
+        assert np.array_equal(w, np.diag(patterns[best]))
         assert sums == (off_diagonal_sum(kxx), kxy.sum(), off_diagonal_sum(kyy))
         assert np.array_equal(k, np.block([[kxx, kxy], [kxy.T, kyy]]))
         assert k.flags.c_contiguous
@@ -723,9 +727,10 @@ class TestReflectionSearch:
     def test_non_finite_statistic_is_an_error(self, align):
         # The energy kernel overflows to inf - inf on rows near 1e200.
         x = np.array([[1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
-        config = TestConfig(kernel=EnergyKernel(), permutations=5, align_reflections=align)
+        config = TestConfig(kernel=EnergyKernel(), permutations=5)
+        maps = testing._reflections(2)[:None if align else 1]
         with pytest.raises(ValueError, match="statistic is not finite"):
-            _calibrated(x, x[::-1].copy(), config)
+            _calibrated(x, x[::-1].copy(), maps, config)
 
     def test_finds_mirroring(self):
         f, _ = two_block_pair(0.0)
@@ -733,13 +738,50 @@ class TestReflectionSearch:
         x = sample_latent(f, 150, rng)
         y = sample_latent(f, 150, rng)
         mirrored = y * np.array([1.0, -1.0])
-        report = _calibrated(x, mirrored, TestConfig(kernel=SPEC, permutations=1))
+        report = _calibrated(x, mirrored, testing._reflections(2),
+                             TestConfig(kernel=SPEC, permutations=1))
         signs = np.array(report.preprocessing["reflection"])
         assert np.array_equal(signs, [1.0, -1.0])
         aligned = u_statistic(SPEC, x, mirrored * signs)
         assert report.statistic == aligned
         assert aligned == pytest.approx(u_statistic(SPEC, x, y), abs=1e-12)
         assert aligned < u_statistic(SPEC, x, mirrored)
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+TURN = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+
+class TestCandidateSearch:
+    """``_align`` searches any list of orthogonal maps, not only sign patterns."""
+
+    @pytest.mark.parametrize("w", [SWAP, TURN], ids=["swap", "rotation"])
+    def test_chooses_a_map_that_is_not_diagonal(self, w):
+        # py is px's cloud, rows shuffled, under w's inverse: py @ w is that cloud.
+        rng = substream(157)
+        px = rng.random((40, 2)) * np.array([1.0, 0.3]) + np.array([0.2, 0.5])
+        py = px[rng.permutation(40)] @ w.T
+        maps = np.concatenate([testing._reflections(2), w[None]])
+        chosen, sums, _ = _align(SPEC, px, py, maps)
+        assert np.array_equal(chosen, w)
+        report = _calibrated(px, py, maps, TestConfig(kernel=SPEC, permutations=5))
+        assert report.statistic == u_statistic(SPEC, px, py @ w)
+        assert report.statistic == u_from_sums(*sums, 40, 40)
+
+    @pytest.mark.parametrize("order, first", [([0, 1, 2, 3], 0), ([2, 3, 0, 1], 2)])
+    def test_an_exact_tie_keeps_the_first_candidate(self, order, first):
+        # A zero second column: patterns 0 and 2 give the same cross block.
+        rng = substream(158)
+        px = rng.random((30, 2)) + 0.5
+        py = (rng.random((30, 2)) + 0.5) * np.array([1.0, 0.0])
+        maps = testing._reflections(2)[order]
+        crosses = [gram(SPEC, px, py @ w).sum() for w in maps]
+        assert crosses[order.index(0)] == crosses[order.index(2)] == max(crosses)
+        chosen, sums, _ = _align(SPEC, px, py, maps)
+        assert np.array_equal(chosen, testing._reflections(2)[first])
+        assert sums[1] == crosses[0]
+        report = _calibrated(px, py, maps, TestConfig(kernel=SPEC, permutations=5))
+        assert report.preprocessing["reflection"] == np.diag(chosen).tolist()
 
 
 ORACLE_CASES = [

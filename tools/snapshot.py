@@ -24,8 +24,9 @@ difference. The grid records:
   adjacencies, sample and study sizes, replicate counts and every other
   count, extreme and median bandwidths, INI keys and values, seeds, integer
   options, matrix labels, sparsity factors at every entry point, point
-  clouds of two widths, the ``eps_floor`` bound, non-finite statistics and
-  streams that are not a ``numpy.random.Generator``;
+  clouds of two widths, the ``eps_floor`` bound, non-finite statistics,
+  streams that are not a ``numpy.random.Generator`` and an assignment to
+  a field of a built ``ExperimentConfig``;
 - the repr of each error raised.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
@@ -46,6 +47,7 @@ import io as _stdio  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from itertools import product  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -329,7 +331,7 @@ def grid_harness(grid, rt, graphs, workdir):
                                permutations=20, seed=4)),
     }
     for name, config in configs.items():
-        config.output_path = os.path.join(workdir, f"power-{name}.csv")
+        config = replace(config, output_path=os.path.join(workdir, f"power-{name}.csv"))
         grid.run(f"power/{name}", lambda: rt.run_power_experiment(config),
                  lambda key, t: (grid.put(key, [vars(c) for c in t.cells]),
                                  grid.put(f"{key}/csv", _file(config.output_path))))
@@ -714,6 +716,9 @@ def grid_errors(grid, rt):
         "experiment/m-sizes": lambda: rt.ExperimentConfig(
             pairs=[("x", None, None)], n_grid=[10], m_grid=[1], replicates=1,
             test=rt.TestConfig(d=1), master_seed=0),
+        "experiment/assign": lambda: setattr(rt.ExperimentConfig(
+            pairs=[("x", None, None)], n_grid=[10], replicates=1, test=rt.TestConfig(),
+            master_seed=0), "replicates", 0),
         "wcompare/sizes": lambda: rt.w_comparison_experiment(
             *rt.two_block_pair(0.0), 20, 2, rt.GaussianKernel(), 1, 0, m=1),
         "sparsity/preprocess": lambda: rt.preprocess(np.ones((3, 2)), "sparse", sparsity=0),
