@@ -10,6 +10,7 @@ container, and a diagnostic for the distinct-eigenvalue condition that
 spectral embedding relies on.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -465,10 +466,11 @@ def check_moment_assumption(latent, gap_tol=1e-3):
     population second-moment matrix has ``d`` distinct eigenvalues. This
     returns the empirical eigenvalues in descending order together with the
     minimum consecutive gap, flagging (never raising) when the gap falls
-    below ``gap_tol``, a number >= 0 (a nan one would never flag).
+    below ``gap_tol``, a real number >= 0, not a bool (a nan one would
+    never flag).
     """
-    if not gap_tol >= 0:
-        raise ValueError(f"gap_tol must be >= 0, got {gap_tol}")
+    if isinstance(gap_tol, bool) or not isinstance(gap_tol, numbers.Real) or not gap_tol >= 0:
+        raise ValueError(f"gap_tol must be a number >= 0, got {gap_tol!r}")
     x = _positions(latent)
     n, d = x.shape
     if n < d:

@@ -3,14 +3,11 @@
 A test call runs four stages: embed (:func:`_embed`: the spectral
 embedding of one graph, then its row normalization), bandwidth
 (:func:`_bandwidth`: the median heuristic, when asked for), align
-(:func:`_align`: a search over a list of candidate orthogonal maps of the
-second sample, the identity first, which yields the kernel sums of the
+(:func:`_align`: the candidate search, which yields the kernel sums of the
 statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
 the permutation null, from that one matrix, with the permutations that
-:func:`_drawn` drew before any kernel block or embedding). The median
-bandwidth is resolved on the unaligned pool, before the search, so one
-bandwidth serves every candidate. Each input is checked once, by the one
-rule README lists for it. The variants are:
+:func:`_drawn` drew before any kernel block or embedding). Each input is
+checked once, by the one rule README lists for it. The variants are:
 
 ``identity``
     Equality of the latent-position distributions up to an orthogonal
@@ -29,6 +26,7 @@ rule README lists for it. The variants are:
 import json
 import os
 import threading
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -62,13 +60,11 @@ class TestConfig:
     ``variant == "sparse"`` (they are the known edge-probability
     multipliers of the two graphs). ``align_reflections`` resolves the
     reflection ambiguity between two independently embedded graphs by
-    minimizing the statistic over a list of candidate orthogonal maps of
-    the second sample: the 2^d per-column sign patterns, the identity
-    first (:func:`_reflections`), or the identity alone when it is false.
-    The maps are orthogonal, so every supported null hypothesis is
-    unchanged by this search; the median bandwidth is resolved before it,
-    so one bandwidth serves every candidate. Frozen, so the checks hold
-    for its lifetime: :func:`dataclasses.replace` makes a checked copy.
+    minimizing the statistic over the 2^d per-column sign patterns of the
+    second sample (:func:`_align`); reflections are orthogonal maps, so
+    every supported null hypothesis is unchanged by this search. Frozen, so
+    the checks hold for its lifetime: :func:`dataclasses.replace` makes a
+    checked copy.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -207,7 +203,7 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     multi-threaded BLAS the two threads compete for the same cores.
     :func:`two_sample_test` draws the same null, in the same order, before
     it embeds the graphs, from the one kernel matrix that also serves its
-    candidate search and statistic. ``rng`` must be a
+    reflection search and statistic. ``rng`` must be a
     ``numpy.random.Generator`` and ``spec`` a fixed bandwidth
     (``mmd.fixed_bandwidth``), both checked before the draw.
 
@@ -450,25 +446,34 @@ def _bandwidth(kernel, px, py):
     return kernel
 
 
-def _reflections(d):
-    """The 2^d column sign patterns as a ``(2^d, d, d)`` stack of diagonal
-    maps, in order: map ``b`` flips column ``j`` when bit ``j`` of ``b`` is
-    set, so map 0 is the identity."""
-    flips = np.arange(2**d)[:, None] >> np.arange(d) & 1
-    return np.where(np.eye(d, dtype=bool), 1.0 - 2.0 * flips[:, None, :], 0.0)
+class _Reflections(Sequence):
+    """The 2^d column sign patterns of width ``d`` as diagonal maps, in
+    order: map ``b`` flips column ``j`` when bit ``j`` of ``b`` is set, so
+    map 0 is the identity. Each map is made when it is read, since the
+    whole stack would hold 2^d·d² floats (134 MB at d = 16)."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def __len__(self):
+        return 2**self.d
+
+    def __getitem__(self, b):
+        b = range(len(self))[b]  # IndexError past either end
+        return np.diag(1.0 - 2.0 * (b >> np.arange(self.d) & 1))
 
 
 def _align(kernel, px, py, maps):
-    """Stage 3: the search over the ``(G, d, d)`` candidate orthogonal
-    ``maps``, each applied as ``py @ w``, keeping the first of largest
-    cross-block sum: each kernel is unchanged when one orthogonal map
-    acts on both its arguments, so only that sum depends on the map, and
-    the statistic falls as it rises. Returns the chosen map,
-    the sums ``(sxx, sxy, syy)`` of the statistic and the pooled kernel
-    matrix. Each block is copied in and freed before the next is computed,
-    its sum taken first on the contiguous block (a strided view of the pool
-    sums in another order). A map of ±1 on the diagonal and exact zeros
-    elsewhere gives the bits of flipping the columns."""
+    """Stage 3: the search over candidate orthogonal maps ``w`` (a
+    sequence: :class:`_Reflections`, the identity first, or the identity
+    alone), each applied as ``py @ w``, keeping the first of largest
+    cross-block sum: only that sum depends on the map, and the statistic
+    falls as it rises. The median bandwidth is resolved before, on the
+    unaligned pool, so one bandwidth serves every candidate. Returns the
+    chosen map, the sums ``(sxx, sxy, syy)`` of the statistic and the
+    pooled kernel matrix. Each block is copied in and freed before the next
+    is computed, its sum taken first on the contiguous block (a strided
+    view of the pool sums in another order)."""
     n, m = px.shape[0], py.shape[0]
     k = np.empty((n + m, n + m))
     k[:n, :n] = block = mmd.gram(kernel, px, px)
@@ -494,8 +499,8 @@ def _calibrate(px, py, maps, config, info, draw):
     """Stages 2-4 on checked, preprocessed rows, over the candidate
     ``maps`` of :func:`_align`, with the permutations of ``draw``
     (:func:`_drawn`), then the report; its ``preprocessing`` is the chosen
-    map's diagonal as ``reflection`` (when there are two candidates or
-    more) and ``info``."""
+    map (of two candidates or more: its diagonal as ``reflection`` when it
+    is diagonal, else ``map``) and ``info``."""
     n, m = px.shape[0], py.shape[0]
     kernel = _bandwidth(config.kernel, px, py)
     w, sums, k = _align(kernel, px, py, maps)
@@ -503,7 +508,9 @@ def _calibrate(px, py, maps, config, info, draw):
     null_values = _null_from_gram(k, n, m, config.permutations, draw)
     p = p_value(observed, null_values)
     if len(maps) > 1:
-        info = {"reflection": np.diagonal(w).tolist(), **info}
+        diagonal = np.array_equal(w, np.diag(np.diagonal(w)))
+        key, value = ("reflection", np.diagonal(w)) if diagonal else ("map", w)
+        info = {key: value.tolist(), **info}
     return TestReport(
         statistic=float(observed),
         scaled_statistic=float((n + m) * observed),
@@ -525,14 +532,13 @@ def _calibrate(px, py, maps, config, info, draw):
 def two_sample_test(graph_a, graph_b, config, rng=None):
     """Test whether two graphs share a latent-position distribution.
 
-    Embeds each graph, aligns the second embedding over the candidate
-    maps of :func:`_reflections` (all of them, or the identity alone
-    unless ``config.align_reflections``; see :class:`TestConfig`), and
-    compares the unbiased kernel statistic with its permutation null over
-    the pooled rows. One kernel matrix serves the search, the statistic
-    and the null. All randomness derives from ``config.seed`` unless an
-    explicit ``rng`` is supplied. Both graphs, ``d`` against each size,
-    ``n, m >= 2`` and ``rng`` are checked before any embedding or draw.
+    Embeds each graph, aligns the second embedding over per-column
+    reflections (see :class:`TestConfig`), and compares the unbiased kernel
+    statistic with its permutation null over the pooled rows. One kernel
+    matrix serves the reflection search, the statistic and the null. All
+    randomness derives from ``config.seed`` unless an explicit ``rng`` is
+    supplied. Both graphs, ``d`` against each size, ``n, m >= 2`` and
+    ``rng`` are checked before any embedding or draw.
 
     Every permutation is drawn before the graphs are embedded, in the
     order of :func:`permutation_null` (see :func:`_drawn`). When the
@@ -573,7 +579,7 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
         py, info_y = _embed(graph_b, config, config.sparsity_y)
         info = {f"{key}_x": value for key, value in info_x.items()}
         info.update((f"{key}_y", value) for key, value in info_y.items())
-        maps = _reflections(config.d)[:None if config.align_reflections else 1]  # map 0: identity
+        maps = _Reflections(config.d) if config.align_reflections else np.eye(config.d)[None]
         return _calibrate(px, py, maps, config, info, draw)
 
 
@@ -583,12 +589,12 @@ def two_sample_point_test(x, y, config, rng=None):
     Same calibration as :func:`two_sample_test` but starting from known
     coordinates instead of graphs: used for oracle comparisons against the
     true latent positions, where no reflection ambiguity exists (the
-    clouds share one coordinate frame, so the identity is the one
-    candidate map). The sparse variant reduces to identity here because
-    true positions carry no sparsity scaling. ``rng`` is as in
-    :func:`two_sample_test`. The rows are checked (finite, by
-    :func:`preprocess`; then ``n, m >= 2`` and one width) before the
-    permutations are drawn, in the order of :func:`two_sample_test`.
+    clouds share one coordinate frame, so the search is skipped). The
+    sparse variant reduces to identity here because true positions carry
+    no sparsity scaling. ``rng`` is as in :func:`two_sample_test`. The
+    rows are checked (finite, by :func:`preprocess`; then ``n, m >= 2``
+    and one width) before the permutations are drawn, in the order of
+    :func:`two_sample_test`.
     """
     rng = substream(config.seed) if rng is None else check_generator(rng)
     variant = "identity" if config.variant == "sparse" else config.variant

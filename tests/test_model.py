@@ -361,12 +361,12 @@ class TestMomentDiagnostic:
         diag = check_moment_assumption(np.full((4, 1), 0.5), gap_tol=1e-3)
         assert diag.gap == np.inf and not diag.flagged
 
-    @pytest.mark.parametrize("gap_tol", [np.nan, -1e-3])
+    @pytest.mark.parametrize("gap_tol", [np.nan, -1e-3, "0.1", None, True, np.bool_(False)])
     def test_gap_tol_is_a_number_at_least_zero(self, gap_tol):
         # A nan tolerance returned flagged=False whatever the gap.
         with pytest.raises(ValueError) as info:
             check_moment_assumption(np.eye(2), gap_tol=gap_tol)
-        assert str(info.value) == f"gap_tol must be >= 0, got {gap_tol}"
+        assert str(info.value) == f"gap_tol must be a number >= 0, got {gap_tol!r}"
         assert check_moment_assumption(np.eye(2), gap_tol=0.0).flagged is False
 
 

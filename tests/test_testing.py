@@ -635,7 +635,7 @@ class TestPooledMatrixInPlace:
         # Blocks this large sum in another order as strided views of the pool.
         px = rng.normal(size=(200, d))
         py = rng.normal(size=(260, d)) * np.array([-1.0, 1.0, -1.0][:d]) + 0.4
-        maps = testing._reflections(d)[:None if reflections else 1]
+        maps = testing._Reflections(d) if reflections else np.eye(d)[None]
         w, sums, k = _align(SPEC, px, py, maps)
         # Pattern b flips column j when bit j of b is set: map 0 is the identity.
         patterns = [np.array([1.0 if bits & (1 << j) == 0 else -1.0 for j in range(d)])
@@ -728,7 +728,7 @@ class TestReflectionSearch:
         # The energy kernel overflows to inf - inf on rows near 1e200.
         x = np.array([[1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
         config = TestConfig(kernel=EnergyKernel(), permutations=5)
-        maps = testing._reflections(2)[:None if align else 1]
+        maps = testing._Reflections(2) if align else np.eye(2)[None]
         with pytest.raises(ValueError, match="statistic is not finite"):
             _calibrated(x, x[::-1].copy(), maps, config)
 
@@ -738,7 +738,7 @@ class TestReflectionSearch:
         x = sample_latent(f, 150, rng)
         y = sample_latent(f, 150, rng)
         mirrored = y * np.array([1.0, -1.0])
-        report = _calibrated(x, mirrored, testing._reflections(2),
+        report = _calibrated(x, mirrored, testing._Reflections(2),
                              TestConfig(kernel=SPEC, permutations=1))
         signs = np.array(report.preprocessing["reflection"])
         assert np.array_equal(signs, [1.0, -1.0])
@@ -761,12 +761,14 @@ class TestCandidateSearch:
         rng = substream(157)
         px = rng.random((40, 2)) * np.array([1.0, 0.3]) + np.array([0.2, 0.5])
         py = px[rng.permutation(40)] @ w.T
-        maps = np.concatenate([testing._reflections(2), w[None]])
+        maps = [*testing._Reflections(2), w]
         chosen, sums, _ = _align(SPEC, px, py, maps)
         assert np.array_equal(chosen, w)
         report = _calibrated(px, py, maps, TestConfig(kernel=SPEC, permutations=5))
         assert report.statistic == u_statistic(SPEC, px, py @ w)
         assert report.statistic == u_from_sums(*sums, 40, 40)
+        # A map that is not a sign pattern is recorded whole, not by its diagonal.
+        assert report.preprocessing == {"map": w.tolist()}
 
     @pytest.mark.parametrize("order, first", [([0, 1, 2, 3], 0), ([2, 3, 0, 1], 2)])
     def test_an_exact_tie_keeps_the_first_candidate(self, order, first):
@@ -774,14 +776,38 @@ class TestCandidateSearch:
         rng = substream(158)
         px = rng.random((30, 2)) + 0.5
         py = (rng.random((30, 2)) + 0.5) * np.array([1.0, 0.0])
-        maps = testing._reflections(2)[order]
+        maps = [testing._Reflections(2)[b] for b in order]
         crosses = [gram(SPEC, px, py @ w).sum() for w in maps]
         assert crosses[order.index(0)] == crosses[order.index(2)] == max(crosses)
         chosen, sums, _ = _align(SPEC, px, py, maps)
-        assert np.array_equal(chosen, testing._reflections(2)[first])
+        assert np.array_equal(chosen, testing._Reflections(2)[first])
         assert sums[1] == crosses[0]
         report = _calibrated(px, py, maps, TestConfig(kernel=SPEC, permutations=5))
-        assert report.preprocessing["reflection"] == np.diag(chosen).tolist()
+        assert report.preprocessing == {"reflection": np.diag(chosen).tolist()}
+
+    def test_reflections_are_made_when_read(self):
+        # The whole stack at d = 30 would hold 2^30 maps of 900 floats.
+        maps = testing._Reflections(30)
+        assert len(maps) == 2**30
+        assert np.array_equal(maps[0], np.eye(30))
+        assert np.array_equal(maps[2**30 - 1], -np.eye(30))
+        assert np.array_equal(maps[-1], -np.eye(30))
+        assert np.array_equal(np.diag(maps[5])[:4], [-1.0, 1.0, -1.0, 1.0])
+        for b in (-(2**30) - 1, 2**30):
+            with pytest.raises(IndexError):
+                maps[b]
+        assert len(list(testing._Reflections(3))) == 8
+
+    def test_wide_embedding_without_alignment(self):
+        # The identity alone is searched: d = 30 on 40-vertex graphs runs.
+        f, _ = two_block_pair(0.0)
+        rng = substream(159)
+        a, b = (sample_rdpg(sample_latent(f, 40, rng), 1.0, rng) for _ in range(2))
+        config = TestConfig(d=30, kernel=SPEC, permutations=5, align_reflections=False)
+        report = two_sample_test(a, b, config)
+        assert "reflection" not in report.preprocessing
+        px, py = (preprocess(ase(g, 30), "identity")[0] for g in (a, b))
+        assert report.statistic == u_statistic(SPEC, px, py)
 
 
 ORACLE_CASES = [
