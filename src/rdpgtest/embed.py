@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import check_count
+from .streams import as_points, check_count
 
 __all__ = [
     "Embedding",
@@ -57,7 +57,7 @@ def fix_signs(u):
     positive instead, and a zero column is left untouched. Idempotent, and
     invariant to pre-multiplying any column by -1.
     """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    u = as_points(u, "u")
     flips = np.ones(u.shape[1])
     sums = u.sum(axis=0)
     for k in range(u.shape[1]):
@@ -130,8 +130,8 @@ def procrustes_align(xhat, x):
     reports the residual in Frobenius and maximum-row-norm form. Requires a
     known row correspondence, so this is a simulation diagnostic.
     """
-    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    xhat = as_points(xhat, "xhat")
+    x = as_points(x, "x")
     if xhat.shape != x.shape:
         raise ValueError(f"shape mismatch: {xhat.shape} vs {x.shape}")
     u, _, vt = np.linalg.svd(xhat.T @ x)
@@ -146,7 +146,7 @@ def procrustes_align(xhat, x):
 
 def two_to_infinity(m):
     """Maximum Euclidean row norm of a matrix."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    m = as_points(m, "m")
     if m.size == 0:
         return 0.0
     return float(np.sqrt((m * m).sum(axis=1).max()))
@@ -160,7 +160,7 @@ def second_moment_rotation(x):
     orthogonal matrix that makes the true-position statistic comparable to
     the one computed from the two spectral embeddings.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_points(x, "x")
     n, d = x.shape
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")

@@ -74,17 +74,17 @@ class ExperimentConfig:
     sample sizes (``m`` defaults to ``n`` unless ``m_grid`` is given, one
     entry per ``n_grid`` entry). When ``oracle_arm`` is set, each replicate
     also runs the test on the true latent positions for side-by-side
-    comparison. Frozen, as :class:`~rdpgtest.testing.TestConfig` is, so the
-    checks hold for its lifetime: :func:`dataclasses.replace` makes a
-    checked copy.
+    comparison. Frozen, as :class:`~rdpgtest.testing.TestConfig` is, with
+    the three sequences stored as tuples, so the checks hold for its
+    lifetime: :func:`dataclasses.replace` makes a checked copy.
     """
 
-    pairs: list
-    n_grid: list
+    pairs: tuple
+    n_grid: tuple
     replicates: int
     test: TestConfig
     master_seed: int
-    m_grid: list | None = None
+    m_grid: tuple | None = None
     oracle_arm: bool = False
     sparsity: float = 1.0
     output_path: str | None = None
@@ -95,8 +95,12 @@ class ExperimentConfig:
         check_count(self.replicates, "replicates")
         if not self.pairs or not self.n_grid:
             raise ValueError("pairs and n_grid must be nonempty")
-        if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):
-            raise ValueError("m_grid must pair with n_grid entry by entry")
+        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        if self.m_grid is not None:
+            object.__setattr__(self, "m_grid", tuple(self.m_grid))
+            if len(self.m_grid) != len(self.n_grid):
+                raise ValueError("m_grid must pair with n_grid entry by entry")
         check_sparsity(self.sparsity)
         check_count(self.master_seed, "master_seed", 0)
         for n, m in zip(self.n_grid, self.m_grid or self.n_grid):
@@ -168,7 +172,7 @@ def run_power_experiment(config):
     PowerTable
     """
     test_cfg = config.test
-    m_grid = config.m_grid if config.m_grid is not None else list(config.n_grid)
+    m_grid = config.n_grid if config.m_grid is None else config.m_grid
 
     table = PowerTable(
         metadata={

@@ -26,6 +26,7 @@ from .model import (
     UniformBox,
     as_graph,
 )
+from .streams import as_points
 
 __all__ = ["read_edge_list", "write_edge_list"]
 
@@ -182,10 +183,11 @@ def write_matrix_csv(matrix, path, labels=None):
         if "," in label or label != label.strip() or len(label.splitlines()) > 1:
             raise ValueError(
                 f"matrix label {label!r} has a comma, a line break or surrounding whitespace")
+    rows = as_points(matrix, "matrix").tolist()
     with open(path, "w", encoding="utf-8") as handle:
         if labels is not None:
             handle.write(_LABELS + " " + ",".join(labels) + "\n")
-        for row in np.atleast_2d(np.asarray(matrix, dtype=float)).tolist():
+        for row in rows:
             handle.write(",".join(map(_fmt, row)) + "\n")
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InsufficientSampleError
 from .io import _converted
+from .streams import as_points
 
 __all__ = [
     "KernelSpec",
@@ -202,19 +203,10 @@ def kernel_from_params(params):
     return kernel(**{fields[key]: value for key, value in values.items()})
 
 
-def _as_points(x, name):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be a point or an (n, d) array, got shape {x.shape}")
-    return x
-
-
 def gram(spec, a, b):
     """Kernel matrix between the point sets ``a`` (rows) and ``b`` (columns)."""
-    a = _as_points(a, "a")
-    b = _as_points(b, "b")
+    a = as_points(a, "a")
+    b = as_points(b, "b")
     check_widths(a, b)
     return spec.pairwise(a, b)
 
@@ -272,8 +264,8 @@ def u_statistic(spec, x, y):
     -------
     float
     """
-    x = _as_points(x, "x")
-    y = _as_points(y, "y")
+    x = as_points(x, "x")
+    y = as_points(y, "y")
     n, m = x.shape[0], y.shape[0]
     check_sizes(n, m)
     sxx = off_diagonal_sum(gram(spec, x, x))
@@ -288,8 +280,8 @@ def v_statistic(spec, x, y):
     embeddings, so it is nonnegative (up to roundoff) for positive
     semidefinite kernels. Needs ``n, m >= 1``; raises if it is not finite.
     """
-    x = _as_points(x, "x")
-    y = _as_points(y, "y")
+    x = as_points(x, "x")
+    y = as_points(y, "y")
     n, m = x.shape[0], y.shape[0]
     if n < 1 or m < 1:
         raise InsufficientSampleError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
@@ -305,7 +297,7 @@ def median_heuristic(points):
     Common bandwidth preset for the Gaussian kernel. Raises if fewer than
     two points, if a point is not finite or if the median distance is zero.
     """
-    points = _as_points(points, "points")
+    points = as_points(points, "points")
     n = points.shape[0]
     if n < 2:
         raise InsufficientSampleError("median heuristic needs at least 2 points")

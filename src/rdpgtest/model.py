@@ -17,7 +17,7 @@ import numpy as np
 
 from .embed import ase
 from .errors import InvalidDistributionError, ModelError, NotPositiveSemidefiniteError
-from .streams import check_count
+from .streams import as_points, check_count
 
 __all__ = [
     "LatentDistribution",
@@ -107,7 +107,7 @@ class PointMassMixture(LatentDistribution):
     kind = "point_mass_mixture"
 
     def __post_init__(self):
-        self.atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        self.atoms = as_points(self.atoms, "atoms")
         self.weights = _check_weights(self.weights)
         if self.atoms.shape[0] != self.weights.shape[0]:
             raise InvalidDistributionError(
@@ -222,7 +222,7 @@ class LogitNormalMixture(LatentDistribution):
     kind = "logit_normal_mixture"
 
     def __post_init__(self):
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
+        self.means = as_points(self.means, "means")
         self.covs = np.asarray(self.covs, dtype=float)
         if self.covs.ndim == 2:
             self.covs = self.covs[None, :, :]
@@ -299,10 +299,11 @@ class DegreeCorrected(LatentDistribution):
         return (a * a + a * b + b * b) / 3.0 * self.directions.second_moment()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Graph:
     """Simple undirected graph held as a dense symmetric 0/1 matrix.
-    ``np.asarray(graph)`` is a copy of that matrix, so ``ase(graph, d)``
+    The field and the stored int8 matrix are read-only, and
+    ``np.asarray(graph)`` is a writable copy of it, so ``ase(graph, d)``
     works and no caller can change a checked graph."""
 
     adjacency: np.ndarray
@@ -317,7 +318,9 @@ class Graph:
             raise ModelError("adjacency must have a zero diagonal (no self-loops)")
         if not ((a == 0) | (a == 1)).all():
             raise ModelError("adjacency entries must be 0 or 1")
-        self.adjacency = a.astype(np.int8)
+        a = a.astype(np.int8)
+        a.flags.writeable = False
+        object.__setattr__(self, "adjacency", a)
 
     @property
     def n(self):
@@ -404,10 +407,6 @@ def sample_latent(dist, n, rng):
     return dist.sample(check_count(n, "n"), rng)
 
 
-def _positions(latent):
-    return np.atleast_2d(np.asarray(latent, float))
-
-
 def check_sparsity(value, name="sparsity"):
     """The one rule for a sparsity factor ``alpha``: a known number in (0, 1]."""
     if value is None or not 0.0 < value <= 1.0:
@@ -421,11 +420,11 @@ def edge_prob_matrix(latent, sparsity=1.0):
     Raises :class:`ModelError` if any entry leaves [0, 1] beyond 1e-12
     roundoff; probabilities are never clamped silently.
     """
-    x = _positions(latent)
+    x = as_points(latent, "latent")
     p = x @ x.T
     p *= check_sparsity(sparsity)
     lo, hi = float(p.min(initial=np.inf)), float(p.max(initial=-np.inf))  # no rows: none to check
-    if lo < -1e-12 or hi > 1.0 + 1e-12:
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):  # nan fails both
         raise ModelError(f"edge probabilities span [{lo:.6g}, {hi:.6g}], outside [0, 1]")
     return p
 
@@ -444,7 +443,7 @@ def sample_rdpg(latent, sparsity=1.0, rng=None):
     """
     if rng is None:
         raise ValueError("a seeded rng is required")
-    x = _positions(latent)
+    x = as_points(latent, "latent")
     p = edge_prob_matrix(x, sparsity)
     n = x.shape[0]
     u = rng.random(n * (n - 1) // 2)
@@ -466,18 +465,18 @@ def check_moment_assumption(latent, gap_tol=1e-3):
     population second-moment matrix has ``d`` distinct eigenvalues. This
     returns the empirical eigenvalues in descending order together with the
     minimum consecutive gap, flagging (never raising) when the gap falls
-    below ``gap_tol``, a real number >= 0, not a bool (a nan one would
-    never flag).
+    below ``gap_tol`` or is nan (positions that are not finite). ``gap_tol``
+    is a real number >= 0, not a bool: a nan one would never flag.
     """
     if isinstance(gap_tol, bool) or not isinstance(gap_tol, numbers.Real) or not gap_tol >= 0:
         raise ValueError(f"gap_tol must be a number >= 0, got {gap_tol!r}")
-    x = _positions(latent)
+    x = as_points(latent, "latent")
     n, d = x.shape
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
     vals = np.linalg.eigvalsh(x.T @ x / n)[::-1]
     gap = float(np.min(-np.diff(vals))) if d > 1 else np.inf
-    return MomentDiagnostic(vals, gap, gap_tol, flagged=bool(gap < gap_tol))
+    return MomentDiagnostic(vals, gap, gap_tol, flagged=not gap >= gap_tol)
 
 
 def second_moment_matrix(dist, rng=None, surrogate_size=10**6):

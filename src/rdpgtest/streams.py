@@ -4,6 +4,7 @@ A master seed plus an integer path (for example ``(grid_index,
 replicate_index)``) identifies a statistically independent generator.
 Work units keyed by distinct paths can therefore run in any order, or in
 parallel, and still produce bit-identical results.
+It also holds three shared rules: check_count, check_generator, as_points.
 """
 
 import numpy as np
@@ -41,3 +42,15 @@ def check_generator(rng):
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     return rng
+
+
+def as_points(x, name):
+    """The one rule for an array of points: ``x`` as float64, a ``(d,)``
+    point as one row and an ``(n, d)`` array as it is; any other shape is
+    refused, naming ``name``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"{name} must be a point or an (n, d) array, got shape {x.shape}")
+    return x

@@ -37,7 +37,7 @@ from .embed import ase, check_dimension
 from .errors import DegenerateRowError
 from .io import _fmt
 from .model import as_graph, check_sparsity
-from .streams import check_count, check_generator, substream
+from .streams import as_points, check_count, check_generator, substream
 
 __all__ = [
     "TestConfig",
@@ -158,7 +158,7 @@ def preprocess(embedding, variant, *, sparsity=None, eps_floor=TestConfig.eps_fl
     """
     check_floor(eps_floor)
     x = getattr(embedding, "coordinates", embedding)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_points(x, "rows")
     if not np.isfinite(x).all():
         raise ValueError("rows must be finite")
     if variant == "identity":
@@ -185,25 +185,15 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     For each of ``permutations`` rounds, a uniform random permutation
     assigns the first ``n`` pooled rows to a pseudo first sample and the
     remaining ``m`` to a pseudo second sample, and the unbiased two-sample
-    statistic is recorded. Every permutation is drawn first (see
-    :func:`_drawn`), packed into N·B/8 bytes with N = n + m, in blocks of
-    rounds of one ``rng.permuted`` call each (see :func:`_draw`; its
-    scratch is 96 KB up to N = 1536, 64·N bytes above). The kernel matrix
-    of the pool is computed once, and each round then only re-aggregates
-    the matrix's entries, in panels of 256 rounds (wider for a pool under
-    64 rows; the last takes the remainder, up to 511), from the upper
-    triangle of the matrix in row blocks of 192, so the working memory is
-    O(N² + N·512) plus N·B/8 bytes, not O(N·B). It uses up to two cores:
-    with two panels or more, N >= 384 and two usable cores, one worker
-    thread draws while the kernel matrix is built, then computes a share
-    of each panel's blocks (see :func:`_null_from_gram`). Deterministic
-    given ``rng``; at a fixed BLAS thread count the values and ``rng``'s
-    end state are bit-identical on one core or two, and at one BLAS thread
-    they are the bits of the block formula over all rounds at once. With a
-    multi-threaded BLAS the two threads compete for the same cores.
+    statistic is recorded. The kernel matrix of the pool is computed once,
+    after every permutation is drawn, and each round then only
+    re-aggregates its entries, on up to two cores: :func:`_drawn` and
+    :func:`_null_from_gram` tell how. Beside that matrix the working memory
+    is O(N·512) plus N·B/8 bytes for the draws (N = n + m, B =
+    ``permutations``). Deterministic given ``rng``; the values and ``rng``'s
+    end state are the same bits at a fixed BLAS thread count.
     :func:`two_sample_test` draws the same null, in the same order, before
-    it embeds the graphs, from the one kernel matrix that also serves its
-    reflection search and statistic. ``rng`` must be a
+    it embeds the graphs. ``rng`` must be a
     ``numpy.random.Generator`` and ``spec`` a fixed bandwidth
     (``mmd.fixed_bandwidth``), both checked before the draw.
 
@@ -211,7 +201,7 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     -------
     (permutations,) ndarray
     """
-    pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
+    pooled = as_points(pooled, "pooled")
     total = pooled.shape[0]
     mmd.check_sizes(check_count(n, "n"), check_count(m, "m"))
     if n + m != total:
@@ -346,9 +336,11 @@ def _null_from_gram(k, n, m, permutations, draw):
     With the pool, its thread computes its share of each panel's blocks
     while the calling thread computes the other and adds them up. Each
     block's products run whole on one thread, so the values keep their
-    bits on one core or two. The pool writes only into the arrays the
-    calling thread allocated, and this function never touches the random
-    stream."""
+    bits on one core or two; at one BLAS thread they are the bits of the
+    block formula over all rounds at once. With a multi-threaded BLAS the
+    two threads compete for the same cores. The pool writes only into the
+    arrays the calling thread allocated, and this function never touches
+    the random stream."""
     drawn, pool, future = draw
     if future is not None:
         future.result()
@@ -541,18 +533,10 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     ``rng`` are checked before any embedding or draw.
 
     Every permutation is drawn before the graphs are embedded, in the
-    order of :func:`permutation_null` (see :func:`_drawn`). When the
-    null's products split over two cores (two panels or more, N >= 384 and
-    two usable cores), one worker thread draws while the calling thread
-    embeds the graphs, then shares each panel's block products; otherwise
-    the calling thread draws first and no thread is started. Either way
-    the null takes O(N² + N·512) working memory plus N·B/8 bytes for the
-    draws (N = n + m, B permutations), and the result and ``rng``'s end
-    state are the same bits at a fixed BLAS thread count. When an
-    embedding raises while the worker draws, the draw stops within one
-    block of rounds (see :func:`_draw`) and the worker is joined before
-    the error reaches the caller; ``rng``'s end state after an error is
-    unspecified.
+    order of :func:`permutation_null`, whose memory bound holds here too;
+    the result and ``rng``'s end state are the same bits at a fixed BLAS
+    thread count. :func:`_drawn` tells when the draw overlaps the
+    embedding on a second core, and what an error leaves.
 
     Parameters
     ----------

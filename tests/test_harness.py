@@ -179,6 +179,24 @@ class TestPowerExperiment:
         with pytest.raises(ValueError, match="replicates"):
             replace(config, replicates=0)
 
+    def test_grids_are_fixed_when_built(self):
+        # An n_grid entry appended after the checks ran no cell, yet was
+        # written into the table's metadata.
+        f, g = two_block_pair(0.0)
+        pairs, n_grid, m_grid = [[0, f, g]], [10], [10]
+        config = ExperimentConfig(pairs=pairs, n_grid=n_grid, m_grid=m_grid, replicates=1,
+                                  test=TestConfig(permutations=5), master_seed=0)
+        pairs[0][0] = 1
+        n_grid.append(20)
+        m_grid.append(1)
+        assert config.pairs == ((0, f, g),) and config.n_grid == config.m_grid == (10,)
+        with pytest.raises(AttributeError):
+            config.n_grid.append(20)
+        table = run_power_experiment(config)
+        assert [(c.n, c.m, c.sweep) for c in table.cells] == [(10, 10, 0)]
+        assert table.metadata["n_grid"] == "10"
+        assert replace(config, n_grid=[12], m_grid=None).n_grid == (12,)
+
 
 class TestWComparison:
     def test_same_sample_and_graph_degenerate(self):

@@ -534,7 +534,7 @@ class TestConfigFiles:
         path.write_text(POWER_INI)
         config = load_power_config(path)
         assert [p[0] for p in config.pairs] == [0.0, 0.1]
-        assert config.n_grid == [20, 30]
+        assert config.n_grid == (20, 30)
         assert config.replicates == 2
         assert config.oracle_arm is True
         assert config.test.permutations == 15

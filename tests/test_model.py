@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -287,6 +288,14 @@ class TestSampleRdpg:
         with pytest.raises(ValueError):
             sample_rdpg(np.zeros((3, 2)), 1.0)
 
+    def test_nan_position_is_refused_not_edgeless(self):
+        # A nan row passed the bounds test and became a vertex with no edges.
+        x = [[0.5, 0.5], [np.nan, 0.2], [0.3, 0.3]]
+        for call in (lambda: edge_prob_matrix(x), lambda: sample_rdpg(x, 1.0, substream(38))):
+            with pytest.raises(ModelError) as info:
+                call()
+            assert str(info.value) == "edge probabilities span [nan, nan], outside [0, 1]"
+
 
 class TestEdgeProbMatrix:
     def test_orthonormal_rows(self):
@@ -336,6 +345,18 @@ class TestGraphContainer:
         with pytest.raises(ValueError, match="always copies"):
             graph.__array__(copy=False)
 
+    def test_a_checked_graph_cannot_be_changed(self, tmp_path):
+        # A loop and a one-sided edge written into the stored matrix were
+        # dropped by write_edge_list without a word.
+        graph = Graph(np.zeros((3, 3), dtype=int))
+        for i, j in ((2, 2), (1, 2)):
+            with pytest.raises(ValueError, match="read-only"):
+                graph.adjacency[i, j] = 1
+        with pytest.raises(FrozenInstanceError):
+            graph.adjacency = np.ones((3, 3), dtype=np.int8)
+        write_edge_list(graph, tmp_path / "g.edges")
+        assert (tmp_path / "g.edges").read_text() == "# vertices: 3\n"
+
 
 class TestMomentDiagnostic:
     def test_tied_eigenvalues_flagged(self):
@@ -356,6 +377,11 @@ class TestMomentDiagnostic:
         analytic = np.linalg.eigvalsh(f.second_moment())[::-1]
         assert np.allclose(diag.eigenvalues, analytic, atol=0.02)
         assert not diag.flagged
+
+    def test_nan_gap_is_flagged(self):
+        # A nan row gave gap = nan and flagged = False.
+        diag = check_moment_assumption([[0.5, 0.5], [np.nan, 0.2], [0.3, 0.3]])
+        assert np.isnan(diag.gap) and diag.flagged is True
 
     def test_one_dimension_never_flagged(self):
         diag = check_moment_assumption(np.full((4, 1), 0.5), gap_tol=1e-3)

@@ -1,17 +1,23 @@
 """Each shared rule has one home and gives one result at every entry point:
 the sparsity factor, the refusal of the median bandwidth outside one test,
 the finite statistic, the 17-digit number format, the seed, the study sizes,
-the replicate count, every other count (never a bool), the row-norm floor
-and INI values that do not parse."""
+the replicate count, every other count (never a bool), the row-norm floor,
+INI values that do not parse and the shape of an array of points."""
 
 import re
 
 import numpy as np
 import pytest
 
-from rdpgtest import cli, harness, io
+from rdpgtest import cli, harness, io, mmd
 from rdpgtest.cli import main
-from rdpgtest.embed import ase
+from rdpgtest.embed import (
+    ase,
+    fix_signs,
+    procrustes_align,
+    second_moment_rotation,
+    two_to_infinity,
+)
 from rdpgtest.errors import ModelError
 from rdpgtest.harness import (
     ExperimentConfig,
@@ -28,10 +34,18 @@ from rdpgtest.mmd import (
     GaussianKernel,
     KernelSpec,
     gram,
+    median_heuristic,
     u_statistic,
     v_statistic,
 )
-from rdpgtest.model import edge_prob_matrix, sample_latent, sample_rdpg
+from rdpgtest.model import (
+    LogitNormalMixture,
+    PointMassMixture,
+    check_moment_assumption,
+    edge_prob_matrix,
+    sample_latent,
+    sample_rdpg,
+)
 from rdpgtest.streams import substream
 from rdpgtest.testing import (
     TestConfig,
@@ -510,3 +524,70 @@ def test_kernel_value_on_the_command_line_names_its_key(tmp_path, capsys):
     graphs = (tmp_path / "missing-a.edges", tmp_path / "missing-b.edges")
     assert _cli_error(capsys, "test", *graphs, "--d", "2", "--sigma", "wide") == (
         "bad value for key 'sigma': could not convert string to float: 'wide'")
+
+
+def _written(x, path, rng):
+    io.write_matrix_csv(x, path)
+    return path.read_text()
+
+
+GAUSS = GaussianKernel(0.5)
+# Per entry point: a call of one array of points ``x`` (with a file path and
+# a stream), giving a comparable result, and the argument ``x`` stands for.
+POINT_CASES = {
+    "gram-a": (lambda x, path, rng: gram(GAUSS, x, POINTS).tolist(), "a"),
+    "gram-b": (lambda x, path, rng: gram(GAUSS, POINTS, x).tolist(), "b"),
+    "u_statistic-x": (lambda x, path, rng: u_statistic(GAUSS, x, POINTS), "x"),
+    "u_statistic-y": (lambda x, path, rng: u_statistic(GAUSS, POINTS, x), "y"),
+    "v_statistic-x": (lambda x, path, rng: v_statistic(GAUSS, x, POINTS), "x"),
+    "v_statistic-y": (lambda x, path, rng: v_statistic(GAUSS, POINTS, x), "y"),
+    "median_heuristic": (lambda x, path, rng: median_heuristic(x), "points"),
+    "edge_prob_matrix": (lambda x, path, rng: edge_prob_matrix(x).tolist(), "latent"),
+    "sample_rdpg": (lambda x, path, rng: sample_rdpg(x, 1.0, rng).adjacency.tolist(), "latent"),
+    "check_moment_assumption": (
+        lambda x, path, rng: check_moment_assumption(x).eigenvalues.tolist(), "latent"),
+    "PointMassMixture": (lambda x, path, rng: PointMassMixture(x, [1.0]).atoms.tolist(), "atoms"),
+    "LogitNormalMixture": (
+        lambda x, path, rng: LogitNormalMixture(x, np.eye(2), [1.0]).means.tolist(), "means"),
+    "fix_signs": (lambda x, path, rng: fix_signs(x).tolist(), "u"),
+    "procrustes_align-xhat": (
+        lambda x, path, rng: procrustes_align(x, POINTS[:1]).rotation.tolist(), "xhat"),
+    "procrustes_align-x": (
+        lambda x, path, rng: procrustes_align(POINTS[:1], x).frobenius_error, "x"),
+    "two_to_infinity": (lambda x, path, rng: two_to_infinity(x), "m"),
+    "second_moment_rotation": (lambda x, path, rng: second_moment_rotation(x).tolist(), "x"),
+    "preprocess": (lambda x, path, rng: preprocess(x, "projection")[0].tolist(), "rows"),
+    "permutation_null": (
+        lambda x, path, rng: permutation_null(x, 2, 2, GAUSS, 5, rng).tolist(), "pooled"),
+    "write_matrix_csv": (_written, "matrix"),
+}
+
+
+def _outcome(call, x, path):
+    try:
+        return call(x, path, substream(160))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", POINT_CASES.values(), ids=POINT_CASES.keys())
+def test_point_rule_has_one_message(case, tmp_path, monkeypatch):
+    # A scalar was taken as one point and a 3-D array passed through: fix_signs
+    # failed inside numpy, and write_matrix_csv wrote lines it could not read back.
+    call, name = case
+    point = np.array([0.3, 0.4])
+    one_row = _outcome(call, point[None], tmp_path / "row.csv")
+    assert _outcome(call, point, tmp_path / "point.csv") == one_row
+
+    def never(*args, **kwargs):
+        raise AssertionError("work began before the points were checked")
+
+    monkeypatch.setattr(mmd, "_sq_distances", never)
+    for solver in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, solver, never)
+    for bad in (np.float64(0.5), np.ones((3, 2, 2))):
+        rng, path = substream(161), tmp_path / "bad.csv"
+        state = rng.bit_generator.state
+        assert _raised(lambda: call(bad, path, rng), ValueError) == (
+            f"{name} must be a point or an (n, d) array, got shape {bad.shape}")
+        assert rng.bit_generator.state == state and not path.exists()

@@ -25,8 +25,11 @@ difference. The grid records:
   count, extreme and median bandwidths, INI keys and values, seeds, integer
   options, matrix labels, sparsity factors at every entry point, point
   clouds of two widths, the ``eps_floor`` bound, non-finite statistics,
-  streams that are not a ``numpy.random.Generator`` and an assignment to
-  a field of a built ``ExperimentConfig``;
+  streams that are not a ``numpy.random.Generator``, an assignment to
+  a field of a built ``ExperimentConfig``, a grid list changed after it
+  was built and a write into a built ``Graph``;
+- the shape rule of an array of points at each entry point, NaN latent
+  positions;
 - the repr of each error raised.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
@@ -47,6 +50,7 @@ import io as _stdio  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import warnings  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from itertools import product  # noqa: E402
 
@@ -651,6 +655,69 @@ def grid_cli(grid, rt, graphs, workdir):
         os.chdir(cwd)
 
 
+def grid_points(grid, rt, workdir):
+    """The point rule at each entry point, for a 0-D and a 3-D array, with
+    whether a file or a draw followed; NaN latent positions; a grid list
+    changed after its study was built; and a write into a built graph."""
+    io = sys.modules["rdpgtest.io"]
+    kernel, pool = rt.GaussianKernel(0.5), np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]])
+    path = os.path.join(workdir, "points.csv")
+    entries = {
+        "gram-a": lambda x, rng: rt.gram(kernel, x, pool),
+        "gram-b": lambda x, rng: rt.gram(kernel, pool, x),
+        "u_statistic-x": lambda x, rng: rt.u_statistic(kernel, x, pool),
+        "u_statistic-y": lambda x, rng: rt.u_statistic(kernel, pool, x),
+        "v_statistic-x": lambda x, rng: rt.v_statistic(kernel, x, pool),
+        "v_statistic-y": lambda x, rng: rt.v_statistic(kernel, pool, x),
+        "median_heuristic": lambda x, rng: rt.median_heuristic(x),
+        "edge_prob_matrix": lambda x, rng: rt.edge_prob_matrix(x),
+        "sample_rdpg": lambda x, rng: rt.sample_rdpg(x, 1.0, rng),
+        "check_moment_assumption": lambda x, rng: rt.check_moment_assumption(x),
+        "PointMassMixture": lambda x, rng: rt.PointMassMixture(x, [1.0]),
+        "LogitNormalMixture": lambda x, rng: rt.LogitNormalMixture(x, np.eye(2), [1.0]),
+        "fix_signs": lambda x, rng: rt.fix_signs(x),
+        "procrustes_align-xhat": lambda x, rng: rt.procrustes_align(x, pool[:1]),
+        "procrustes_align-x": lambda x, rng: rt.procrustes_align(pool[:1], x),
+        "two_to_infinity": lambda x, rng: rt.two_to_infinity(x),
+        "second_moment_rotation": lambda x, rng: rt.second_moment_rotation(x),
+        "preprocess": lambda x, rng: rt.preprocess(x, "projection"),
+        "permutation_null": lambda x, rng: rt.permutation_null(x, 2, 2, kernel, 5, rng),
+        "write_matrix_csv": lambda x, rng: io.write_matrix_csv(x, path),
+    }
+    for (name, call), (shape, x) in product(entries.items(), (("0d", np.float64(0.5)),
+                                                              ("3d", np.ones((3, 2, 2))))):
+        key, rng = f"points/{name}/{shape}", rt.substream(18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # without the rule a 3-D array reaches numpy
+            grid.run(key, lambda: call(x, rng), lambda k, r: grid.put(k, type(r).__name__))
+        grid.put(f"{key}/after", (os.path.exists(path), rng.random()))
+        if os.path.exists(path):
+            os.remove(path)
+    nan = [[0.5, 0.5], [np.nan, 0.2], [0.3, 0.3]]
+    grid.run("points/nan/sample_rdpg", lambda: rt.sample_rdpg(nan, 1.0, rt.substream(19)),
+             lambda k, g: grid.put(k, (g.n, g.edge_count)))
+    grid.run("points/nan/moment", lambda: rt.check_moment_assumption(nan),
+             lambda k, m: grid.put(k, (m.gap, m.flagged)))
+
+    def mutated_grid():
+        n_grid = [10]
+        config = rt.ExperimentConfig(pairs=[(0.0, *rt.two_block_pair(0.0))], n_grid=n_grid,
+                                     m_grid=[10], replicates=1,
+                                     test=rt.TestConfig(permutations=5), master_seed=0)
+        n_grid.append(20)
+        table = rt.run_power_experiment(config)
+        return len(table.cells), table.metadata["n_grid"]
+    grid.run("points/mutated-grid", mutated_grid, grid.put)
+
+    def written_graph():
+        graph = rt.Graph(np.zeros((3, 3), dtype=int))
+        graph.adjacency[2, 2] = 1
+        graph.adjacency[1, 2] = 1
+        rt.write_edge_list(graph, path)
+        return _file(path)
+    grid.run("points/graph-write", written_graph, grid.put)
+
+
 def grid_errors(grid, rt):
     path = np.eye(4, k=1, dtype=int) + np.eye(4, k=-1, dtype=int)
     cases = {
@@ -781,6 +848,7 @@ def snapshot(tree):
         finally:
             os.chdir(cwd)
         grid_cli(grid, rt, graphs, workdir)
+        grid_points(grid, rt, workdir)
     grid_errors(grid, rt)
     return grid.out
 
