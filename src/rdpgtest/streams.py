@@ -4,8 +4,12 @@ A master seed plus an integer path (for example ``(grid_index,
 replicate_index)``) identifies a statistically independent generator.
 Work units keyed by distinct paths can therefore run in any order, or in
 parallel, and still produce bit-identical results.
-It also holds three shared rules: check_count, check_generator, as_points.
+It also holds three shared rules: check_count, check_generator, as_points,
+and the one core count, usable_cores, that decides whether a helper thread
+starts.
 """
+
+import os
 
 import numpy as np
 
@@ -33,6 +37,14 @@ def check_count(value, name, minimum=1):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def usable_cores():
+    """Cores this process may run on: the permutation null and the
+    dissimilarity matrix start a helper thread only when there are two."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def check_generator(rng):

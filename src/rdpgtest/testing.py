@@ -24,7 +24,6 @@ checked once, by the one rule README lists for it. The variants are:
 """
 
 import json
-import os
 import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import mmd
+from . import mmd, streams
 from .embed import ase, check_dimension
 from .errors import DegenerateRowError
 from .io import _fmt
@@ -218,13 +217,6 @@ _PANEL_MADDS = 2**20  # fewest multiply-adds of one panel's product with the gra
 _BLOCK = 192  # rows per block of the null's quadratic form; the last takes the remainder
 
 
-def _usable_cores():
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _layout(total, permutations):
     """The null's panel width and count over a pool of ``total`` rows."""
     width = _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total))
@@ -235,7 +227,7 @@ def _splits(total, permutations):
     """Whether the null's block products split over two cores: two panels
     or more, two blocks or more and two usable cores."""
     return (_layout(total, permutations)[1] > 1 and total >= 2 * _BLOCK
-            and _usable_cores() > 1)
+            and streams.usable_cores() > 1)
 
 
 def _packed(total, permutations):

@@ -278,6 +278,14 @@ class TestDissimClassifyCommands:
         assert main(["dissim", str(manifest), *options]) == 1
         assert "c=1e-200" in capsys.readouterr().err and not out.exists()
 
+    def test_classify_refuses_a_nan_entry(self, tmp_path, capsys):
+        matrix_path = tmp_path / "dissim.csv"
+        matrix_path.write_text("# labels: a,a,b,b\n0,1,nan,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n")
+        assert main(["classify", str(matrix_path), "--k", "1", "--folds", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "dissimilarity must be finite, got nan at (0, 2)" in captured.err
+        assert "accuracy" not in captured.out
+
     def test_classify_without_labels_fails(self, graph_files, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("\n".join(str(p) for p in graph_files) + "\n")

@@ -1,9 +1,13 @@
+import re
+import sys
+import threading
 from dataclasses import FrozenInstanceError, replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from rdpgtest import harness, mmd, testing
+from rdpgtest import harness, mmd, streams, testing
 from rdpgtest.embed import ase, second_moment_rotation
 from rdpgtest.harness import (
     DissimilarityMatrix,
@@ -17,7 +21,7 @@ from rdpgtest.harness import (
     uniform_box_pair,
     w_comparison_experiment,
 )
-from rdpgtest.mmd import EnergyKernel, GaussianKernel, u_statistic
+from rdpgtest.mmd import EnergyKernel, GaussianKernel, InverseMultiquadricKernel, u_statistic
 from rdpgtest.model import sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 from rdpgtest.testing import TestConfig
@@ -262,8 +266,37 @@ class TestTraceContract:
 
     def test_pairwise_dissimilarity(self, calls):
         pairwise_dissimilarity(_graphs(0.0, 30, 4, seed=141), 2, SPEC)
-        # one within-sample block per graph, one cross block per pair
-        assert calls == {"harness.ase": 4, "mmd.gram": 4 + 6}
+        # one within-sample block per graph; the cross blocks are summed
+        # through a private name, since a helper thread may sum them
+        assert calls == {"harness.ase": 4, "mmd.gram": 4}
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_traced_names_run_on_the_calling_thread(self, monkeypatch, cores):
+        # The tracer keeps one stack of open spans, so a traced call from
+        # the helper would nest inside whatever the calling thread runs.
+        threads = []
+        for module, name in ((harness, "ase"), (mmd, "gram"), (mmd, "u_statistic")):
+            def recorded(*args, _fn=getattr(module, name), **kwargs):
+                threads.append(threading.current_thread())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
+        pairwise_dissimilarity(_graphs(0.0, 30, 6, seed=142), 2, SPEC)
+        assert len(threads) == 12 and set(threads) == {threading.main_thread()}
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    threads, thread_class = [], threading.Thread
+
+    def counted(*args, **kwargs):
+        threads.append(thread := thread_class(*args, **kwargs))
+        return thread
+
+    monkeypatch.setattr(threading, "Thread", counted)
+    return threads
 
 
 class TestPairwiseDissimilarity:
@@ -297,6 +330,116 @@ class TestPairwiseDissimilarity:
         within = max(matrix.values[0, 1], matrix.values[2, 3])
         cross = matrix.values[:2, 2:].min()
         assert cross > within
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("spec", [SPEC, InverseMultiquadricKernel(0.5, 1.0), EnergyKernel(1.5)],
+                             ids=["gaussian", "imq", "energy"])
+    def test_each_entry_is_the_pair_statistic_on_one_core_or_two(self, monkeypatch, started, spec,
+                                                                 cores):
+        f, g = two_block_pair(0.1)
+        rng = substream(116)
+        sizes = [20, 45, 30, 60, 25, 35, 50, 40]
+        graphs = [sample_rdpg(sample_latent(f if i % 2 else g, n, rng), 1.0, rng)
+                  for i, n in enumerate(sizes)]
+        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the helper and the caller interleave often
+        try:
+            matrix = pairwise_dissimilarity(graphs, 2, spec, floor=False)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert len(started) == cores - 1 and not any(t.is_alive() for t in started)
+        embeddings = [ase(graph, 2).coordinates for graph in graphs]
+        for g, h in combinations(range(len(graphs)), 2):
+            expected = u_statistic(spec, embeddings[g], embeddings[h])
+            assert matrix.values[g, h] == matrix.values[h, g] == expected
+
+    def test_the_caller_sums_the_columns_the_helper_has_not_started(self, monkeypatch):
+        # The helper holds column 1 until the caller has taken columns 5 to 2.
+        graphs = _graphs(0.1, 30, 6, seed=119)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 1)
+        serial = pairwise_dissimilarity(graphs, 2, SPEC, floor=False).values
+        holding, release = threading.Event(), threading.Event()
+        helped, taken, embedded = [], [], []
+        column, embed = harness._cross_column, harness.ase
+
+        def held(spec, embeddings, cross, h):
+            if threading.current_thread() is threading.main_thread():
+                taken.append(h)
+                if h == 2:
+                    release.set()
+            else:
+                helped.append(h)
+                if h == 1:
+                    holding.set()
+                    release.wait(timeout=60)
+            return column(spec, embeddings, cross, h)
+
+        def embedded_once_the_helper_holds(graph, d):
+            embedded.append(graph)
+            if len(embedded) == 3:  # graph 2, after column 1 was queued
+                holding.wait(timeout=60)
+            return embed(graph, d)
+
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "_cross_column", held)
+        monkeypatch.setattr(harness, "ase", embedded_once_the_helper_holds)
+        values = pairwise_dissimilarity(graphs, 2, SPEC, floor=False).values
+        assert helped == [0, 1] and taken == [5, 4, 3, 2]
+        assert np.array_equal(values, serial)
+
+    def test_a_cross_sum_raises_on_the_helper_as_on_the_caller(self, monkeypatch):
+        # The within sums wait until the helper has started every column, so
+        # the helper meets the overflow, under the caller's errstate.
+        overflowed = []
+
+        class CrossOverflow(mmd.KernelSpec):
+            def _from_sq(self, sq, a, b):
+                if sq.shape[0] == sq.shape[1]:
+                    return np.exp(sq)
+                overflowed.append(threading.current_thread())
+                return np.exp(sq + 1e3)
+
+        f, _ = two_block_pair(0.0)
+        rng = substream(120)
+        graphs = [sample_rdpg(sample_latent(f, n, rng), 1.0, rng) for n in (20, 25, 30, 35)]
+        last_taken, column, gram = threading.Event(), harness._cross_column, mmd.gram
+
+        def taken_up(spec, embeddings, cross, h):
+            if h == 3:
+                last_taken.set()
+            column(spec, embeddings, cross, h)
+
+        def after_the_helper_took_every_column(*args):
+            last_taken.wait(timeout=60)
+            return gram(*args)
+
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "_cross_column", taken_up)
+        monkeypatch.setattr(mmd, "gram", after_the_helper_took_every_column)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            pairwise_dissimilarity(graphs, 2, CrossOverflow())
+        assert len(overflowed) == 3 and threading.main_thread() not in overflowed
+
+    def test_embedding_failure_joins_the_helper(self, monkeypatch, started):
+        graphs = _graphs(0.0, 30, 6, seed=117)
+        graphs[3] = np.zeros((1, 1))
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
+        running = threading.active_count()
+        with pytest.raises(ValueError, match="^graph 3: "):
+            pairwise_dissimilarity(graphs, 2, SPEC)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == running
+
+    def test_non_finite_entry_is_named_with_the_helper(self, monkeypatch):
+        class NanKernel(mmd.KernelSpec):
+            def _from_sq(self, sq, a, b):
+                return np.full(np.shape(sq), np.nan)
+
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
+        with pytest.raises(ValueError, match="graphs 0 and 1 is not finite"):
+            pairwise_dissimilarity(_graphs(0.0, 30, 5, seed=118), 2, NanKernel())
 
     def test_needs_two_graphs(self):
         with pytest.raises(ValueError, match="2 graphs"):
@@ -340,6 +483,16 @@ class TestKnnClassify:
         labels = ["a", "a", "a", "b", "b", "b"]
         with pytest.raises(ValueError, match="smallest training fold"):
             knn_classify(values, labels, k=5, folds=2, seed=0)
+
+    @pytest.mark.parametrize("bad, at", [(np.nan, "nan at (0, 2)"), (np.inf, "inf at (0, 2)"),
+                                         (-np.inf, "-inf at (0, 2)")])
+    def test_non_finite_entry_is_refused(self, bad, at):
+        # argsort puts nan last, so it read as "farthest" and the
+        # accuracy came out as if the entry were a number.
+        values = np.ones((4, 4)) - np.eye(4)
+        values[0, 2] = values[2, 0] = values[3, 1] = bad
+        with pytest.raises(ValueError, match=f"^dissimilarity must be finite, got {re.escape(at)}$"):
+            knn_classify(values, ["a", "a", "b", "b"], k=1, folds=2)
 
     def test_label_length_checked(self):
         with pytest.raises(ValueError, match="labels"):

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import kstest
 
 import rdpgtest
-from rdpgtest import mmd, testing
+from rdpgtest import mmd, streams, testing
 from rdpgtest.embed import ase
 from rdpgtest.errors import DegenerateRowError, InsufficientSampleError, ModelError
 from rdpgtest.harness import pairwise_dissimilarity, two_block_pair, uniform_box_pair
@@ -174,7 +174,7 @@ class TestPermutationNull:
         def refuse(*args):
             raise AssertionError("drew before the kernel was checked")
 
-        monkeypatch.setattr(testing, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
         monkeypatch.setattr(testing, "_draw", refuse)
         with pytest.raises(ValueError, match="^sigma = median needs the pooled rows"):
             permutation_null(random_cloud(600, 2, substream(79)), 150, 450, GaussianKernel(None),
@@ -290,7 +290,7 @@ def write_panel_nulls(path):
         pooled = random_cloud(n + m, 2, substream(130, n))
         k = gram(SPEC, pooled, pooled)
         for mode, cores in (("helper", 2), ("serial", 1)):
-            testing._usable_cores = lambda cores=cores: cores
+            streams.usable_cores = lambda cores=cores: cores
             nulls[f"{mode}-{n}-{m}-{b}"] = _drawn_null(k, n, m, b, substream(131, b))
         nulls[f"whole-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b))
         nulls[f"product-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b), blocks=False)
@@ -338,7 +338,7 @@ def write_split_tests(path):
                 pooled, n, m, SPEC, b, substream(151) if rng is None else rng),
         }[name]
         for mode, cores in (("serial", 1), ("helper", 2)):
-            testing._usable_cores = lambda cores=cores: cores
+            streams.usable_cores = lambda cores=cores: cores
             del started[:], off_main[:]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6 if cores == 2 else interval)
@@ -448,7 +448,7 @@ class TestPanelledNull:
             helpers.append(threading.current_thread())
             raise FloatingPointError("the helper's product failed")
 
-        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(testing, "_block_terms", fail_on_the_helper)
         pooled = random_cloud(400, 2, substream(138))
         running = threading.active_count()
@@ -469,7 +469,7 @@ class TestPanelledNull:
             started.append(thread := thread_class(*args, **kwargs))
             return thread
 
-        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(testing.threading, "Thread", counted)
         pooled = random_cloud(n + m, 2, substream(140))
         k = gram(SPEC, pooled, pooled)
@@ -493,7 +493,7 @@ class TestPanelledNull:
                 madds.append(a.shape[0] * a.shape[1] * b.shape[1])
             return matmul(a, b, **kwargs)
 
-        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(np, "matmul", counted)
         _drawn_null(k, 400, 1200, permutations, substream(145))
         monkeypatch.undo()
@@ -505,9 +505,9 @@ class TestPanelledNull:
         # values by far more than rounding.
         pooled = random_cloud(400, 2, substream(142))
         k = gram(SPEC, pooled, pooled)
-        monkeypatch.setattr(testing, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 1)
         serial = _drawn_null(k, 100, 300, 2048, substream(143))
-        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -592,7 +592,7 @@ class TestDrawWhileEmbedding:
             assert drawing.wait(timeout=30)
             raise np.linalg.LinAlgError("eigh did not converge")
 
-        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(testing, "_draw", recorded_draw)
         monkeypatch.setattr(testing, "ase", failing_ase)
         a, b = _two_graphs(0.0, 300, seed=153)
@@ -617,7 +617,7 @@ class TestDrawWhileEmbedding:
             started.append(thread := thread_class(*args, **kwargs))
             return thread
 
-        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(testing.threading, "Thread", counted)
         graphs = _graph_pair(*two_block_pair(0.0), n, m, substream(155))
         two_sample_test(*graphs, TestConfig(permutations=permutations, seed=156))
@@ -920,7 +920,7 @@ class TestTwoSampleTest:
         graphs = [np.asarray(g) * 3 if size is None else g for g, size in zip(graphs, (n, m))]
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(testing, "_draw", refuse)
-        monkeypatch.setattr(testing, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         with pytest.raises(error, match=message):
             two_sample_test(*graphs, TestConfig(d=d, permutations=600))
 

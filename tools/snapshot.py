@@ -17,7 +17,8 @@ difference. The grid records:
   with a point test of atom-valued positions over two row blocks;
 - ``sbm_to_latent`` atoms on random and structured block matrices;
 - embeddings, sign conventions and alignment diagnostics;
-- power-study, alignment-comparison and dissimilarity outputs;
+- power-study, alignment-comparison and dissimilarity outputs, the
+  dissimilarity of graphs of unequal sizes with one usable core and with two;
 - the bytes of written files;
 - stdout, stderr, exit code and files of CLI invocations;
 - the input rules: edge-list reader branches, array graphs that are not
@@ -87,6 +88,22 @@ class Grid:
             return None
         record(key, result)
         return result
+
+
+@contextlib.contextmanager
+def _usable_cores(count):
+    """The package's usable core count patched to ``count``: the rule
+    ``streams.usable_cores``, or ``testing._usable_cores`` in a tree from
+    before that rule moved to ``streams``."""
+    streams = sys.modules["rdpgtest.streams"]
+    module, name = ((streams, "usable_cores") if hasattr(streams, "usable_cores")
+                    else (sys.modules["rdpgtest.testing"], "_usable_cores"))
+    saved = getattr(module, name)
+    setattr(module, name, lambda: count)
+    try:
+        yield
+    finally:
+        setattr(module, name, saved)
 
 
 def _report(grid, key, r):
@@ -363,6 +380,20 @@ def grid_harness(grid, rt, graphs, workdir):
         for k, folds in ((1, 2), (3, 3)):
             grid.run(f"{key}/knn{k},{folds}", lambda: rt.knn_classify(m, labels, k, folds=folds),
                      lambda kk, rep: grid.put(kk, rep.format()))
+    # Unequal sizes with one usable core and with two: with two, a helper
+    # thread sums the cross blocks while the graphs embed. The two must agree.
+    unequal = [graphs[k] for k in ("f20", "g45", "box30", "f40", "g25", "box45", "f30", "g40")]
+    unequal_labels = ["f", "g", "box", "f", "g", "box", "f", "g"]
+    for cores, (kname, spec) in product((1, 2), {
+        "gauss": rt.GaussianKernel(0.5), "imq": rt.InverseMultiquadricKernel(0.7, 1.5),
+        "energy": rt.EnergyKernel(0.5)}.items()
+    ):
+        key = f"dissim/unequal/cores{cores}/{kname}"
+        with _usable_cores(cores):
+            m = grid.run(key, lambda: rt.pairwise_dissimilarity(unequal, 2, spec, floor=False),
+                         lambda k, dm: grid.put(k, dm.values))
+        grid.run(f"{key}/knn1,2", lambda: rt.knn_classify(m, unequal_labels, 1, folds=2),
+                 lambda kk, rep: grid.put(kk, rep.format()))
     grid.run("dissim/median", lambda: rt.pairwise_dissimilarity(collection, 2, rt.GaussianKernel(None)),
              grid.put)
     grid.run("wcompare/median", lambda: rt.w_comparison_experiment(
