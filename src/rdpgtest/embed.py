@@ -84,8 +84,8 @@ def ase(m, d):
     Parameters
     ----------
     m : (n, n) array_like
-        Symmetric matrix, such as a :class:`~rdpgtest.model.Graph`;
-        asymmetry beyond 1e-12 raises.
+        Symmetric matrix, such as a :class:`~rdpgtest.model.Graph`, which
+        was checked as built; any other with asymmetry beyond 1e-12 raises.
     d : int
         Embedding dimension, ``1 <= d <= n``.
 
@@ -93,17 +93,26 @@ def ase(m, d):
     -------
     Embedding
     """
-    m = np.asarray(m, dtype=float)
+    from .model import Graph  # here: model imports embed
+
+    checked, m = isinstance(m, Graph), np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[0]
-    asym = _asymmetry(m) if n else 0.0
+    asym = 0.0 if checked or not n else _asymmetry(m)
     if asym > 1e-12:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3g})")
     check_dimension(d, n)
-    vals, vecs = np.linalg.eigh(m)
+    return _spectral(m, d)
+
+
+def _spectral(m, d):
+    """:func:`ase` of a square symmetric ``m`` and a ``d`` it has checked:
+    ``eigh`` of ``m`` as floats, the top ``d``, signs fixed, then scaled.
+    Calls no name that perfbench wraps, so a helper thread may run it."""
+    vals, vecs = np.linalg.eigh(np.asarray(m, dtype=float))
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    order = np.lexsort((np.arange(n), -np.sign(vals), -np.abs(vals)))
+    order = np.lexsort((np.arange(len(vals)), -np.sign(vals), -np.abs(vals)))
     top = order[:d]
     lam = vals[top]
     return Embedding(fix_signs(vecs[:, top]) * np.sqrt(np.abs(lam)), lam)

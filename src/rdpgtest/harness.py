@@ -8,7 +8,6 @@ evaluated in any order (or in parallel) with bit-identical results.
 
 import configparser
 import contextvars
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import product
 
@@ -306,16 +305,17 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
 
     Runs on up to two cores. The calling thread embeds the graphs in
     order; as soon as graph ``h`` is embedded, its cross-block sums with
-    every earlier graph (:func:`_cross_column`) go to a one-thread helper,
-    which sums them, under the caller's ``np.errstate``, while LAPACK
-    embeds the next graph (``eigh`` releases the interpreter lock). After
-    the last embedding the calling thread computes the within-graph sums,
-    then sums itself each column the helper has not started. With one
-    usable core (:func:`rdpgtest.streams.usable_cores`) no thread starts
-    and each column is summed right after its embedding. Each block is
-    summed whole on one thread and the statistics are formed, floored and
-    checked in row order, so values and errors are the same on one core or
-    two. The helper's blocks cost peak memory: about 1.5 MB for graphs of
+    every earlier graph (:func:`_cross_column`) go to the one-thread
+    :func:`rdpgtest.streams.helper`, which sums them, under the caller's
+    ``np.errstate``, while LAPACK embeds the next graph (``eigh`` releases
+    the interpreter lock). After the last embedding the calling thread
+    computes the within-graph sums, then sums itself each column the
+    helper has not started. With one usable core
+    (:func:`rdpgtest.streams.usable_cores`) no thread starts and each
+    column is summed right after its embedding. Each block is summed whole
+    on one thread and the statistics are formed, floored and checked in
+    row order, so values and errors are the same on one core or two. The
+    helper's blocks cost peak memory: about 1.5 MB for graphs of
     300 vertices.
 
     Parameters
@@ -338,7 +338,7 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
     mmd.fixed_bandwidth(spec)
     count = len(graphs)
     embeddings, cross = [], np.zeros((count, count))
-    with _helper() as pool:
+    with streams.helper() as pool:
         queued = []
         for idx, graph in enumerate(graphs):
             try:
@@ -367,23 +367,6 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
                 u = max(u, 0.0)
             values[g, h] = values[h, g] = u
     return DissimilarityMatrix(values, labels=list(labels) if labels is not None else None)
-
-
-@contextmanager
-def _helper():
-    """A one-thread pool while two cores are usable, else None. Leaving the
-    block, by an error too, cancels the work still queued and joins the
-    thread."""
-    if streams.usable_cores() < 2:
-        yield None
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here: import rdpgtest loads no concurrent
-
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _cross_column(spec, embeddings, cross, h):

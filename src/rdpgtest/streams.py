@@ -5,11 +5,12 @@ replicate_index)``) identifies a statistically independent generator.
 Work units keyed by distinct paths can therefore run in any order, or in
 parallel, and still produce bit-identical results.
 It also holds three shared rules: check_count, check_generator, as_points,
-and the one core count, usable_cores, that decides whether a helper thread
-starts.
+and the one helper thread, helper, that starts only while usable_cores
+counts two cores.
 """
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,11 +41,28 @@ def check_count(value, name, minimum=1):
 
 
 def usable_cores():
-    """Cores this process may run on: the permutation null and the
-    dissimilarity matrix start a helper thread only when there are two."""
+    """Cores this process may run on: :func:`helper` starts a thread only
+    when there are two."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextmanager
+def helper(wanted=True):
+    """A one-thread pool while ``wanted`` and two cores are usable, else
+    None. Leaving the block, by an error too, cancels the work still queued
+    and joins the thread."""
+    if not wanted or usable_cores() < 2:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here: import rdpgtest loads no concurrent
+
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def check_generator(rng):

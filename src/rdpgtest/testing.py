@@ -6,8 +6,8 @@ embedding of one graph, then its row normalization), bandwidth
 (:func:`_align`: the candidate search, which yields the kernel sums of the
 statistic and the pooled kernel matrix) and null (:func:`_null_from_gram`:
 the permutation null, from that one matrix, with the permutations that
-:func:`_drawn` drew before any kernel block or embedding). Each input is
-checked once, by the one rule README lists for it. The variants are:
+:func:`_drawn` drew before any kernel block). Each input is checked once,
+by the one rule README lists for it. The variants are:
 
 ``identity``
     Equality of the latent-position distributions up to an orthogonal
@@ -26,13 +26,13 @@ checked once, by the one rule README lists for it. The variants are:
 import json
 import threading
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import mmd, streams
-from .embed import ase, check_dimension
+from .embed import _spectral, ase, check_dimension
 from .errors import DegenerateRowError
 from .io import _fmt
 from .model import as_graph, check_sparsity
@@ -191,9 +191,8 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     is O(N·512) plus N·B/8 bytes for the draws (N = n + m, B =
     ``permutations``). Deterministic given ``rng``; the values and ``rng``'s
     end state are the same bits at a fixed BLAS thread count.
-    :func:`two_sample_test` draws the same null, in the same order, before
-    it embeds the graphs. ``rng`` must be a
-    ``numpy.random.Generator`` and ``spec`` a fixed bandwidth
+    :func:`two_sample_test` draws the same null, in the same order. ``rng``
+    must be a ``numpy.random.Generator`` and ``spec`` a fixed bandwidth
     (``mmd.fixed_bandwidth``), both checked before the draw.
 
     Returns
@@ -271,27 +270,26 @@ def _draw(drawn, n, permutations, rng, stop=None):
 
 
 @contextmanager
-def _drawn(n, m, permutations, rng):
+def _drawn(n, m, permutations, rng, pool=None):
     """The one way into the null: every permutation is drawn into
     :func:`_packed` bits, in order, as the block is entered. When the
-    products split (:func:`_splits`), the draw runs on a one-thread pool
-    while the block goes on, and the same pool later takes its share of
-    each panel's block products; otherwise it runs at once on the calling
-    thread and no thread starts. Yields ``(drawn, pool, future)`` for
-    :func:`_null_from_gram`, with the pool and the draw's future ``None``
-    when nothing splits. Leaving the block by an exception sets the draw's
-    ``stop``, so it ends within one block of rounds, and the pool's thread
-    is joined before the block is left; ``rng``'s end state after an error
-    is unspecified."""
+    products split (:func:`_splits`), the draw is queued on the one-thread
+    ``pool`` (:func:`rdpgtest.streams.helper`, opened here when none is
+    passed) while the block goes on, and the same pool later takes its
+    share of each panel's block products; otherwise it runs at once on the
+    calling thread and no thread starts for it. Yields ``(drawn, pool,
+    future)`` for :func:`_null_from_gram`, with the pool and the draw's
+    future ``None`` when nothing splits. Leaving the block by an exception
+    sets the draw's ``stop``, so it ends within one block of rounds, and a
+    pool opened here is joined before the block is left; ``rng``'s end
+    state after an error is unspecified."""
     drawn = _packed(n + m, permutations)
     if not _splits(n + m, permutations):
         _draw(drawn, n, permutations, rng)
         yield drawn, None, None
         return
-    from concurrent.futures import ThreadPoolExecutor  # here: import rdpgtest loads no concurrent
-
     stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with streams.helper() if pool is None else nullcontext(pool) as pool:
         try:
             yield drawn, pool, pool.submit(_draw, drawn, n, permutations, rng, stop)
         except BaseException:
@@ -304,8 +302,8 @@ def _null_from_gram(k, n, m, permutations, draw):
     ``draw`` of :func:`_drawn`, entered before ``k`` was built: the
     permutations were drawn then on the calling thread, or are drawn on the
     pool while the caller builds ``k`` (and, in :func:`two_sample_test`,
-    embeds the graphs) when the products split. That draw is waited for,
-    and its exception raised, before the first panel.
+    embeds a graph) when the products split. That draw is waited for, and
+    its exception raised, before the first panel.
 
     The rounds are aggregated in column panels of ``_PANEL`` (a multiple
     of it for a pool under 64 rows); the last panel also takes the
@@ -415,12 +413,33 @@ def p_value(observed, null_values):
     return float((1 + int(np.sum(null_values >= observed))) / (null_values.size + 1))
 
 
-def _embed(graph, config, sparsity):
-    """Stage 1: spectral embedding of one :class:`~rdpgtest.model.Graph`,
-    then the variant's row normalization. The float adjacency lives only
-    inside :func:`ase`."""
-    rows = ase(graph, config.d)
+def _embed(graph, config, sparsity, embedded=None):
+    """Stage 1: spectral embedding of one :class:`~rdpgtest.model.Graph`
+    (:func:`ase`, or the result of the ``embedded`` future), then the
+    variant's row normalization. The float adjacency lives only inside
+    the embedding."""
+    rows = ase(graph, config.d) if embedded is None else embedded.result()
     return preprocess(rows, config.variant, sparsity=sparsity, eps_floor=config.eps_floor)
+
+
+# Bytes of scratch one eigh may take on the helper while the calling thread
+# runs another: about 5·n²·8 (the float copy, LAPACK's copy, its 2n²
+# workspace and the eigenvectors). 2 MiB (n <= 228) keeps that second
+# scratch within about 5% of a bare process's 40 MB of resident memory.
+_HELPER_EIGH_BYTES = 2 * 2**20
+
+
+def _settled(fn, *args):
+    """A done future of ``fn(*args)``, called now: an error it raises is
+    raised when the result is read."""
+    from concurrent.futures import Future  # loaded with the helper's pool
+
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _bandwidth(kernel, px, py):
@@ -524,11 +543,13 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     supplied. Both graphs, ``d`` against each size, ``n, m >= 2`` and
     ``rng`` are checked before any embedding or draw.
 
-    Every permutation is drawn before the graphs are embedded, in the
-    order of :func:`permutation_null`, whose memory bound holds here too;
-    the result and ``rng``'s end state are the same bits at a fixed BLAS
-    thread count. :func:`_drawn` tells when the draw overlaps the
-    embedding on a second core, and what an error leaves.
+    Every permutation is drawn in the order of :func:`permutation_null`,
+    whose memory bound holds here too. With two usable cores the smaller
+    graph, when its eigh fits ``_HELPER_EIGH_BYTES``, embeds on the call's
+    one helper (:func:`rdpgtest.streams.helper`), which a split null's
+    draw shares (:func:`_drawn`). The result, ``rng``'s end state and the
+    error raised (graph a's first) are those of one core, at a fixed BLAS
+    thread count.
 
     Parameters
     ----------
@@ -550,13 +571,21 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     check_dimension(config.d, m)
     mmd.check_sizes(n, m)
     rng = substream(config.seed) if rng is None else check_generator(rng)
-    with _drawn(n, m, config.permutations, rng) as draw:
-        px, info_x = _embed(graph_a, config, config.sparsity_x)
-        py, info_y = _embed(graph_b, config, config.sparsity_y)
-        info = {f"{key}_x": value for key, value in info_x.items()}
-        info.update((f"{key}_y", value) for key, value in info_y.items())
-        maps = _Reflections(config.d) if config.align_reflections else np.eye(config.d)[None]
-        return _calibrate(px, py, maps, config, info, draw)
+    overlap = 40 * min(n, m) ** 2 <= _HELPER_EIGH_BYTES and streams.usable_cores() > 1
+    with streams.helper(overlap or _splits(n + m, config.permutations)) as pool:
+        embedded = [None, None]
+        if overlap:  # the smaller graph, graph b on a tie
+            side = int(m <= n)
+            embedded[side] = pool.submit(_spectral, (graph_a, graph_b)[side], config.d)
+        with _drawn(n, m, config.permutations, rng, pool) as draw:
+            if embedded[0] is not None:  # graph b embeds now; its error waits for its turn
+                embedded[1] = _settled(ase, graph_b, config.d)
+            px, info_x = _embed(graph_a, config, config.sparsity_x, embedded[0])
+            py, info_y = _embed(graph_b, config, config.sparsity_y, embedded[1])
+            info = {f"{key}_x": value for key, value in info_x.items()}
+            info.update((f"{key}_y", value) for key, value in info_y.items())
+            maps = _Reflections(config.d) if config.align_reflections else np.eye(config.d)[None]
+            return _calibrate(px, py, maps, config, info, draw)
 
 
 def two_sample_point_test(x, y, config, rng=None):

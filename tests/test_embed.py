@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rdpgtest import embed
 from rdpgtest.embed import (
     ase,
     fix_signs,
@@ -82,6 +83,19 @@ class TestAse:
         m = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             ase(m, 1)
+
+    def test_a_graph_is_not_scanned_again(self, monkeypatch):
+        # A Graph refused asymmetry as built and its matrix is read-only;
+        # a plain array of the same entries is still scanned.
+        rng = substream(54)
+        graph = sample_rdpg(sample_latent(two_block_pair(0.0)[0], 30, rng), 1.0, rng)
+        scanned = []
+        asymmetry = embed._asymmetry
+        monkeypatch.setattr(embed, "_asymmetry", lambda m: scanned.append(m) or asymmetry(m))
+        from_graph, from_array = ase(graph, 2), ase(np.asarray(graph), 2)
+        assert len(scanned) == 1 and scanned[0].shape == (30, 30)
+        assert np.array_equal(from_graph.coordinates, from_array.coordinates)
+        assert np.array_equal(from_graph.eigenvalues, from_array.eigenvalues)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError, match="1 <= d <= n"):

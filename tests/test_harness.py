@@ -258,11 +258,17 @@ class TestTraceContract:
             monkeypatch.setattr(module, name, counted)
         return counts
 
-    def test_two_sample_test(self, calls):
+    def test_two_sample_test(self, monkeypatch, calls):
         a, b = _graphs(0.0, 30, 2, seed=140)
-        testing.two_sample_test(a, b, TestConfig(d=2, permutations=10))
-        # two within-sample blocks and one cross block per candidate map (2^d sign patterns)
-        assert calls == {"testing.ase": 2, "testing.preprocess": 2, "mmd.gram": 2 + 4}
+        for cores in (1, 2):
+            monkeypatch.setattr(streams, "usable_cores", lambda cores=cores: cores)
+            calls.clear()
+            testing.two_sample_test(a, b, TestConfig(d=2, permutations=10))
+            # two within-sample blocks and one cross block per candidate map
+            # (2^d sign patterns); with two cores graph b embeds on the helper
+            # through a private name, since 30 vertices fit its eigh budget
+            assert calls == {"testing.ase": 3 - cores, "testing.preprocess": 2,
+                             "mmd.gram": 2 + 4}, cores
 
     def test_pairwise_dissimilarity(self, calls):
         pairwise_dissimilarity(_graphs(0.0, 30, 4, seed=141), 2, SPEC)
@@ -275,28 +281,25 @@ class TestTraceContract:
         # The tracer keeps one stack of open spans, so a traced call from
         # the helper would nest inside whatever the calling thread runs.
         threads = []
-        for module, name in ((harness, "ase"), (mmd, "gram"), (mmd, "u_statistic")):
+        for module, name in ((harness, "ase"), (mmd, "gram"), (mmd, "u_statistic"),
+                             (testing, "ase"), (testing, "preprocess")):
             def recorded(*args, _fn=getattr(module, name), **kwargs):
                 threads.append(threading.current_thread())
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, recorded)
         monkeypatch.setattr(streams, "usable_cores", lambda: cores)
-        pairwise_dissimilarity(_graphs(0.0, 30, 6, seed=142), 2, SPEC)
+        graphs = _graphs(0.0, 30, 6, seed=142)
+        pairwise_dissimilarity(graphs, 2, SPEC)
         assert len(threads) == 12 and set(threads) == {threading.main_thread()}
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The threads started while the test runs."""
-    threads, thread_class = [], threading.Thread
-
-    def counted(*args, **kwargs):
-        threads.append(thread := thread_class(*args, **kwargs))
-        return thread
-
-    monkeypatch.setattr(threading, "Thread", counted)
-    return threads
+        # A graph test whose graph b embeds on the helper with two cores, and
+        # one whose null also draws and sums blocks there (N = 600, B = 600).
+        split = _graphs(0.0, 150, 1, seed=143) + _graphs(0.0, 450, 1, seed=144)
+        for pair, permutations in ((graphs[:2], 10), (split, 600)):
+            del threads[:]
+            testing.two_sample_test(*pair, TestConfig(d=2, permutations=permutations))
+            # ase (two on one core, one on two), preprocess twice, six grams
+            assert len(threads) == 11 - cores and set(threads) == {threading.main_thread()}
 
 
 class TestPairwiseDissimilarity:

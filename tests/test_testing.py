@@ -358,6 +358,62 @@ def write_split_tests(path):
     np.savez(path, **saved)
 
 
+# (n, m, B, helped, threads) around the helper's eigh budget of 2 MiB (up to
+# 228 vertices): equal sizes on either side of it, the smaller graph under
+# it either way round, and nulls that split (N = 600, two panels of 256)
+# with and without an embedding on the helper. ``helped`` is the size of
+# the graph embedded off the main thread on two cores (0: none) and
+# ``threads`` the threads started there.
+HELPER_TESTS = [(228, 228, 50, 228, 1), (229, 229, 50, 0, 0), (100, 300, 50, 100, 1),
+                (300, 100, 50, 100, 1), (150, 450, 600, 150, 1), (300, 300, 600, 0, 1)]
+
+
+def write_helper_tests(path):
+    """Each (n, m, B) in HELPER_TESTS under every variant, with one usable
+    core and with two, the second under ``sys.setswitchinterval(1e-6)``.
+    Saves to ``path`` (npz) the null values; the statistic, p-value and
+    the explicit stream's next draw; the preprocessing record, with the
+    chosen reflection; and the threads started with the vertices embedded
+    off the main thread."""
+    started, helped = [], []
+    thread_class, spectral = threading.Thread, testing._spectral
+
+    def counted(*args, **kwargs):
+        started.append(thread := thread_class(*args, **kwargs))
+        return thread
+
+    def recorded_spectral(graph, d):
+        if threading.current_thread() is not threading.main_thread():
+            helped.append(graph.n)
+        return spectral(graph, d)
+
+    threading.Thread, testing._spectral = counted, recorded_spectral
+    f, g = two_block_pair(0.1)
+    saved = {}
+    for n, m, b, *_ in HELPER_TESTS:
+        graphs = _graph_pair(f, g, n, m, substream(170, n, m))
+        for variant in testing.VARIANTS:
+            config = TestConfig(variant=variant, permutations=b, seed=171, sparsity_x=0.9,
+                                sparsity_y=0.7)
+            for cores in (1, 2):
+                streams.usable_cores = lambda cores=cores: cores
+                del started[:], helped[:]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6 if cores == 2 else interval)
+                try:
+                    stream = substream(172, n, m)
+                    report = two_sample_test(*graphs, config, rng=stream)
+                finally:
+                    sys.setswitchinterval(interval)
+                key = f"{variant}-{cores}-{n}-{m}-{b}"
+                saved[f"{key}-null"] = report.null_values
+                saved[f"{key}-scalars"] = np.array([report.statistic, report.p_value,
+                                                    stream.random()])
+                saved[f"{key}-info"] = np.array(repr(report.preprocessing))
+                saved[f"{key}-threads"] = np.array([len(started), sum(helped)])
+    np.savez(path, **saved)
+
+
 def _fresh_interpreter(tmp_path_factory, writer):
     """``test_testing.<writer>(path)`` run in a fresh interpreter with one
     BLAS thread; returns the arrays it saved. The claims are bit identity
@@ -388,6 +444,12 @@ def panel_nulls(tmp_path_factory):
 def split_tests(tmp_path_factory):
     """:func:`write_split_tests` in a fresh interpreter with one BLAS thread."""
     return _fresh_interpreter(tmp_path_factory, "write_split_tests")
+
+
+@pytest.fixture(scope="module")
+def helper_tests(tmp_path_factory):
+    """:func:`write_helper_tests` in a fresh interpreter with one BLAS thread."""
+    return _fresh_interpreter(tmp_path_factory, "write_helper_tests")
 
 
 class TestPanelledNull:
@@ -544,10 +606,12 @@ class TestPanelledNull:
 
 
 class TestDrawWhileEmbedding:
-    """Every caller of the null draws the permutations first. With two
-    usable cores the draw goes to one worker thread, which in
-    ``two_sample_test`` draws while the graphs embed; the null, the report
-    and the stream's end state must be the bits of the one-core path."""
+    """Every caller of the null draws the permutations before the calling
+    thread embeds or builds a kernel block. With two usable cores and a
+    split null the draw goes to one worker thread, which in
+    ``two_sample_test`` draws while the calling thread embeds a graph; the
+    null, the report and the stream's end state must be the bits of the
+    one-core path."""
 
     @pytest.mark.parametrize("n, m, permutations", SPLIT_TESTS)
     def test_one_core_and_two_give_the_same_bits(self, split_tests, n, m, permutations):
@@ -607,21 +671,102 @@ class TestDrawWhileEmbedding:
         assert threading.active_count() == running
 
     @pytest.mark.parametrize("n, m, permutations, threads", [
-        (150, 450, 600, 1), (150, 450, 511, 0), (20, 30, 5000, 0), (300, 300, 200, 0)])
-    def test_at_most_one_thread_per_call(self, monkeypatch, n, m, permutations, threads):
+        (150, 450, 600, 1), (150, 450, 511, 1), (20, 30, 5000, 1), (300, 300, 200, 0),
+        (300, 450, 600, 1)])
+    def test_at_most_one_thread_per_call(self, monkeypatch, started, n, m, permutations,
+                                         threads):
         # N = 600 takes panels of 256, so B = 511 is one panel; N = 50 takes
-        # panels of 512, too small to split into two blocks of 2^20 multiply-adds.
-        started, thread_class = [], threading.Thread
+        # panels of 512, too small to split into two blocks of 2^20
+        # multiply-adds. On two cores a graph of 150 or 20 vertices embeds
+        # on the helper, one of 300 does not, and a split null shares it.
+        graphs = _graph_pair(*two_block_pair(0.0), n, m, substream(155))
+        for cores, expected in ((1, 0), (2, threads)):
+            monkeypatch.setattr(streams, "usable_cores", lambda cores=cores: cores)
+            del started[:]
+            two_sample_test(*graphs, TestConfig(permutations=permutations, seed=156))
+            assert len(started) == expected and not any(t.is_alive() for t in started)
+
+
+def _isolated(graph):
+    """``graph`` with the edges of vertex 0 removed: its embedded row is
+    zero, which the projection variant refuses."""
+    adjacency = np.asarray(graph)
+    adjacency[0, :] = adjacency[:, 0] = 0
+    return Graph(adjacency)
+
+
+class TestEmbedOnTheHelper:
+    """With two usable cores, the smaller graph of a test whose eigh fits
+    the helper's budget embeds on the helper while the calling thread draws
+    and embeds the other. The report, the stream's end state and every
+    error must be those of the one-core path, and the helper is joined
+    before an error reaches the caller."""
+
+    @pytest.mark.parametrize("n, m, permutations, helped, threads", HELPER_TESTS)
+    @pytest.mark.parametrize("variant", testing.VARIANTS)
+    def test_one_core_and_two_give_the_same_bits(self, helper_tests, variant, n, m,
+                                                 permutations, helped, threads):
+        one, two = (f"{variant}-{cores}-{n}-{m}-{permutations}" for cores in (1, 2))
+        assert helper_tests[f"{one}-threads"].tolist() == [0, 0]
+        assert helper_tests[f"{two}-threads"].tolist() == [threads, helped]
+        for part in ("null", "scalars", "info"):
+            assert np.array_equal(helper_tests[f"{two}-{part}"],
+                                  helper_tests[f"{one}-{part}"]), part
+        assert "'reflection'" in str(helper_tests[f"{one}-info"])
+        assert helper_tests[f"{one}-null"].shape == (permutations,)
+
+    @staticmethod
+    def _failing_eigh(monkeypatch, size, message):
+        """``np.linalg.eigh`` raising ``message`` on a ``size`` x ``size``
+        matrix; returns the threads it raised on."""
+        eigh, failed_on = np.linalg.eigh, []
+
+        def failing(a, *args, **kwargs):
+            if len(a) == size:
+                failed_on.append(threading.current_thread())
+                raise np.linalg.LinAlgError(message)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        return failed_on
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("n, m", [(40, 60), (60, 40)], ids=["a-smaller", "b-smaller"])
+    @pytest.mark.parametrize("failing", ["a", "b"])
+    def test_an_eigh_error_surfaces_at_its_graphs_turn(self, monkeypatch, started, cores, n,
+                                                       m, failing):
+        graphs = _graph_pair(*two_block_pair(0.0), n, m, substream(173))
+        size = n if failing == "a" else m
+        failed_on = self._failing_eigh(monkeypatch, size, f"graph {failing}'s eigh failed")
+        preprocessed = []
 
         def counted(*args, **kwargs):
-            started.append(thread := thread_class(*args, **kwargs))
-            return thread
+            preprocessed.append(len(args[0].coordinates))
+            return preprocess(*args, **kwargs)
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
-        monkeypatch.setattr(testing.threading, "Thread", counted)
-        graphs = _graph_pair(*two_block_pair(0.0), n, m, substream(155))
-        two_sample_test(*graphs, TestConfig(permutations=permutations, seed=156))
-        assert len(started) == threads
+        monkeypatch.setattr(testing, "preprocess", counted)
+        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
+        with pytest.raises(np.linalg.LinAlgError, match=f"^graph {failing}'s eigh failed$"):
+            two_sample_test(*graphs, TestConfig(permutations=20, seed=174))
+        # Graph a's rows are normalized before graph b's error is raised.
+        assert preprocessed == ([] if failing == "a" else [n])
+        helper = cores == 2 and size == min(n, m)
+        assert [t is not threading.main_thread() for t in failed_on] == [helper]
+        assert len(started) == cores - 1 and not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("n, m", [(40, 60), (60, 40)], ids=["a-smaller", "b-smaller"])
+    def test_graph_a_refused_rows_come_before_graph_b_eigh_error(self, monkeypatch, started,
+                                                                 cores, n, m):
+        a, b = _graph_pair(*two_block_pair(0.0), n, m, substream(175))
+        failed_on = self._failing_eigh(monkeypatch, m, "graph b's eigh failed")
+        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
+        with pytest.raises(DegenerateRowError) as err:
+            two_sample_test(_isolated(a), b, TestConfig(variant="projection", permutations=20))
+        assert err.value.vertices == [0]
+        if cores == 2 and n < m:  # graph b failed first, on the calling thread
+            assert failed_on == [threading.main_thread()]
+        assert len(started) == cores - 1 and not any(t.is_alive() for t in started)
 
 
 class TestPooledMatrixInPlace:

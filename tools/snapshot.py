@@ -11,6 +11,9 @@ difference. The grid records:
   tests and a null with more permutations than one panel, and a graph test
   and a point test whose null draws on a worker thread where two cores are
   usable;
+- graph tests with one usable core and with two, at equal sizes under and
+  over the helper's eigh budget and at unequal sizes with the smaller graph
+  under it, with the stream's next draw;
 - sampled graphs of every latent family, with the stream's next draw,
   and permutation nulls around the panel boundaries, over several blocks
   of the draw and around the row blocks of the null's quadratic form,
@@ -198,6 +201,22 @@ def grid_tests(grid, rt, graphs):
              rt.sample_rdpg(rt.sample_latent(g, 450, rng), 1.0, rng))
     grid.run("test/B600/150x450", lambda: rt.two_sample_test(
         *split, rt.TestConfig(permutations=600, seed=7)), lambda k, r: _report(grid, k, r))
+    # With two usable cores the smaller graph embeds on a helper thread when
+    # its eigh fits 2 MiB (up to 228 vertices): equal sizes under and over
+    # it, and unequal sizes with the smaller one under it either way round.
+    rng = rt.substream(15)
+    for n, m in ((150, 150), (240, 240), (100, 300), (300, 100)):
+        pair = (rt.sample_rdpg(rt.sample_latent(f, n, rng), 1.0, rng),
+                rt.sample_rdpg(rt.sample_latent(g, m, rng), 1.0, rng))
+        for cores in (1, 2):
+            def run():
+                stream = rt.substream(16, n, m)
+                return rt.two_sample_test(*pair, rt.TestConfig(permutations=40, seed=7),
+                                          rng=stream), stream.random()
+
+            with _usable_cores(cores):
+                grid.run(f"test/cores{cores}/{n}x{m}", run,
+                         lambda k, out: (_report(grid, k, out[0]), grid.put(f"{k}/next", out[1])))
     box_f, box_g = rt.uniform_box_pair(0.1)
     rng = rt.substream(14)
     clouds = rt.sample_latent(box_f, 150, rng), rt.sample_latent(box_g, 450, rng)
