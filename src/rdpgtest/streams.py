@@ -49,11 +49,11 @@ def usable_cores():
 
 
 @contextmanager
-def helper(wanted=True):
-    """A one-thread pool while ``wanted`` and two cores are usable, else
-    None. Leaving the block, by an error too, cancels the work still queued
-    and joins the thread."""
-    if not wanted or usable_cores() < 2:
+def helper():
+    """A one-thread pool while two cores are usable, else None. Its thread
+    starts at the first submit. Leaving the block, by an error too, cancels
+    the work still queued and joins the thread."""
+    if usable_cores() < 2:
         yield None
         return
     from concurrent.futures import ThreadPoolExecutor  # here: import rdpgtest loads no concurrent

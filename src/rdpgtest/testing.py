@@ -423,23 +423,10 @@ def _embed(graph, config, sparsity, embedded=None):
 
 
 # Bytes of scratch one eigh may take on the helper while the calling thread
-# runs another: about 5·n²·8 (the float copy, LAPACK's copy, its 2n²
-# workspace and the eigenvectors). 2 MiB (n <= 228) keeps that second
+# runs another: about 5·m²·8 (the float copy, LAPACK's copy, its 2m²
+# workspace and the eigenvectors). 2 MiB (m <= 228) keeps that second
 # scratch within about 5% of a bare process's 40 MB of resident memory.
 _HELPER_EIGH_BYTES = 2 * 2**20
-
-
-def _settled(fn, *args):
-    """A done future of ``fn(*args)``, called now: an error it raises is
-    raised when the result is read."""
-    from concurrent.futures import Future  # loaded with the helper's pool
-
-    future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
 
 
 def _bandwidth(kernel, px, py):
@@ -544,12 +531,12 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     ``rng`` are checked before any embedding or draw.
 
     Every permutation is drawn in the order of :func:`permutation_null`,
-    whose memory bound holds here too. With two usable cores the smaller
-    graph, when its eigh fits ``_HELPER_EIGH_BYTES``, embeds on the call's
-    one helper (:func:`rdpgtest.streams.helper`), which a split null's
-    draw shares (:func:`_drawn`). The result, ``rng``'s end state and the
-    error raised (graph a's first) are those of one core, at a fixed BLAS
-    thread count.
+    whose memory bound holds here too. With two usable cores graph b,
+    when its eigh fits ``_HELPER_EIGH_BYTES``, embeds on the call's one
+    helper (:func:`rdpgtest.streams.helper`), which a split null's draw
+    shares (:func:`_drawn`), while the calling thread embeds graph a. The
+    result, ``rng``'s end state and the error raised (graph a's first) are
+    those of one core, at a fixed BLAS thread count.
 
     Parameters
     ----------
@@ -571,17 +558,12 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     check_dimension(config.d, m)
     mmd.check_sizes(n, m)
     rng = substream(config.seed) if rng is None else check_generator(rng)
-    overlap = 40 * min(n, m) ** 2 <= _HELPER_EIGH_BYTES and streams.usable_cores() > 1
-    with streams.helper(overlap or _splits(n + m, config.permutations)) as pool:
-        embedded = [None, None]
-        if overlap:  # the smaller graph, graph b on a tie
-            side = int(m <= n)
-            embedded[side] = pool.submit(_spectral, (graph_a, graph_b)[side], config.d)
+    with streams.helper() as pool:
+        overlap = pool is not None and 40 * m**2 <= _HELPER_EIGH_BYTES
+        embedded = pool.submit(_spectral, graph_b, config.d) if overlap else None
         with _drawn(n, m, config.permutations, rng, pool) as draw:
-            if embedded[0] is not None:  # graph b embeds now; its error waits for its turn
-                embedded[1] = _settled(ase, graph_b, config.d)
-            px, info_x = _embed(graph_a, config, config.sparsity_x, embedded[0])
-            py, info_y = _embed(graph_b, config, config.sparsity_y, embedded[1])
+            px, info_x = _embed(graph_a, config, config.sparsity_x)
+            py, info_y = _embed(graph_b, config, config.sparsity_y, embedded)
             info = {f"{key}_x": value for key, value in info_x.items()}
             info.update((f"{key}_y", value) for key, value in info_y.items())
             maps = _Reflections(config.d) if config.align_reflections else np.eye(config.d)[None]

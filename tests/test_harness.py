@@ -294,7 +294,7 @@ class TestTraceContract:
         assert len(threads) == 12 and set(threads) == {threading.main_thread()}
         # A graph test whose graph b embeds on the helper with two cores, and
         # one whose null also draws and sums blocks there (N = 600, B = 600).
-        split = _graphs(0.0, 150, 1, seed=143) + _graphs(0.0, 450, 1, seed=144)
+        split = _graphs(0.0, 450, 1, seed=144) + _graphs(0.0, 150, 1, seed=143)
         for pair, permutations in ((graphs[:2], 10), (split, 600)):
             del threads[:]
             testing.two_sample_test(*pair, TestConfig(d=2, permutations=permutations))

@@ -12,8 +12,8 @@ difference. The grid records:
   and a point test whose null draws on a worker thread where two cores are
   usable;
 - graph tests with one usable core and with two, at equal sizes under and
-  over the helper's eigh budget and at unequal sizes with the smaller graph
-  under it, with the stream's next draw;
+  over the helper's eigh budget and at unequal sizes with graph b over it
+  and under it, with the stream's next draw;
 - sampled graphs of every latent family, with the stream's next draw,
   and permutation nulls around the panel boundaries, over several blocks
   of the draw and around the row blocks of the null's quadratic form,
@@ -201,11 +201,11 @@ def grid_tests(grid, rt, graphs):
              rt.sample_rdpg(rt.sample_latent(g, 450, rng), 1.0, rng))
     grid.run("test/B600/150x450", lambda: rt.two_sample_test(
         *split, rt.TestConfig(permutations=600, seed=7)), lambda k, r: _report(grid, k, r))
-    # With two usable cores the smaller graph embeds on a helper thread when
-    # its eigh fits 2 MiB (up to 228 vertices): equal sizes under and over
-    # it, and unequal sizes with the smaller one under it either way round.
+    # With two usable cores graph b embeds on a helper thread when its eigh
+    # fits 2 MiB (up to 228 vertices): equal sizes under and over it, and
+    # unequal sizes with graph b over it, and under it, smaller or larger.
     rng = rt.substream(15)
-    for n, m in ((150, 150), (240, 240), (100, 300), (300, 100)):
+    for n, m in ((150, 150), (240, 240), (100, 300), (300, 100), (100, 200)):
         pair = (rt.sample_rdpg(rt.sample_latent(f, n, rng), 1.0, rng),
                 rt.sample_rdpg(rt.sample_latent(g, m, rng), 1.0, rng))
         for cores in (1, 2):
