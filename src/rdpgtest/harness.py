@@ -303,20 +303,17 @@ class DissimilarityMatrix:
 def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
     """Embed each graph once and fill the matrix of pairwise statistics.
 
-    Runs on up to two cores. The calling thread embeds the graphs in
-    order; as soon as graph ``h`` is embedded, its cross-block sums with
-    every earlier graph (:func:`_cross_column`) go to the one-thread
+    The calling thread embeds the graphs in order; as soon as graph ``h``
+    is embedded, its cross-block sums with every earlier graph
+    (:func:`_cross_column`) go to the one-thread
     :func:`rdpgtest.streams.helper`, which sums them, under the caller's
     ``np.errstate``, while LAPACK embeds the next graph (``eigh`` releases
     the interpreter lock). After the last embedding the calling thread
     computes the within-graph sums, then sums itself each column the
-    helper has not started. With one usable core
-    (:func:`rdpgtest.streams.usable_cores`) no thread starts and each
-    column is summed right after its embedding. Each block is summed whole
-    on one thread and the statistics are formed, floored and checked in
-    row order, so values and errors are the same on one core or two. The
-    helper's blocks cost peak memory: about 1.5 MB for graphs of
-    300 vertices.
+    helper has not started. Each block is summed whole on one thread and
+    the statistics are formed, floored and checked in row order, so no
+    value or error depends on which thread summed a block. The helper's
+    blocks cost peak memory: about 1.5 MB for graphs of 300 vertices.
 
     Parameters
     ----------
@@ -346,11 +343,9 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
                 mmd.check_sizes(len(embeddings[-1]), len(embeddings[-1]))
             except Exception as exc:
                 raise ValueError(f"graph {idx}: {exc}") from exc
-            if pool is None:
-                _cross_column(spec, embeddings, cross, idx)
-            else:  # the caller's context, so the helper keeps its np.errstate
-                queued.append((idx, pool.submit(contextvars.copy_context().run, _cross_column,
-                                                spec, embeddings, cross, idx)))
+            # the caller's context, so the helper keeps its np.errstate
+            queued.append((idx, pool.submit(contextvars.copy_context().run, _cross_column,
+                                            spec, embeddings, cross, idx)))
         within = [mmd.off_diagonal_sum(mmd.gram(spec, e, e)) for e in embeddings]
         for h, future in reversed(queued):
             if future.cancel():

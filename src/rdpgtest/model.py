@@ -17,7 +17,7 @@ import numpy as np
 
 from .embed import ase
 from .errors import InvalidDistributionError, ModelError, NotPositiveSemidefiniteError
-from .streams import as_points, check_count
+from .streams import as_points, check_count, check_generator
 
 __all__ = [
     "LatentDistribution",
@@ -42,8 +42,17 @@ _PSD_TOL = 1e-10
 _MAX_RETRIES = 100
 
 
+def _finite(values, name):
+    """``values`` as a float array, refused, naming ``name``, unless every
+    entry is finite: a nan passes every range check made with < and >."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise InvalidDistributionError(f"{name} must be finite")
+    return values
+
+
 def _check_weights(weights):
-    weights = np.asarray(weights, dtype=float)
+    weights = _finite(weights, "weights")
     if weights.ndim != 1 or weights.size == 0:
         raise InvalidDistributionError("weights must be a nonempty vector")
     if np.any(weights < 0):
@@ -107,7 +116,7 @@ class PointMassMixture(LatentDistribution):
     kind = "point_mass_mixture"
 
     def __post_init__(self):
-        self.atoms = as_points(self.atoms, "atoms")
+        self.atoms = _finite(as_points(self.atoms, "atoms"), "atoms")
         self.weights = _check_weights(self.weights)
         if self.atoms.shape[0] != self.weights.shape[0]:
             raise InvalidDistributionError(
@@ -141,7 +150,7 @@ class DirichletLatent(LatentDistribution):
     kind = "dirichlet"
 
     def __post_init__(self):
-        self.concentration = np.asarray(self.concentration, dtype=float)
+        self.concentration = _finite(self.concentration, "concentration")
         if self.concentration.ndim != 1 or self.concentration.size < 1:
             raise InvalidDistributionError("concentration must be a vector of length >= 1")
         if np.any(self.concentration <= 0):
@@ -174,8 +183,8 @@ class UniformBox(LatentDistribution):
     kind = "uniform_box"
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
+        self.lower = _finite(self.lower, "lower")
+        self.upper = _finite(self.upper, "upper")
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise InvalidDistributionError("lower and upper must be vectors of equal length")
         if np.any(self.lower < 0):
@@ -222,8 +231,8 @@ class LogitNormalMixture(LatentDistribution):
     kind = "logit_normal_mixture"
 
     def __post_init__(self):
-        self.means = as_points(self.means, "means")
-        self.covs = np.asarray(self.covs, dtype=float)
+        self.means = _finite(as_points(self.means, "means"), "means")
+        self.covs = _finite(self.covs, "covs")
         if self.covs.ndim == 2:
             self.covs = self.covs[None, :, :]
         self.weights = _check_weights(self.weights)
@@ -238,8 +247,8 @@ class LogitNormalMixture(LatentDistribution):
             raise InvalidDistributionError("covariance matrices must be symmetric")
         if self.scale is None:
             self.scale = 1.0 / np.sqrt(d)
-        if self.scale <= 0:
-            raise InvalidDistributionError("scale must be > 0")
+        if not 0 < self.scale < np.inf:
+            raise InvalidDistributionError(f"scale must be finite and > 0, got {self.scale}")
 
     @property
     def d(self):
@@ -380,7 +389,7 @@ def sbm_to_latent(block_probabilities, weights):
         raise ValueError(f"block matrix must be square, got shape {b.shape}")
     if np.max(np.abs(b - b.T)) > 1e-12:
         raise ValueError("block matrix must be symmetric")
-    if b.min() < 0 or b.max() > 1:
+    if not ((b >= 0) & (b <= 1)).all():  # nan fails both
         raise ValueError("block probabilities must lie in [0, 1]")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (b.shape[0],):
@@ -400,11 +409,12 @@ def sbm_to_latent(block_probabilities, weights):
 def sample_latent(dist, n, rng):
     """Sample an ``(n, d)`` array of ``n`` i.i.d. latent positions from ``dist``.
 
-    Deterministic given the state of ``rng``; rows that could produce inner
+    Deterministic given the state of ``rng``, a ``numpy.random.Generator``
+    (:func:`~rdpgtest.streams.check_generator`); rows that could produce inner
     products outside [0, 1] are resampled up to 100 times, after
     which an :class:`InvalidDistributionError` names the offending variant.
     """
-    return dist.sample(check_count(n, "n"), rng)
+    return dist.sample(check_count(n, "n"), check_generator(rng))
 
 
 def check_sparsity(value, name="sparsity"):
@@ -439,10 +449,10 @@ def sample_rdpg(latent, sparsity=1.0, rng=None):
     Each row's comparison is written straight into a boolean adjacency,
     so the draw and the probabilities are the only float arrays. They are
     freed before the graph is checked and copied: a copy made above them
-    would hold malloc's heap at their size after they are gone.
+    would hold malloc's heap at their size after they are gone. ``rng``
+    must be a ``numpy.random.Generator``, checked first.
     """
-    if rng is None:
-        raise ValueError("a seeded rng is required")
+    check_generator(rng)
     x = as_points(latent, "latent")
     p = edge_prob_matrix(x, sparsity)
     n = x.shape[0]

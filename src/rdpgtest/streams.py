@@ -5,11 +5,9 @@ replicate_index)``) identifies a statistically independent generator.
 Work units keyed by distinct paths can therefore run in any order, or in
 parallel, and still produce bit-identical results.
 It also holds three shared rules: check_count, check_generator, as_points,
-and the one helper thread, helper, that starts only while usable_cores
-counts two cores.
+and the one helper thread of a call, helper.
 """
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,22 +38,11 @@ def check_count(value, name, minimum=1):
     return int(value)
 
 
-def usable_cores():
-    """Cores this process may run on: :func:`helper` starts a thread only
-    when there are two."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @contextmanager
 def helper():
-    """A one-thread pool while two cores are usable, else None. Its thread
-    starts at the first submit. Leaving the block, by an error too, cancels
-    the work still queued and joins the thread."""
-    if usable_cores() < 2:
-        yield None
-        return
+    """A one-thread pool, whose thread starts at the first submit, so a
+    call that submits nothing starts none. Leaving the block, by an error
+    too, cancels the work still queued and joins the thread."""
     from concurrent.futures import ThreadPoolExecutor  # here: import rdpgtest loads no concurrent
 
     pool = ThreadPoolExecutor(max_workers=1)

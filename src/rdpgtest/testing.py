@@ -186,14 +186,15 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     remaining ``m`` to a pseudo second sample, and the unbiased two-sample
     statistic is recorded. The kernel matrix of the pool is computed once,
     after every permutation is drawn, and each round then only
-    re-aggregates its entries, on up to two cores: :func:`_drawn` and
-    :func:`_null_from_gram` tell how. Beside that matrix the working memory
-    is O(N·512) plus N·B/8 bytes for the draws (N = n + m, B =
-    ``permutations``). Deterministic given ``rng``; the values and ``rng``'s
-    end state are the same bits at a fixed BLAS thread count.
-    :func:`two_sample_test` draws the same null, in the same order. ``rng``
-    must be a ``numpy.random.Generator`` and ``spec`` a fixed bandwidth
-    (``mmd.fixed_bandwidth``), both checked before the draw.
+    re-aggregates its entries: :func:`_drawn` and :func:`_null_from_gram`
+    tell how, and when a helper thread shares the work. Beside that matrix
+    the working memory is O(N·512) plus N·B/8 bytes for the draws
+    (N = n + m, B = ``permutations``). Deterministic given ``rng``; the
+    values and ``rng``'s end state are the same bits at a fixed BLAS thread
+    count, on any number of cores. :func:`two_sample_test` draws the same
+    null, in the same order. ``rng`` must be a ``numpy.random.Generator``
+    and ``spec`` a fixed bandwidth (``mmd.fixed_bandwidth``), both checked
+    before the draw.
 
     Returns
     -------
@@ -223,10 +224,9 @@ def _layout(total, permutations):
 
 
 def _splits(total, permutations):
-    """Whether the null's block products split over two cores: two panels
-    or more, two blocks or more and two usable cores."""
-    return (_layout(total, permutations)[1] > 1 and total >= 2 * _BLOCK
-            and streams.usable_cores() > 1)
+    """Whether the null's block products split between the calling thread
+    and a helper: two panels or more and two blocks or more (N >= 384)."""
+    return _layout(total, permutations)[1] > 1 and total >= 2 * _BLOCK
 
 
 def _packed(total, permutations):
@@ -300,10 +300,11 @@ def _drawn(n, m, permutations, rng, pool=None):
 def _null_from_gram(k, n, m, permutations, draw):
     """:func:`permutation_null` on the pooled kernel matrix ``k`` and the
     ``draw`` of :func:`_drawn`, entered before ``k`` was built: the
-    permutations were drawn then on the calling thread, or are drawn on the
-    pool while the caller builds ``k`` (and, in :func:`two_sample_test`,
-    embeds a graph) when the products split. That draw is waited for, and
-    its exception raised, before the first panel.
+    permutations were drawn then on the calling thread, or, when the
+    products split, are drawn on the pool while the caller builds ``k``
+    (and, in :func:`two_sample_test`, embeds a graph). That draw is waited
+    for, and its exception raised, before the first panel. With no pool
+    (``(drawn, None, None)``) every product runs on the calling thread.
 
     The rounds are aggregated in column panels of ``_PANEL`` (a multiple
     of it for a pool under 64 rows); the last panel also takes the
@@ -325,12 +326,12 @@ def _null_from_gram(k, n, m, permutations, draw):
 
     With the pool, its thread computes its share of each panel's blocks
     while the calling thread computes the other and adds them up. Each
-    block's products run whole on one thread, so the values keep their
-    bits on one core or two; at one BLAS thread they are the bits of the
-    block formula over all rounds at once. With a multi-threaded BLAS the
-    two threads compete for the same cores. The pool writes only into the
-    arrays the calling thread allocated, and this function never touches
-    the random stream."""
+    block's products run whole on one thread, so the values are the bits
+    of the path with no pool, whatever the core count; at one BLAS thread
+    they are the bits of the block formula over all rounds at once. With a
+    multi-threaded BLAS the two threads compete for the same cores. The
+    pool writes only into the arrays the calling thread allocated, and
+    this function never touches the random stream."""
     drawn, pool, future = draw
     if future is not None:
         future.result()
@@ -531,12 +532,13 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     ``rng`` are checked before any embedding or draw.
 
     Every permutation is drawn in the order of :func:`permutation_null`,
-    whose memory bound holds here too. With two usable cores graph b,
-    when its eigh fits ``_HELPER_EIGH_BYTES``, embeds on the call's one
-    helper (:func:`rdpgtest.streams.helper`), which a split null's draw
-    shares (:func:`_drawn`), while the calling thread embeds graph a. The
+    whose memory bound holds here too. Graph b, when its eigh fits
+    ``_HELPER_EIGH_BYTES``, embeds on the call's one helper
+    (:func:`rdpgtest.streams.helper`), which a split null's draw shares
+    (:func:`_drawn`), while the calling thread embeds graph a; a larger
+    graph b embeds after graph a on the calling thread. Either way the
     result, ``rng``'s end state and the error raised (graph a's first) are
-    those of one core, at a fixed BLAS thread count.
+    the same, at a fixed BLAS thread count.
 
     Parameters
     ----------
@@ -559,7 +561,7 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     mmd.check_sizes(n, m)
     rng = substream(config.seed) if rng is None else check_generator(rng)
     with streams.helper() as pool:
-        overlap = pool is not None and 40 * m**2 <= _HELPER_EIGH_BYTES
+        overlap = 40 * m**2 <= _HELPER_EIGH_BYTES
         embedded = pool.submit(_spectral, graph_b, config.d) if overlap else None
         with _drawn(n, m, config.permutations, rng, pool) as draw:
             px, info_x = _embed(graph_a, config, config.sparsity_x)

@@ -1,13 +1,15 @@
+import os
 import re
 import sys
 import threading
+from contextlib import nullcontext
 from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from rdpgtest import harness, mmd, streams, testing
+from rdpgtest import harness, mmd, testing
 from rdpgtest.embed import ase, second_moment_rotation
 from rdpgtest.harness import (
     DissimilarityMatrix,
@@ -25,6 +27,8 @@ from rdpgtest.mmd import EnergyKernel, GaussianKernel, InverseMultiquadricKernel
 from rdpgtest.model import sample_latent, sample_rdpg
 from rdpgtest.streams import substream
 from rdpgtest.testing import TestConfig
+
+from util import one_cpu
 
 SPEC = GaussianKernel(0.5)
 
@@ -258,17 +262,13 @@ class TestTraceContract:
             monkeypatch.setattr(module, name, counted)
         return counts
 
-    def test_two_sample_test(self, monkeypatch, calls):
+    def test_two_sample_test(self, calls):
         a, b = _graphs(0.0, 30, 2, seed=140)
-        for cores in (1, 2):
-            monkeypatch.setattr(streams, "usable_cores", lambda cores=cores: cores)
-            calls.clear()
-            testing.two_sample_test(a, b, TestConfig(d=2, permutations=10))
-            # two within-sample blocks and one cross block per candidate map
-            # (2^d sign patterns); with two cores graph b embeds on the helper
-            # through a private name, since 30 vertices fit its eigh budget
-            assert calls == {"testing.ase": 3 - cores, "testing.preprocess": 2,
-                             "mmd.gram": 2 + 4}, cores
+        testing.two_sample_test(a, b, TestConfig(d=2, permutations=10))
+        # two within-sample blocks and one cross block per candidate map
+        # (2^d sign patterns); graph b embeds on the helper through a
+        # private name, since 30 vertices fit its eigh budget
+        assert calls == {"testing.ase": 1, "testing.preprocess": 2, "mmd.gram": 2 + 4}
 
     def test_pairwise_dissimilarity(self, calls):
         pairwise_dissimilarity(_graphs(0.0, 30, 4, seed=141), 2, SPEC)
@@ -276,8 +276,7 @@ class TestTraceContract:
         # through a private name, since a helper thread may sum them
         assert calls == {"harness.ase": 4, "mmd.gram": 4}
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_traced_names_run_on_the_calling_thread(self, monkeypatch, cores):
+    def test_traced_names_run_on_the_calling_thread(self, monkeypatch):
         # The tracer keeps one stack of open spans, so a traced call from
         # the helper would nest inside whatever the calling thread runs.
         threads = []
@@ -288,18 +287,17 @@ class TestTraceContract:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, recorded)
-        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
         graphs = _graphs(0.0, 30, 6, seed=142)
         pairwise_dissimilarity(graphs, 2, SPEC)
         assert len(threads) == 12 and set(threads) == {threading.main_thread()}
-        # A graph test whose graph b embeds on the helper with two cores, and
-        # one whose null also draws and sums blocks there (N = 600, B = 600).
+        # A graph test whose graph b embeds on the helper, and one whose
+        # null also draws and sums blocks there (N = 600, B = 600).
         split = _graphs(0.0, 450, 1, seed=144) + _graphs(0.0, 150, 1, seed=143)
         for pair, permutations in ((graphs[:2], 10), (split, 600)):
             del threads[:]
             testing.two_sample_test(*pair, TestConfig(d=2, permutations=permutations))
-            # ase (two on one core, one on two), preprocess twice, six grams
-            assert len(threads) == 11 - cores and set(threads) == {threading.main_thread()}
+            # ase once (graph a), preprocess twice, six grams
+            assert len(threads) == 9 and set(threads) == {threading.main_thread()}
 
 
 class TestPairwiseDissimilarity:
@@ -334,25 +332,27 @@ class TestPairwiseDissimilarity:
         cross = matrix.values[:2, 2:].min()
         assert cross > within
 
-    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("cpus", ["one", "all"])
     @pytest.mark.parametrize("spec", [SPEC, InverseMultiquadricKernel(0.5, 1.0), EnergyKernel(1.5)],
                              ids=["gaussian", "imq", "energy"])
     def test_each_entry_is_the_pair_statistic_on_one_core_or_two(self, monkeypatch, started, spec,
-                                                                 cores):
+                                                                 cpus):
+        if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("os.sched_setaffinity is not available")
         f, g = two_block_pair(0.1)
         rng = substream(116)
         sizes = [20, 45, 30, 60, 25, 35, 50, 40]
         graphs = [sample_rdpg(sample_latent(f if i % 2 else g, n, rng), 1.0, rng)
                   for i, n in enumerate(sizes)]
-        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the helper and the caller interleave often
         try:
-            matrix = pairwise_dissimilarity(graphs, 2, spec, floor=False)
+            with one_cpu() if cpus == "one" else nullcontext():
+                matrix = pairwise_dissimilarity(graphs, 2, spec, floor=False)
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.undo()
-        assert len(started) == cores - 1 and not any(t.is_alive() for t in started)
+        assert len(started) == 1 and not any(t.is_alive() for t in started)
         embeddings = [ase(graph, 2).coordinates for graph in graphs]
         for g, h in combinations(range(len(graphs)), 2):
             expected = u_statistic(spec, embeddings[g], embeddings[h])
@@ -361,8 +361,10 @@ class TestPairwiseDissimilarity:
     def test_the_caller_sums_the_columns_the_helper_has_not_started(self, monkeypatch):
         # The helper holds column 1 until the caller has taken columns 5 to 2.
         graphs = _graphs(0.1, 30, 6, seed=119)
-        monkeypatch.setattr(streams, "usable_cores", lambda: 1)
-        serial = pairwise_dissimilarity(graphs, 2, SPEC, floor=False).values
+        embeddings = [ase(graph, 2).coordinates for graph in graphs]
+        pairs = np.zeros((6, 6))
+        for g, h in combinations(range(6), 2):
+            pairs[g, h] = pairs[h, g] = u_statistic(SPEC, embeddings[g], embeddings[h])
         holding, release = threading.Event(), threading.Event()
         helped, taken, embedded = [], [], []
         column, embed = harness._cross_column, harness.ase
@@ -385,12 +387,11 @@ class TestPairwiseDissimilarity:
                 holding.wait(timeout=60)
             return embed(graph, d)
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(harness, "_cross_column", held)
         monkeypatch.setattr(harness, "ase", embedded_once_the_helper_holds)
         values = pairwise_dissimilarity(graphs, 2, SPEC, floor=False).values
         assert helped == [0, 1] and taken == [5, 4, 3, 2]
-        assert np.array_equal(values, serial)
+        assert np.array_equal(values, pairs)
 
     def test_a_cross_sum_raises_on_the_helper_as_on_the_caller(self, monkeypatch):
         # The within sums wait until the helper has started every column, so
@@ -418,29 +419,26 @@ class TestPairwiseDissimilarity:
             last_taken.wait(timeout=60)
             return gram(*args)
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(harness, "_cross_column", taken_up)
         monkeypatch.setattr(mmd, "gram", after_the_helper_took_every_column)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             pairwise_dissimilarity(graphs, 2, CrossOverflow())
         assert len(overflowed) == 3 and threading.main_thread() not in overflowed
 
-    def test_embedding_failure_joins_the_helper(self, monkeypatch, started):
+    def test_embedding_failure_joins_the_helper(self, started):
         graphs = _graphs(0.0, 30, 6, seed=117)
         graphs[3] = np.zeros((1, 1))
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         running = threading.active_count()
         with pytest.raises(ValueError, match="^graph 3: "):
             pairwise_dissimilarity(graphs, 2, SPEC)
         assert len(started) == 1 and not started[0].is_alive()
         assert threading.active_count() == running
 
-    def test_non_finite_entry_is_named_with_the_helper(self, monkeypatch):
+    def test_non_finite_entry_is_named_with_the_helper(self):
         class NanKernel(mmd.KernelSpec):
             def _from_sq(self, sq, a, b):
                 return np.full(np.shape(sq), np.nan)
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         with pytest.raises(ValueError, match="graphs 0 and 1 is not finite"):
             pairwise_dissimilarity(_graphs(0.0, 30, 5, seed=118), 2, NanKernel())
 

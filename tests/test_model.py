@@ -80,6 +80,12 @@ class TestSbmToLatent:
         with pytest.raises(ValueError, match="symmetric"):
             sbm_to_latent([[0.5, 0.3], [0.2, 0.5]], [0.5, 0.5])
 
+    def test_nan_probability_is_refused(self):
+        # A nan passed the range check and was reported as a negative eigenvalue.
+        with pytest.raises(ValueError) as info:
+            sbm_to_latent([[np.nan, 0.2], [0.2, 0.5]], [0.5, 0.5])
+        assert str(info.value) == "block probabilities must lie in [0, 1]"
+
 
 class TestDistributionValidation:
     def test_weights_must_sum_to_one(self):
@@ -99,6 +105,31 @@ class TestDistributionValidation:
     def test_dirichlet_positive_concentration(self):
         with pytest.raises(InvalidDistributionError):
             DirichletLatent([1.0, 0.0])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PointMassMixture([[np.nan, 0.1]], [1.0]), "atoms must be finite"),
+        (lambda: PointMassMixture([[0.1, 0.1], [0.2, 0.2]], [np.nan, 1.0]),
+         "weights must be finite"),
+        (lambda: UniformBox([np.nan, 0.0], [0.5, 0.5]), "lower must be finite"),
+        (lambda: UniformBox([0.0, 0.0], [0.5, np.nan]), "upper must be finite"),
+        (lambda: DirichletLatent([np.nan, 1.0]), "concentration must be finite"),
+        (lambda: DirichletLatent([np.inf, 1.0]), "concentration must be finite"),
+        (lambda: LogitNormalMixture([[np.nan, 0.0]], np.eye(2), [1.0]), "means must be finite"),
+        (lambda: LogitNormalMixture([[np.inf, 0.0]], np.eye(2), [1.0]), "means must be finite"),
+        (lambda: LogitNormalMixture([[0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]], [1.0]),
+         "covs must be finite"),
+        (lambda: LogitNormalMixture([[0.0, 0.0]], np.eye(2), [1.0], scale=np.nan),
+         "scale must be finite and > 0, got nan"),
+        (lambda: LogitNormalMixture([[0.0, 0.0]], np.eye(2), [1.0], scale=np.inf),
+         "scale must be finite and > 0, got inf"),
+    ], ids=["atom-nan", "weight-nan", "lower-nan", "upper-nan", "concentration-nan",
+            "concentration-inf", "mean-nan", "mean-inf", "cov-nan", "scale-nan", "scale-inf"])
+    def test_non_finite_parameters_are_refused_when_built(self, build, message):
+        # Each was built and failed only when sampled, with a message that
+        # named no field (or drew from an infinite parameter).
+        with pytest.raises(InvalidDistributionError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_degree_corrected_theta_range(self):
         directions = PointMassMixture([[0.6, 0.0]], [1.0])
@@ -175,6 +206,19 @@ class TestSampleLatent:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_latent(PointMassMixture([[0.5]], [1.0]), 0, substream(29))
+
+    @pytest.mark.parametrize("rng", [None, 5, np.random.RandomState(0)],
+                             ids=["None", "int", "RandomState"])
+    def test_rng_must_be_a_generator(self, rng):
+        # sample_latent failed on None with an AttributeError and drew from
+        # a RandomState; sample_rdpg had a rule of its own.
+        calls = (lambda: sample_latent(PointMassMixture([[0.5]], [1.0]), 3, rng),
+                 lambda: sample_rdpg(np.full((3, 2), 0.3), 1.0, rng))
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            got = type(rng).__name__
+            assert str(info.value) == f"rng must be a numpy.random.Generator, got {got}"
 
 
 def triu_sample(latent, sparsity, rng):

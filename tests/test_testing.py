@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from scipy.stats import kstest
 
 import rdpgtest
-from rdpgtest import mmd, streams, testing
+from rdpgtest import mmd, testing
 from rdpgtest.embed import ase
 from rdpgtest.errors import DegenerateRowError, InsufficientSampleError, ModelError
 from rdpgtest.harness import pairwise_dissimilarity, two_block_pair, uniform_box_pair
@@ -39,7 +40,7 @@ from rdpgtest.testing import (
     two_sample_test,
 )
 
-from util import loop_draw, random_cloud
+from util import loop_draw, one_cpu, random_cloud
 
 SPEC = GaussianKernel(0.5)
 
@@ -59,6 +60,14 @@ def _drawn_null(k, n, m, permutations, rng):
     ``_drawn``, then ``_null_from_gram``."""
     with testing._drawn(n, m, permutations, rng) as draw:
         return testing._null_from_gram(k, n, m, permutations, draw)
+
+
+def _serial_null(k, n, m, permutations, rng):
+    """The null of ``k`` with every product on the calling thread:
+    ``_null_from_gram`` given no pool."""
+    drawn = testing._packed(n + m, permutations)
+    testing._draw(drawn, n, permutations, rng)
+    return testing._null_from_gram(k, n, m, permutations, (drawn, None, None))
 
 
 def _calibrated(px, py, maps, config):
@@ -169,12 +178,10 @@ class TestPermutationNull:
         with pytest.raises(InsufficientSampleError):
             permutation_null(np.zeros((3, 2)), 1, 2, SPEC, 5, substream(78))
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_median_bandwidth_is_refused_before_the_draw(self, monkeypatch, cores):
+    def test_median_bandwidth_is_refused_before_the_draw(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("drew before the kernel was checked")
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
         monkeypatch.setattr(testing, "_draw", refuse)
         with pytest.raises(ValueError, match="^sigma = median needs the pooled rows"):
             permutation_null(random_cloud(600, 2, substream(79)), 150, 450, GaussianKernel(None),
@@ -282,16 +289,16 @@ PANEL_CASES = ([(n, m, b) for n, m in PANEL_SIZES for b in PANEL_PERMUTATIONS]
 
 
 def write_panel_nulls(path):
-    """Each (n, m, B) in PANEL_CASES: the null in panels, with and without
-    the worker thread, and from the whole matrix, by blocks and by one
-    product, saved to ``path`` (npz)."""
+    """Each (n, m, B) in PANEL_CASES: the null in panels, by the package's
+    path (with the helper thread where the products split) and with no
+    pool, and from the whole matrix, by blocks and by one product, saved
+    to ``path`` (npz)."""
     nulls = {}
     for n, m, b in PANEL_CASES:
         pooled = random_cloud(n + m, 2, substream(130, n))
         k = gram(SPEC, pooled, pooled)
-        for mode, cores in (("helper", 2), ("serial", 1)):
-            streams.usable_cores = lambda cores=cores: cores
-            nulls[f"{mode}-{n}-{m}-{b}"] = _drawn_null(k, n, m, b, substream(131, b))
+        nulls[f"helper-{n}-{m}-{b}"] = _drawn_null(k, n, m, b, substream(131, b))
+        nulls[f"serial-{n}-{m}-{b}"] = _serial_null(k, n, m, b, substream(131, b))
         nulls[f"whole-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b))
         nulls[f"product-{n}-{m}-{b}"] = _whole_null(k, n, m, b, substream(131, b), blocks=False)
     np.savez(path, **nulls)
@@ -306,9 +313,34 @@ SPLIT_CALLS = ([("test", *case) for case in SPLIT_TESTS]
                + [(name, *case) for name in ("point", "null") for case in SPLIT_TESTS[:2]])
 
 
+# The legs of each call in the writers below: every call on the calling
+# thread, the helper's paths, and those pinned to one CPU where the
+# platform can pin.
+LEGS = ("serial", "helper") + (("one-cpu",) if hasattr(os, "sched_setaffinity") else ())
+
+
+@contextmanager
+def _leg(name):
+    """A call run as leg ``name`` of LEGS. The serial leg keeps it on the
+    calling thread, as for inputs over the size rules: no null's products
+    split and no graph b fits the helper's eigh budget. The helper's legs
+    run under ``sys.setswitchinterval(1e-6)``, so the threads interleave
+    often."""
+    saved = testing._splits, testing._HELPER_EIGH_BYTES, sys.getswitchinterval()
+    if name == "serial":
+        testing._splits, testing._HELPER_EIGH_BYTES = (lambda total, permutations: False), 0
+    else:
+        sys.setswitchinterval(1e-6)
+    try:
+        with one_cpu() if name == "one-cpu" else nullcontext():
+            yield
+    finally:
+        testing._splits, testing._HELPER_EIGH_BYTES = saved[:2]
+        sys.setswitchinterval(saved[2])
+
+
 def write_split_tests(path):
-    """Each (call, n, m, B) in SPLIT_CALLS with one usable core and with
-    two, the second under ``sys.setswitchinterval(1e-6)``, once with an
+    """Each (call, n, m, B) in SPLIT_CALLS in each of LEGS, once with an
     explicit stream and once with the stream of the seed. Saves to ``path``
     (npz) the null values, the statistics and p-values of the tests, the
     explicit stream's next draw, the threads started and the draws run off
@@ -337,17 +369,12 @@ def write_split_tests(path):
             "null": lambda rng: permutation_null(
                 pooled, n, m, SPEC, b, substream(151) if rng is None else rng),
         }[name]
-        for mode, cores in (("serial", 1), ("helper", 2)):
-            streams.usable_cores = lambda cores=cores: cores
+        for leg in LEGS:
             del started[:], off_main[:]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6 if cores == 2 else interval)
-            try:
+            with _leg(leg):
                 stream = substream(152, b)
                 explicit, seeded = call(stream), call(None)
-            finally:
-                sys.setswitchinterval(interval)
-            key = f"{name}-{mode}-{n}-{m}-{b}"
+            key = f"{name}-{leg}-{n}-{m}-{b}"
             scalars = [stream.random()]
             if name != "null":
                 scalars += [explicit.statistic, explicit.p_value, seeded.statistic, seeded.p_value]
@@ -363,16 +390,15 @@ def write_split_tests(path):
 # with graph b under it, larger or smaller than graph a, and over it, and
 # nulls that split (N = 600, two panels of 256) with and without an
 # embedding on the helper. ``helped`` is the size of the graph embedded off
-# the main thread on two cores (0: none) and ``threads`` the threads
-# started there.
+# the main thread (0: none) and ``threads`` the threads started, on the
+# helper's legs.
 HELPER_TESTS = [(228, 228, 50, 228, 1), (229, 229, 50, 0, 0), (100, 200, 50, 200, 1),
                 (300, 100, 50, 100, 1), (100, 300, 50, 0, 0), (450, 150, 600, 150, 1),
                 (300, 300, 600, 0, 1)]
 
 
 def write_helper_tests(path):
-    """Each (n, m, B) in HELPER_TESTS under every variant, with one usable
-    core and with two, the second under ``sys.setswitchinterval(1e-6)``.
+    """Each (n, m, B) in HELPER_TESTS under every variant, in each of LEGS.
     Saves to ``path`` (npz) the null values; the statistic, p-value and
     the explicit stream's next draw; the preprocessing record, with the
     chosen reflection; and the threads started with the vertices embedded
@@ -397,17 +423,12 @@ def write_helper_tests(path):
         for variant in testing.VARIANTS:
             config = TestConfig(variant=variant, permutations=b, seed=171, sparsity_x=0.9,
                                 sparsity_y=0.7)
-            for cores in (1, 2):
-                streams.usable_cores = lambda cores=cores: cores
+            for leg in LEGS:
                 del started[:], helped[:]
-                interval = sys.getswitchinterval()
-                sys.setswitchinterval(1e-6 if cores == 2 else interval)
-                try:
+                with _leg(leg):
                     stream = substream(172, n, m)
                     report = two_sample_test(*graphs, config, rng=stream)
-                finally:
-                    sys.setswitchinterval(interval)
-                key = f"{variant}-{cores}-{n}-{m}-{b}"
+                key = f"{variant}-{leg}-{n}-{m}-{b}"
                 saved[f"{key}-null"] = report.null_values
                 saved[f"{key}-scalars"] = np.array([report.statistic, report.p_value,
                                                     stream.random()])
@@ -416,19 +437,62 @@ def write_helper_tests(path):
     np.savez(path, **saved)
 
 
-def _fresh_interpreter(tmp_path_factory, writer):
+def write_core_count_calls(path):
+    """The calls whose work a helper thread shares: a 150 x 150 graph test
+    (graph b embeds on the helper), a 450 x 150 test with B = 600 (and a
+    null that splits), the null alone at N = 600, B = 600 and a six-graph
+    dissimilarity matrix. Saves to ``path`` (npz) each result, the next
+    draw of each call's stream, the threads each call started and the
+    CPUs the process may run on."""
+    started, thread_class = [], threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(thread := thread_class(*args, **kwargs))
+        return thread
+
+    threading.Thread = counted
+    f, g = two_block_pair(0.1)
+    small = _graph_pair(f, g, 150, 150, substream(180))
+    split = _graph_pair(f, g, 450, 150, substream(181))
+    pooled = random_cloud(600, 2, substream(182))
+    graphs = [graph for n in (40, 50, 60) for graph in _graph_pair(f, g, n, n, substream(183, n))]
+    saved = {"cpus": np.array(len(os.sched_getaffinity(0)))}
+    calls = {
+        "small": lambda rng: two_sample_test(*small, TestConfig(permutations=200), rng=rng),
+        "split": lambda rng: two_sample_test(*split, TestConfig(permutations=600), rng=rng),
+        "null": lambda rng: permutation_null(pooled, 150, 450, SPEC, 600, rng),
+        "dissim": lambda rng: pairwise_dissimilarity(graphs, 2, SPEC, floor=False).values,
+    }
+    for name, call in calls.items():
+        del started[:]
+        stream = substream(184)
+        result = call(stream)
+        if isinstance(result, testing.TestReport):
+            saved[f"{name}-report"] = np.array(result.to_json())
+            saved[f"{name}-info"] = np.array(repr(result.preprocessing))
+            result = result.null_values
+        saved[f"{name}-values"] = result
+        saved[f"{name}-next"] = np.array(stream.random())
+        saved[f"{name}-threads"] = np.array(len(started))
+    np.savez(path, **saved)
+
+
+def _fresh_interpreter(tmp_path_factory, writer, pinned=False):
     """``test_testing.<writer>(path)`` run in a fresh interpreter with one
-    BLAS thread; returns the arrays it saved. The claims are bit identity
-    at a fixed thread count, like the statistic's: with more threads BLAS
-    may split a panel's product between them elsewhere than the whole
-    product, which moves last bits."""
+    BLAS thread, pinned to one CPU before its first call when ``pinned``;
+    returns the arrays it saved. The claims are bit identity at a fixed
+    thread count, like the statistic's: with more threads BLAS may split a
+    panel's product between them elsewhere than the whole product, which
+    moves last bits."""
     path = tmp_path_factory.mktemp(writer) / "saved.npz"
     src = str(Path(rdpgtest.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
                                                os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    code = f"import test_testing; test_testing.{writer}({str(path)!r})"
+    call = f"test_testing.{writer}({str(path)!r})"
+    code = (f"import test_testing, util\nwith util.one_cpu():\n    {call}" if pinned
+            else f"import test_testing; {call}")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=300)
     assert result.returncode == 0, result.stderr
@@ -454,12 +518,22 @@ def helper_tests(tmp_path_factory):
     return _fresh_interpreter(tmp_path_factory, "write_helper_tests")
 
 
+@pytest.fixture(scope="module")
+def core_count_calls(tmp_path_factory):
+    """:func:`write_core_count_calls` in a fresh interpreter pinned to one
+    CPU, then in one that is not."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available")
+    return [_fresh_interpreter(tmp_path_factory, "write_core_count_calls", pinned)
+            for pinned in (True, False)]
+
+
 class TestPanelledNull:
     """``_null_from_gram`` aggregates the null in column panels, each by
-    row blocks of the upper triangle, shared with a worker thread when it
-    can; each value must be the bits of the whole-matrix block oracle, the
-    ragged last panel too, with or without the worker, and within 1e-14 of
-    one product over all rows."""
+    row blocks of the upper triangle, shared with a worker thread where the
+    products split; each value must be the bits of the whole-matrix block
+    oracle, the ragged last panel too, with the worker or with no pool, and
+    within 1e-14 of one product over all rows."""
 
     @pytest.mark.parametrize("n, m", PANEL_SIZES)
     @pytest.mark.parametrize("permutations", PANEL_PERMUTATIONS)
@@ -512,7 +586,6 @@ class TestPanelledNull:
             helpers.append(threading.current_thread())
             raise FloatingPointError("the helper's product failed")
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(testing, "_block_terms", fail_on_the_helper)
         pooled = random_cloud(400, 2, substream(138))
         running = threading.active_count()
@@ -533,7 +606,6 @@ class TestPanelledNull:
             started.append(thread := thread_class(*args, **kwargs))
             return thread
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(testing.threading, "Thread", counted)
         pooled = random_cloud(n + m, 2, substream(140))
         k = gram(SPEC, pooled, pooled)
@@ -557,21 +629,18 @@ class TestPanelledNull:
                 madds.append(a.shape[0] * a.shape[1] * b.shape[1])
             return matmul(a, b, **kwargs)
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(np, "matmul", counted)
         _drawn_null(k, 400, 1200, permutations, substream(145))
         monkeypatch.undo()
         assert sum(madds) == (total**2 + 7 * 192**2 + 256**2) // 2 * permutations
         assert sum(madds) <= (1 / 2 + 192 / total) * total**2 * permutations
 
-    def test_split_null_under_fast_thread_switching(self, monkeypatch):
+    def test_split_null_under_fast_thread_switching(self):
         # Redrawing z or reading k @ z before the helper is done would move
         # values by far more than rounding.
         pooled = random_cloud(400, 2, substream(142))
         k = gram(SPEC, pooled, pooled)
-        monkeypatch.setattr(streams, "usable_cores", lambda: 1)
-        serial = _drawn_null(k, 100, 300, 2048, substream(143))
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
+        serial = _serial_null(k, 100, 300, 2048, substream(143))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -609,11 +678,11 @@ class TestPanelledNull:
 
 class TestDrawWhileEmbedding:
     """Every caller of the null draws the permutations before the calling
-    thread embeds or builds a kernel block. With two usable cores and a
-    split null the draw goes to one worker thread, which in
-    ``two_sample_test`` draws while the calling thread embeds a graph; the
-    null, the report and the stream's end state must be the bits of the
-    one-core path."""
+    thread embeds or builds a kernel block. When the null splits the draw
+    goes to one worker thread, which in ``two_sample_test`` draws while the
+    calling thread embeds a graph; on one CPU or on all, the null, the
+    report and the stream's end state must be the bits of the serial leg,
+    which keeps every call on the calling thread."""
 
     @pytest.mark.parametrize("n, m, permutations", SPLIT_TESTS)
     def test_one_core_and_two_give_the_same_bits(self, split_tests, n, m, permutations):
@@ -625,16 +694,16 @@ class TestDrawWhileEmbedding:
 
     @staticmethod
     def _assert_same_bits(split_tests, name, n, m, permutations):
-        serial, helper = (f"{name}-{mode}-{n}-{m}-{permutations}"
-                          for mode in ("serial", "helper"))
-        # Two calls each: no thread and no draw off the main thread on one
-        # core, a worker per call that also draws on two.
+        serial, *helped = (f"{name}-{leg}-{n}-{m}-{permutations}" for leg in LEGS)
+        # Two calls each: no thread and no draw off the main thread on the
+        # serial leg, a worker per call that also draws on the others.
         assert split_tests[f"{serial}-threads"].tolist() == [0, 0]
-        assert split_tests[f"{helper}-threads"].tolist() == [2, 2]
-        for part in ("null", "seeded-null", "scalars"):
-            assert np.array_equal(split_tests[f"{helper}-{part}"],
-                                  split_tests[f"{serial}-{part}"]), part
-        assert split_tests[f"{helper}-null"].shape == (permutations,)
+        for key in helped:
+            assert split_tests[f"{key}-threads"].tolist() == [2, 2], key
+            for part in ("null", "seeded-null", "scalars"):
+                assert np.array_equal(split_tests[f"{key}-{part}"],
+                                      split_tests[f"{serial}-{part}"]), (key, part)
+        assert split_tests[f"{serial}-null"].shape == (permutations,)
 
     def test_embedding_error_joins_the_drawing_helper(self, monkeypatch):
         # The first block of the draw waits until the failed embedding has
@@ -658,7 +727,6 @@ class TestDrawWhileEmbedding:
             assert drawing.wait(timeout=30)
             raise np.linalg.LinAlgError("eigh did not converge")
 
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         monkeypatch.setattr(testing, "_draw", recorded_draw)
         monkeypatch.setattr(testing, "ase", failing_ase)
         a, b = _two_graphs(0.0, 300, seed=153)
@@ -675,18 +743,14 @@ class TestDrawWhileEmbedding:
     @pytest.mark.parametrize("n, m, permutations, threads", [
         (150, 450, 600, 1), (150, 450, 511, 0), (450, 150, 511, 1), (450, 150, 600, 1),
         (20, 30, 5000, 1), (300, 300, 200, 0), (300, 450, 600, 1)])
-    def test_at_most_one_thread_per_call(self, monkeypatch, started, n, m, permutations,
-                                         threads):
+    def test_at_most_one_thread_per_call(self, started, n, m, permutations, threads):
         # N = 600 takes panels of 256, so B = 511 is one panel; N = 50 takes
         # panels of 512, too small to split into two blocks of 2^20
-        # multiply-adds. On two cores a graph b of 150 or 30 vertices embeds
-        # on the helper, one of 300 or 450 does not, and a split null shares it.
+        # multiply-adds. A graph b of 150 or 30 vertices embeds on the
+        # helper, one of 300 or 450 does not, and a split null shares it.
         graphs = _graph_pair(*two_block_pair(0.0), n, m, substream(155))
-        for cores, expected in ((1, 0), (2, threads)):
-            monkeypatch.setattr(streams, "usable_cores", lambda cores=cores: cores)
-            del started[:]
-            two_sample_test(*graphs, TestConfig(permutations=permutations, seed=156))
-            assert len(started) == expected and not any(t.is_alive() for t in started)
+        two_sample_test(*graphs, TestConfig(permutations=permutations, seed=156))
+        assert len(started) == threads and not any(t.is_alive() for t in started)
 
 
 def _isolated(graph):
@@ -698,24 +762,25 @@ def _isolated(graph):
 
 
 class TestEmbedOnTheHelper:
-    """With two usable cores, graph b of a test, when its eigh fits the
-    helper's budget, embeds on the helper while the calling thread draws
-    and embeds graph a. The report, the stream's end state and every error
-    must be those of the one-core path, and the helper is joined before an
-    error reaches the caller."""
+    """Graph b of a test, when its eigh fits the helper's budget, embeds on
+    the helper while the calling thread draws and embeds graph a. On one
+    CPU or on all, the report, the stream's end state and every error must
+    be those of the serial leg, which embeds both graphs on the calling
+    thread, and the helper is joined before an error reaches the caller."""
 
     @pytest.mark.parametrize("n, m, permutations, helped, threads", HELPER_TESTS)
     @pytest.mark.parametrize("variant", testing.VARIANTS)
     def test_one_core_and_two_give_the_same_bits(self, helper_tests, variant, n, m,
                                                  permutations, helped, threads):
-        one, two = (f"{variant}-{cores}-{n}-{m}-{permutations}" for cores in (1, 2))
-        assert helper_tests[f"{one}-threads"].tolist() == [0, 0]
-        assert helper_tests[f"{two}-threads"].tolist() == [threads, helped]
-        for part in ("null", "scalars", "info"):
-            assert np.array_equal(helper_tests[f"{two}-{part}"],
-                                  helper_tests[f"{one}-{part}"]), part
-        assert "'reflection'" in str(helper_tests[f"{one}-info"])
-        assert helper_tests[f"{one}-null"].shape == (permutations,)
+        serial, *helper = (f"{variant}-{leg}-{n}-{m}-{permutations}" for leg in LEGS)
+        assert helper_tests[f"{serial}-threads"].tolist() == [0, 0]
+        for key in helper:
+            assert helper_tests[f"{key}-threads"].tolist() == [threads, helped], key
+            for part in ("null", "scalars", "info"):
+                assert np.array_equal(helper_tests[f"{key}-{part}"],
+                                      helper_tests[f"{serial}-{part}"]), (key, part)
+        assert "'reflection'" in str(helper_tests[f"{serial}-info"])
+        assert helper_tests[f"{serial}-null"].shape == (permutations,)
 
     @staticmethod
     def _failing_eigh(monkeypatch, size, message):
@@ -732,10 +797,10 @@ class TestEmbedOnTheHelper:
         monkeypatch.setattr(np.linalg, "eigh", failing)
         return failed_on
 
-    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("path", ["serial", "helper"])
     @pytest.mark.parametrize("n, m", [(40, 60), (60, 40)], ids=["a-smaller", "b-smaller"])
     @pytest.mark.parametrize("failing", ["a", "b"])
-    def test_an_eigh_error_surfaces_at_its_graphs_turn(self, monkeypatch, started, cores, n,
+    def test_an_eigh_error_surfaces_at_its_graphs_turn(self, monkeypatch, started, path, n,
                                                        m, failing):
         graphs = _graph_pair(*two_block_pair(0.0), n, m, substream(173))
         size = n if failing == "a" else m
@@ -747,29 +812,49 @@ class TestEmbedOnTheHelper:
             return preprocess(*args, **kwargs)
 
         monkeypatch.setattr(testing, "preprocess", counted)
-        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
+        if path == "serial":
+            monkeypatch.setattr(testing, "_HELPER_EIGH_BYTES", 0)
         with pytest.raises(np.linalg.LinAlgError, match=f"^graph {failing}'s eigh failed$"):
             two_sample_test(*graphs, TestConfig(permutations=20, seed=174))
         # Graph a's rows are normalized before graph b's error is raised.
         assert preprocessed == ([] if failing == "a" else [n])
-        helper = cores == 2 and failing == "b"
-        assert [t is not threading.main_thread() for t in failed_on] == [helper]
-        assert len(started) == cores - 1 and not any(t.is_alive() for t in started)
+        helped = path == "helper"
+        assert [t is not threading.main_thread() for t in failed_on] == [helped and failing == "b"]
+        assert len(started) == helped and not any(t.is_alive() for t in started)
 
-    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("path", ["serial", "helper"])
     @pytest.mark.parametrize("n, m", [(40, 60), (60, 40)], ids=["a-smaller", "b-smaller"])
     def test_graph_a_refused_rows_come_before_graph_b_eigh_error(self, monkeypatch, started,
-                                                                 cores, n, m):
+                                                                 path, n, m):
         a, b = _graph_pair(*two_block_pair(0.0), n, m, substream(175))
         failed_on = self._failing_eigh(monkeypatch, m, "graph b's eigh failed")
-        monkeypatch.setattr(streams, "usable_cores", lambda: cores)
+        if path == "serial":
+            monkeypatch.setattr(testing, "_HELPER_EIGH_BYTES", 0)
         with pytest.raises(DegenerateRowError) as err:
             two_sample_test(_isolated(a), b, TestConfig(variant="projection", permutations=20))
         assert err.value.vertices == [0]
         # Graph b's eigh failed on the helper, if it started before the
         # helper was joined, and never on the calling thread.
-        assert len(failed_on) <= cores - 1 and threading.main_thread() not in failed_on
-        assert len(started) == cores - 1 and not any(t.is_alive() for t in started)
+        helped = path == "helper"
+        assert len(failed_on) <= helped and threading.main_thread() not in failed_on
+        assert len(started) == helped and not any(t.is_alive() for t in started)
+
+
+class TestOneCpu:
+    """A process pinned to one CPU runs the helper's paths as one that is
+    not, its helper threads inheriting the pin: each result, each stream's
+    next draw and each call's thread count must be the same bits."""
+
+    def test_results_do_not_depend_on_the_core_count(self, core_count_calls):
+        pinned, free = core_count_calls
+        assert pinned.pop("cpus") == 1 and free.pop("cpus") == len(os.sched_getaffinity(0))
+        assert pinned.keys() == free.keys()
+        for key in pinned:
+            assert np.array_equal(pinned[key], free[key]), key
+        # One helper thread per call, which each call gives work.
+        assert [int(pinned[f"{name}-threads"]) for name in ("small", "split", "null", "dissim")] \
+            == [1, 1, 1, 1]
+        assert pinned["null-values"].shape == (600,) and pinned["dissim-values"].shape == (6, 6)
 
 
 class TestPooledMatrixInPlace:
@@ -1068,7 +1153,6 @@ class TestTwoSampleTest:
         graphs = [np.asarray(g) * 3 if size is None else g for g, size in zip(graphs, (n, m))]
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(testing, "_draw", refuse)
-        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         with pytest.raises(error, match=message):
             two_sample_test(*graphs, TestConfig(d=d, permutations=600))
 

@@ -1,5 +1,9 @@
 """Shared test helpers: brute-force and population oracles, loop oracles of
-the permutation draw and the edge-list writer, and random geometry."""
+the permutation draw and the edge-list writer, random geometry, and a pin
+to one CPU."""
+
+import os
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.stats import ortho_group
@@ -71,3 +75,16 @@ def random_cloud(n, d, rng, scale=None):
     if scale is None:
         scale = 1.0 / np.sqrt(d)
     return scale * rng.random((n, d))
+
+
+@contextmanager
+def one_cpu():
+    """The calling thread pinned to one of its CPUs, and with it every
+    thread it starts meanwhile (a thread inherits its creator's affinity);
+    the affinity is restored on leaving. Needs ``os.sched_setaffinity``."""
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(saved)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)

@@ -9,9 +9,8 @@ difference. The grid records:
 
 - test calls over kernels, d, variants, alignment and n != m, graph and point,
   tests and a null with more permutations than one panel, and a graph test
-  and a point test whose null draws on a worker thread where two cores are
-  usable;
-- graph tests with one usable core and with two, at equal sizes under and
+  and a point test whose null draws on a worker thread;
+- graph tests pinned to one CPU and to two, at equal sizes under and
   over the helper's eigh budget and at unequal sizes with graph b over it
   and under it, with the stream's next draw;
 - sampled graphs of every latent family, with the stream's next draw,
@@ -21,7 +20,7 @@ difference. The grid records:
 - ``sbm_to_latent`` atoms on random and structured block matrices;
 - embeddings, sign conventions and alignment diagnostics;
 - power-study, alignment-comparison and dissimilarity outputs, the
-  dissimilarity of graphs of unequal sizes with one usable core and with two;
+  dissimilarity of graphs of unequal sizes pinned to one CPU and to two;
 - the bytes of written files;
 - stdout, stderr, exit code and files of CLI invocations;
 - the input rules: edge-list reader branches, array graphs that are not
@@ -29,7 +28,8 @@ difference. The grid records:
   count, extreme and median bandwidths, INI keys and values, seeds, integer
   options, matrix labels, sparsity factors at every entry point, point
   clouds of two widths, the ``eps_floor`` bound, non-finite statistics,
-  streams that are not a ``numpy.random.Generator``, an assignment to
+  streams that are not a ``numpy.random.Generator`` (also where the
+  sampler draws), non-finite latent-family parameters, an assignment to
   a field of a built ``ExperimentConfig``, a grid list changed after it
   was built and a write into a built ``Graph``;
 - the shape rule of an array of points at each entry point, NaN latent
@@ -95,18 +95,19 @@ class Grid:
 
 @contextlib.contextmanager
 def _usable_cores(count):
-    """The package's usable core count patched to ``count``: the rule
-    ``streams.usable_cores``, or ``testing._usable_cores`` in a tree from
-    before that rule moved to ``streams``."""
-    streams = sys.modules["rdpgtest.streams"]
-    module, name = ((streams, "usable_cores") if hasattr(streams, "usable_cores")
-                    else (sys.modules["rdpgtest.testing"], "_usable_cores"))
-    saved = getattr(module, name)
-    setattr(module, name, lambda: count)
+    """This process pinned to ``count`` of its CPUs, and restored on
+    leaving: the threads it starts meanwhile inherit the pin, and a tree
+    whose package picks a path by the core count reads it from the
+    affinity. Where the platform cannot pin, nothing changes."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, set(sorted(saved)[:count]))
     try:
         yield
     finally:
-        setattr(module, name, saved)
+        os.sched_setaffinity(0, saved)
 
 
 def _report(grid, key, r):
@@ -193,17 +194,17 @@ def grid_tests(grid, rt, graphs):
     grid.run("test/B2500/25x45", lambda: rt.two_sample_test(
         graphs["f25"], graphs["g45"], rt.TestConfig(d=3, permutations=2500, seed=6)),
         lambda k, r: _report(grid, k, r))
-    # N = 600 at B = 600 is two panels whose products split over two usable
-    # cores, so a worker thread draws the null while the graphs embed; the
-    # point test at the same sizes draws on it while the kernel blocks are built.
+    # N = 600 at B = 600 is two panels whose products split, so a worker
+    # thread draws the null while the graphs embed; the point test at the
+    # same sizes draws on it while the kernel blocks are built.
     rng = rt.substream(13)
     split = (rt.sample_rdpg(rt.sample_latent(f, 150, rng), 1.0, rng),
              rt.sample_rdpg(rt.sample_latent(g, 450, rng), 1.0, rng))
     grid.run("test/B600/150x450", lambda: rt.two_sample_test(
         *split, rt.TestConfig(permutations=600, seed=7)), lambda k, r: _report(grid, k, r))
-    # With two usable cores graph b embeds on a helper thread when its eigh
-    # fits 2 MiB (up to 228 vertices): equal sizes under and over it, and
-    # unequal sizes with graph b over it, and under it, smaller or larger.
+    # Graph b embeds on a helper thread when its eigh fits 2 MiB (up to 228
+    # vertices): equal sizes under and over it, and unequal sizes with graph
+    # b over it, and under it, smaller or larger; on one CPU and on two.
     rng = rt.substream(15)
     for n, m in ((150, 150), (240, 240), (100, 300), (300, 100), (100, 200)):
         pair = (rt.sample_rdpg(rt.sample_latent(f, n, rng), 1.0, rng),
@@ -399,8 +400,8 @@ def grid_harness(grid, rt, graphs, workdir):
         for k, folds in ((1, 2), (3, 3)):
             grid.run(f"{key}/knn{k},{folds}", lambda: rt.knn_classify(m, labels, k, folds=folds),
                      lambda kk, rep: grid.put(kk, rep.format()))
-    # Unequal sizes with one usable core and with two: with two, a helper
-    # thread sums the cross blocks while the graphs embed. The two must agree.
+    # Unequal sizes on one CPU and on two: a helper thread sums the cross
+    # blocks while the graphs embed. The two must agree.
     unequal = [graphs[k] for k in ("f20", "g45", "box30", "f40", "g25", "box45", "f30", "g40")]
     unequal_labels = ["f", "g", "box", "f", "g", "box", "f", "g"]
     for cores, (kname, spec) in product((1, 2), {
@@ -864,6 +865,26 @@ def grid_errors(grid, rt):
         "rng/point-RandomState": lambda: rt.two_sample_point_test(
             np.eye(4), np.eye(4), rt.TestConfig(), rng=np.random.RandomState(0)),
     }
+    # Non-finite parameters of each latent family, built and then sampled.
+    nan, inf, eye = np.nan, np.inf, np.eye(2)
+    for name, build in {
+        "atom-nan": lambda: rt.PointMassMixture([[nan, 0.1]], [1.0]),
+        "weight-nan": lambda: rt.PointMassMixture([[0.1, 0.1], [0.2, 0.2]], [nan, 1.0]),
+        "lower-nan": lambda: rt.UniformBox([nan, 0.0], [0.5, 0.5]),
+        "upper-nan": lambda: rt.UniformBox([0.0, 0.0], [0.5, nan]),
+        "concentration-nan": lambda: rt.DirichletLatent([nan, 1.0]),
+        "concentration-inf": lambda: rt.DirichletLatent([inf, 1.0]),
+        "mean-nan": lambda: rt.LogitNormalMixture([[nan, 0.0]], eye, [1.0]),
+        "cov-nan": lambda: rt.LogitNormalMixture([[0.0, 0.0]], [[nan, 0.0], [0.0, 1.0]], [1.0]),
+        "scale-nan": lambda: rt.LogitNormalMixture([[0.0, 0.0]], eye, [1.0], scale=nan),
+        "scale-inf": lambda: rt.LogitNormalMixture([[0.0, 0.0]], eye, [1.0], scale=inf),
+    }.items():
+        cases[f"latent/{name}"] = lambda build=build: rt.sample_latent(build(), 3, rt.substream(0))
+    cases["latent/sbm-nan"] = lambda: rt.sbm_to_latent([[nan, 0.2], [0.2, 0.5]], [0.5, 0.5])
+    for name, rng in (("None", None), ("RandomState", np.random.RandomState(0))):
+        cases[f"rng/latent-{name}"] = lambda rng=rng: rt.sample_latent(
+            rt.UniformBox([0.0], [0.5]), 3, rng)
+        cases[f"rng/rdpg-{name}"] = lambda rng=rng: rt.sample_rdpg([[0.5], [0.5]], 1.0, rng)
     logit = rt.LogitNormalMixture([[0.0, 0.0], [4.0, 4.0]], [np.eye(2), np.eye(2)], [0.4, 0.6])
     for value in (2.5, 0):
         cases[f"wcompare/surrogate_size-{value}"] = lambda value=value: rt.w_comparison_experiment(
