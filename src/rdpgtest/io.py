@@ -177,13 +177,15 @@ _LABELS = "# labels:"
 def write_matrix_csv(matrix, path, labels=None):
     """Write a numeric matrix in full precision, optionally tagged with row labels.
     A label with a comma, a line break or surrounding whitespace would not read back,
-    so it is refused before the file is opened."""
+    and labels must be one per row, so either is refused before the file is opened."""
     labels = None if labels is None else [str(label) for label in labels]
     for label in labels or ():
         if "," in label or label != label.strip() or len(label.splitlines()) > 1:
             raise ValueError(
                 f"matrix label {label!r} has a comma, a line break or surrounding whitespace")
     rows = as_points(matrix, "matrix").tolist()
+    if labels is not None and len(labels) != len(rows):
+        raise ValueError(f"{len(labels)} labels for {len(rows)} rows")
     with open(path, "w", encoding="utf-8") as handle:
         if labels is not None:
             handle.write(_LABELS + " " + ",".join(labels) + "\n")
@@ -193,8 +195,8 @@ def write_matrix_csv(matrix, path, labels=None):
 
 def read_matrix_csv(path):
     """Read a matrix written by :func:`write_matrix_csv`: the labels come
-    from its one ``# labels:`` line, any other ``#`` line is a comment, and
-    every row has the width of the first.
+    from its one ``# labels:`` line, one per row, any other ``#`` line is a
+    comment, and every row has the width of the first.
 
     Returns
     -------
@@ -208,7 +210,7 @@ def read_matrix_csv(path):
             if text.startswith(_LABELS):
                 if labels is not None:
                     raise ValueError(f"{path}, line {lineno}: a second '{_LABELS}' line")
-                labels = [t.strip() for t in text[len(_LABELS):].split(",")]
+                labels, labels_line = [t.strip() for t in text[len(_LABELS):].split(",")], lineno
             elif text and not text.startswith("#"):
                 try:
                     rows.append([float(t) for t in text.split(",")])
@@ -217,6 +219,8 @@ def read_matrix_csv(path):
                 if len(rows[-1]) != len(rows[0]):
                     raise ValueError(f"{path}, line {lineno}: {len(rows[-1])} values, "
                                      f"but the first row has {len(rows[0])}")
+    if labels is not None and len(labels) != len(rows):
+        raise ValueError(f"{path}, line {labels_line}: {len(labels)} labels for {len(rows)} rows")
     return np.asarray(rows, dtype=float), labels
 
 

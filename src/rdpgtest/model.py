@@ -387,10 +387,10 @@ def sbm_to_latent(block_probabilities, weights):
     b = np.atleast_2d(np.asarray(block_probabilities, dtype=float))
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"block matrix must be square, got shape {b.shape}")
+    if not ((b >= 0) & (b <= 1)).all():  # nan fails both; before b - b.T, where inf warns
+        raise ValueError("block probabilities must lie in [0, 1]")
     if np.max(np.abs(b - b.T)) > 1e-12:
         raise ValueError("block matrix must be symmetric")
-    if not ((b >= 0) & (b <= 1)).all():  # nan fails both
-        raise ValueError("block probabilities must lie in [0, 1]")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (b.shape[0],):
         raise ValueError(

@@ -187,8 +187,8 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     statistic is recorded. The kernel matrix of the pool is computed once,
     after every permutation is drawn, and each round then only
     re-aggregates its entries: :func:`_drawn` and :func:`_null_from_gram`
-    tell how, and when a helper thread shares the work. Beside that matrix
-    the working memory is O(N·512) plus N·B/8 bytes for the draws
+    tell how, and when a helper thread takes half the panels. Beside that
+    matrix the working memory is O(N·512) plus N·B/8 bytes for the draws
     (N = n + m, B = ``permutations``). Deterministic given ``rng``; the
     values and ``rng``'s end state are the same bits at a fixed BLAS thread
     count, on any number of cores. :func:`two_sample_test` draws the same
@@ -214,19 +214,22 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
 
 _PANEL = 256  # permutations per column panel of the null
 _PANEL_MADDS = 2**20  # fewest multiply-adds of one panel's product with the gram
-_BLOCK = 192  # rows per block of the null's quadratic form; the last takes the remainder
+_BLOCK = 192  # rows per block of the null's quadratic form
+
+
+def _edges(total, size):
+    """Cuts of ``range(total)`` into spans of ``size``; the last takes the remainder."""
+    return [0, *range(size, total - size + 1, size), total]
 
 
 def _layout(total, permutations):
-    """The null's panel width and count over a pool of ``total`` rows."""
-    width = _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total))
-    return width, max(permutations // width, 1)
+    """The cuts of the null's column panels over a pool of ``total`` rows."""
+    return _edges(permutations, _PANEL * -(-_PANEL_MADDS // (_PANEL * total * total)))
 
 
 def _splits(total, permutations):
-    """Whether the null's block products split between the calling thread
-    and a helper: two panels or more and two blocks or more (N >= 384)."""
-    return _layout(total, permutations)[1] > 1 and total >= 2 * _BLOCK
+    """Whether the null's panels split with a helper thread: two panels or more."""
+    return len(_layout(total, permutations)) > 2
 
 
 def _packed(total, permutations):
@@ -273,16 +276,15 @@ def _draw(drawn, n, permutations, rng, stop=None):
 def _drawn(n, m, permutations, rng, pool=None):
     """The one way into the null: every permutation is drawn into
     :func:`_packed` bits, in order, as the block is entered. When the
-    products split (:func:`_splits`), the draw is queued on the one-thread
+    panels split (:func:`_splits`), the draw is queued on the one-thread
     ``pool`` (:func:`rdpgtest.streams.helper`, opened here when none is
-    passed) while the block goes on, and the same pool later takes its
-    share of each panel's block products; otherwise it runs at once on the
-    calling thread and no thread starts for it. Yields ``(drawn, pool,
-    future)`` for :func:`_null_from_gram`, with the pool and the draw's
-    future ``None`` when nothing splits. Leaving the block by an exception
-    sets the draw's ``stop``, so it ends within one block of rounds, and a
-    pool opened here is joined before the block is left; ``rng``'s end
-    state after an error is unspecified."""
+    passed), which later takes half the panels, while the block goes on
+    with ``(drawn, pool, future)``; otherwise the draw runs at once on the
+    calling thread, no thread starts and the block gets ``(drawn, None,
+    None)``. Leaving the block by an exception sets the draw's ``stop``,
+    so it ends within one block of rounds, and a pool opened here is
+    joined before the block is left; ``rng``'s end state after an error is
+    unspecified."""
     drawn = _packed(n + m, permutations)
     if not _splits(n + m, permutations):
         _draw(drawn, n, permutations, rng)
@@ -301,10 +303,9 @@ def _null_from_gram(k, n, m, permutations, draw):
     """:func:`permutation_null` on the pooled kernel matrix ``k`` and the
     ``draw`` of :func:`_drawn`, entered before ``k`` was built: the
     permutations were drawn then on the calling thread, or, when the
-    products split, are drawn on the pool while the caller builds ``k``
+    panels split, are drawn on the pool while the caller builds ``k``
     (and, in :func:`two_sample_test`, embeds a graph). That draw is waited
-    for, and its exception raised, before the first panel. With no pool
-    (``(drawn, None, None)``) every product runs on the calling thread.
+    for, and its exception raised, before the first panel.
 
     The rounds are aggregated in column panels of ``_PANEL`` (a multiple
     of it for a pool under 64 rows); the last panel also takes the
@@ -314,24 +315,15 @@ def _null_from_gram(k, n, m, permutations, draw):
     gram takes under 10^6 multiply-adds (OpenBLAS's small-matrix kernel),
     so a panel takes at least ``_PANEL_MADDS``.
 
-    ``k`` is symmetric, so each round's quadratic form z·(k z) needs only
-    its upper block triangle: over the row blocks I = [s, e) of
-    :func:`_shares`, it is the sum, in block order, of
-    z_I·(k[I, I] z_I) + 2·z_I·(k[I, e:] z[e:]), each term from one product;
-    about (1/2 + 96/N)·N² multiply-adds a round instead of N². A pool
-    under 384 rows is one block, whose form is the bits of z·(k z). Each
-    panel's draws are unpacked into one N x width slot and each block's
-    products go through one slot of at most 383 rows per thread, so beside
-    ``k`` and the N·B/8 bytes of ``drawn`` the working memory is O(N·512).
-
-    With the pool, its thread computes its share of each panel's blocks
-    while the calling thread computes the other and adds them up. Each
-    block's products run whole on one thread, so the values are the bits
-    of the path with no pool, whatever the core count; at one BLAS thread
-    they are the bits of the block formula over all rounds at once. With a
-    multi-threaded BLAS the two threads compete for the same cores. The
-    pool writes only into the arrays the calling thread allocated, and
-    this function never touches the random stream."""
+    With no pool (``(drawn, None, None)``) the calling thread runs
+    :func:`_panels` over all P panels; with one, over the first ⌈P/2⌉ while
+    the pool's thread runs the rest, each on scratch allocated here (on the
+    helper it raised a 1600-row test's peak RSS by 4 MB; a spare slot with
+    no pool took power_grid's heap past glibc's trim threshold, so each
+    call faulted its pages anew). Each panel runs whole on one thread, so
+    the values are the bits of the path with no pool, whatever the core
+    count, and at one BLAS thread those of the block formula over all
+    rounds at once. The random stream is not touched."""
     drawn, pool, future = draw
     if future is not None:
         future.result()
@@ -340,61 +332,51 @@ def _null_from_gram(k, n, m, permutations, draw):
     row_sums = k.sum(axis=1)
     total_off = float(k.sum() - diag.sum())
 
-    quad, diag_x, lin = np.empty((3, permutations))
-    width, panels = _layout(total, permutations)
-    last = permutations - (panels - 1) * width
-    mine, helper = _shares(total, pool is not None)
-    parts = np.zeros((2, len(mine) + len(helper), last))  # the two terms of each block
-    z_slot = np.empty(total * last)
-    # One product slot per thread: a spare one took power_grid's heap per
-    # call past glibc's trim threshold, so each call faulted its pages anew.
-    slots = np.empty((1 + bool(helper), min(total, 2 * _BLOCK - 1) * last))
-    for i in range(panels):
-        cols = slice(i * width, permutations if i == panels - 1 else (i + 1) * width)
-        z = z_slot[: total * (cols.stop - cols.start)].reshape(total, -1)
-        z[...] = np.unpackbits(drawn[:, cols.start // 8:-(-cols.stop // 8)], axis=1,
-                               count=z.shape[1])
-        d, o = parts[:, :, :z.shape[1]]
-        helped = helper and pool.submit(_block_terms, k, z, helper, d, o, slots[-1])
-        _block_terms(k, z, mine, d, o, slots[0])
-        if helped:
-            helped.result()
-        quad[cols] = sum(d + 2.0 * o)
-        np.matmul(diag, z, out=diag_x[cols])
-        np.matmul(row_sums, z, out=lin[cols])
+    quad, diag_x, lin = out = np.zeros((3, permutations))
+    cuts = _layout(total, permutations)
+    split = len(cuts) - 1 if pool is None else len(cuts) // 2
+    last = cuts[-1] - cuts[-2]
+    scratch = [(np.empty(total * last), np.empty(min(total, 2 * _BLOCK - 1) * last),
+                np.empty((2, last))) for _ in range(1 + (pool is not None))]
+    args = k, drawn, diag, row_sums, out
+    helped = pool and pool.submit(_panels, *args, cuts[split:], scratch[-1])
+    _panels(*args, cuts[:split + 1], scratch[0])
+    if helped:
+        helped.result()
     sxx = quad - diag_x
     cross = lin - quad
     syy = total_off - sxx - 2.0 * cross
     return mmd.u_from_sums(sxx, cross, syy, n, m)
 
 
-def _shares(total, split):
-    """The row blocks ``(j, s, e)`` of the null's quadratic form, numbered
-    in order: 192 rows each, the last with the remainder (192-383 rows), so
-    a pool under 384 rows is one block. In two shares: when ``split``, each
-    block in turn goes to the share of fewer multiply-adds, else all go to
-    the first."""
-    stops = [_BLOCK * i for i in range(1, total // _BLOCK)] + [total]
-    shares, loads = ([], []), [0, 0]
-    for j, (start, stop) in enumerate(zip([0] + stops[:-1], stops)):
-        lighter = int(split and loads[1] < loads[0])
-        shares[lighter].append((j, start, stop))
-        loads[lighter] += (stop - start) * (total - start)
-    return shares
-
-
-def _block_terms(k, z, blocks, d, o, slot):
-    """For each block ``(j, s, e)`` of ``blocks``, I = [s, e): z_I·(k[I, I] z_I)
-    into ``d[j]`` and, unless e is the last row, z_I·(k[I, e:] z[e:]) into
-    ``o[j]``, each product computed whole into ``slot``."""
-    for j, start, stop in blocks:
-        zi = z[start:stop]
-        kz = slot[: zi.size].reshape(zi.shape)
-        np.matmul(k[start:stop, start:stop], zi, out=kz)
-        np.einsum("ib,ib->b", zi, kz, out=d[j])
-        if stop < len(z):
-            np.matmul(k[start:stop, stop:], z[stop:], out=kz)
-            np.einsum("ib,ib->b", zi, kz, out=o[j])
+def _panels(k, drawn, diag, row_sums, out, cuts, scratch):
+    """The sums of :func:`_null_from_gram` over the column panels between
+    ``cuts``, into the rows quad, diag_x and lin of ``out``. Each panel's
+    draws are unpacked into the z slot of ``scratch``. ``k`` is symmetric,
+    so each round's form z·(k z) is summed, in order, over the row blocks
+    I = [s, e) of :func:`_edges` as z_I·(k[I, I] z_I) + 2·z_I·(k[I, e:] z[e:]),
+    each product into the slot of at most 383 rows and each term into a
+    terms row: about (1/2 + 96/N)·N² multiply-adds a round instead of N².
+    A pool under 384 rows is one block, whose form is the bits of z·(k z)."""
+    z_slot, slot, (d, o) = scratch
+    total = len(k)
+    blocks = _edges(total, _BLOCK)
+    for start, stop in zip(cuts, cuts[1:]):
+        z = z_slot[: total * (stop - start)].reshape(total, -1)
+        z[...] = np.unpackbits(drawn[:, start // 8:-(-stop // 8)], axis=1, count=z.shape[1])
+        dz, oz = d[:z.shape[1]], o[:z.shape[1]]
+        for s, e in zip(blocks, blocks[1:]):
+            zi = z[s:e]
+            kz = slot[: zi.size].reshape(zi.shape)
+            np.matmul(k[s:e, s:e], zi, out=kz)
+            np.einsum("ib,ib->b", zi, kz, out=dz)
+            if e < total:
+                np.matmul(k[s:e, e:], z[e:], out=kz)
+                np.einsum("ib,ib->b", zi, kz, out=oz)
+                dz += 2.0 * oz
+            out[0, start:stop] += dz
+        np.matmul(diag, z, out=out[1, start:stop])
+        np.matmul(row_sums, z, out=out[2, start:stop])
 
 
 def p_value(observed, null_values):
@@ -534,11 +516,11 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     Every permutation is drawn in the order of :func:`permutation_null`,
     whose memory bound holds here too. Graph b, when its eigh fits
     ``_HELPER_EIGH_BYTES``, embeds on the call's one helper
-    (:func:`rdpgtest.streams.helper`), which a split null's draw shares
-    (:func:`_drawn`), while the calling thread embeds graph a; a larger
-    graph b embeds after graph a on the calling thread. Either way the
-    result, ``rng``'s end state and the error raised (graph a's first) are
-    the same, at a fixed BLAS thread count.
+    (:func:`rdpgtest.streams.helper`), which a split null's draw and half
+    its panels share (:func:`_drawn`), while the calling thread embeds
+    graph a; a larger graph b embeds after graph a on the calling thread.
+    Either way the result, ``rng``'s end state and the error raised (graph
+    a's first) are the same, at a fixed BLAS thread count.
 
     Parameters
     ----------

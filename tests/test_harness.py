@@ -434,25 +434,18 @@ class TestPairwiseDissimilarity:
         assert len(started) == 1 and not started[0].is_alive()
         assert threading.active_count() == running
 
-    def test_non_finite_entry_is_named_with_the_helper(self):
-        class NanKernel(mmd.KernelSpec):
-            def _from_sq(self, sq, a, b):
-                return np.full(np.shape(sq), np.nan)
-
-        with pytest.raises(ValueError, match="graphs 0 and 1 is not finite"):
-            pairwise_dissimilarity(_graphs(0.0, 30, 5, seed=118), 2, NanKernel())
-
     def test_needs_two_graphs(self):
         with pytest.raises(ValueError, match="2 graphs"):
             pairwise_dissimilarity(_graphs(0.0, 30, 1, seed=113), 2, SPEC)
 
-    def test_non_finite_entry_is_an_error(self):
+    @pytest.mark.parametrize("count, seed", [(3, 115), (5, 118)], ids=["3", "5"])
+    def test_non_finite_entry_is_an_error(self, count, seed):
         class NanKernel(mmd.KernelSpec):
             def _from_sq(self, sq, a, b):
                 return np.full(np.shape(sq), np.nan)
 
         with pytest.raises(ValueError, match="graphs 0 and 1 is not finite"):
-            pairwise_dissimilarity(_graphs(0.0, 30, 3, seed=115), 2, NanKernel())
+            pairwise_dissimilarity(_graphs(0.0, 30, count, seed=seed), 2, NanKernel())
 
     def test_reports_offending_graph(self):
         good = _graphs(0.0, 30, 1, seed=114)[0]

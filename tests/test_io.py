@@ -347,7 +347,7 @@ class TestCsv:
 
     @pytest.mark.parametrize(
         "labels, header",
-        [(None, b""), (["a", 2], b"# labels: a,2\n")],
+        [(None, b""), (["a", 2, "c"], b"# labels: a,2,c\n")],
         ids=["unlabelled", "labelled"],
     )
     def test_matrix_bytes(self, tmp_path, labels, header):
@@ -366,6 +366,20 @@ class TestCsv:
         with pytest.raises(ValueError, match=re.escape(f"matrix label {label!r} has a comma")):
             write_matrix_csv(np.eye(2), path, labels=[label, "c"])
         assert not path.exists()
+
+    def test_labels_that_do_not_match_the_rows_are_refused(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError) as info:
+            write_matrix_csv(np.eye(3), path, labels=["a", "b"])
+        assert str(info.value) == "2 labels for 3 rows"
+        assert not path.exists()
+
+    def test_a_file_whose_labels_do_not_match_the_rows_is_refused(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# c\n# labels: a,b\n1,0,0\n0,1,0\n0,0,1\n")
+        with pytest.raises(ValueError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{path}, line 2: 2 labels for 3 rows"
 
     def test_labels_round_trip(self, tmp_path):
         labels = ["", "a b", "x#1", "labels: y", "\u00e9"]

@@ -86,6 +86,15 @@ class TestSbmToLatent:
             sbm_to_latent([[np.nan, 0.2], [0.2, 0.5]], [0.5, 0.5])
         assert str(info.value) == "block probabilities must lie in [0, 1]"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [[[np.inf, 0.2], [0.2, 0.5]], [[0.5, np.inf], [np.inf, 0.5]]],
+                             ids=["diagonal", "off-diagonal"])
+    def test_infinite_probability_is_refused_without_a_warning(self, b):
+        # The symmetry check took inf - inf, which warned before the refusal.
+        with pytest.raises(ValueError) as info:
+            sbm_to_latent(b, [0.5, 0.5])
+        assert str(info.value) == "block probabilities must lie in [0, 1]"
+
 
 class TestDistributionValidation:
     def test_weights_must_sum_to_one(self):

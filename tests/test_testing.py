@@ -290,7 +290,7 @@ PANEL_CASES = ([(n, m, b) for n, m in PANEL_SIZES for b in PANEL_PERMUTATIONS]
 
 def write_panel_nulls(path):
     """Each (n, m, B) in PANEL_CASES: the null in panels, by the package's
-    path (with the helper thread where the products split) and with no
+    path (with the helper thread where the panels split) and with no
     pool, and from the whole matrix, by blocks and by one product, saved
     to ``path`` (npz)."""
     nulls = {}
@@ -305,7 +305,7 @@ def write_panel_nulls(path):
 
 
 # N = 600 is three blocks (192, 192, 216) and takes panels of 256: B = 600
-# and B = 603 split both panels, the last of 344 and 347 columns.
+# and B = 603 are two panels, the helper's of 344 and 347 columns.
 SPLIT_TESTS = [(150, 450, 600), (150, 450, 603), (450, 150, 600)]
 # Every caller of the null: the graph test at SPLIT_TESTS, the point test
 # and the null alone at the first two.
@@ -530,10 +530,10 @@ def core_count_calls(tmp_path_factory):
 
 class TestPanelledNull:
     """``_null_from_gram`` aggregates the null in column panels, each by
-    row blocks of the upper triangle, shared with a worker thread where the
-    products split; each value must be the bits of the whole-matrix block
-    oracle, the ragged last panel too, with the worker or with no pool, and
-    within 1e-14 of one product over all rows."""
+    row blocks of the upper triangle, the later half of the panels on a
+    worker thread where they split; each value must be the bits of the
+    whole-matrix block oracle, the ragged last panel too, with the worker or
+    with no pool, and within 1e-14 of one product over all rows."""
 
     @pytest.mark.parametrize("n, m", PANEL_SIZES)
     @pytest.mark.parametrize("permutations", PANEL_PERMUTATIONS)
@@ -578,28 +578,29 @@ class TestPanelledNull:
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         helpers = []
-        product = testing._block_terms
+        panels = testing._panels
 
         def fail_on_the_helper(*args):
             if threading.current_thread() is threading.main_thread():
-                return product(*args)
+                return panels(*args)
             helpers.append(threading.current_thread())
-            raise FloatingPointError("the helper's product failed")
+            raise FloatingPointError("the helper's panels failed")
 
-        monkeypatch.setattr(testing, "_block_terms", fail_on_the_helper)
+        monkeypatch.setattr(testing, "_panels", fail_on_the_helper)
         pooled = random_cloud(400, 2, substream(138))
         running = threading.active_count()
-        with pytest.raises(FloatingPointError, match="^the helper's product failed$"):
+        with pytest.raises(FloatingPointError, match="^the helper's panels failed$"):
             _drawn_null(gram(SPEC, pooled, pooled), 100, 300, 512, substream(139))
         assert len(helpers) == 1
         assert not helpers[0].is_alive() and threading.active_count() == running
 
     @pytest.mark.parametrize("n, m, permutations, threads", [
-        (100, 300, 511, 0), (100, 300, 512, 1), (13, 29, 2065, 0), (100, 283, 512, 0),
+        (100, 300, 511, 0), (100, 300, 512, 1), (13, 29, 2065, 1), (100, 283, 512, 1),
         (100, 284, 512, 1)])
     def test_only_a_split_product_starts_a_thread(self, monkeypatch, n, m, permutations, threads):
-        # N = 400 takes panels of 256, so B = 511 is one panel. N = 42 and
-        # N = 383 are one block of rows; N = 384 is two.
+        # N = 400 takes panels of 256, so B = 511 is one panel; N = 42 takes
+        # panels of 768, so B = 2065 is two. The row blocks do not matter:
+        # N = 42 and N = 383 are one block, N = 384 is two.
         started, thread_class = [], threading.Thread
 
         def counted(*args, **kwargs):

@@ -8,8 +8,9 @@ diff the two dumps. A change meant to keep every result gives no
 difference. The grid records:
 
 - test calls over kernels, d, variants, alignment and n != m, graph and point,
-  tests and a null with more permutations than one panel, and a graph test
-  and a point test whose null draws on a worker thread;
+  tests and a null with more permutations than one panel, a graph test
+  and a point test whose null draws on a worker thread, and a graph test
+  and a null under 384 rows whose second panel runs on it;
 - graph tests pinned to one CPU and to two, at equal sizes under and
   over the helper's eigh budget and at unequal sizes with graph b over it
   and under it, with the stream's next draw;
@@ -26,7 +27,8 @@ difference. The grid records:
 - the input rules: edge-list reader branches, array graphs that are not
   adjacencies, sample and study sizes, replicate counts and every other
   count, extreme and median bandwidths, INI keys and values, seeds, integer
-  options, matrix labels, sparsity factors at every entry point, point
+  options, matrix labels and their count, written and read, infinite
+  block probabilities, sparsity factors at every entry point, point
   clouds of two widths, the ``eps_floor`` bound, non-finite statistics,
   streams that are not a ``numpy.random.Generator`` (also where the
   sampler draws), non-finite latent-family parameters, an assignment to
@@ -202,6 +204,18 @@ def grid_tests(grid, rt, graphs):
              rt.sample_rdpg(rt.sample_latent(g, 450, rng), 1.0, rng))
     grid.run("test/B600/150x450", lambda: rt.two_sample_test(
         *split, rt.TestConfig(permutations=600, seed=7)), lambda k, r: _report(grid, k, r))
+    # N = 300 at B = 600: graph b embeds on the helper, which then sums the
+    # second of two panels over one row block.
+    rng = rt.substream(24)
+    pair = (rt.sample_rdpg(rt.sample_latent(f, 150, rng), 1.0, rng),
+            rt.sample_rdpg(rt.sample_latent(g, 150, rng), 1.0, rng))
+
+    def helped():
+        stream = rt.substream(25)
+        return rt.two_sample_test(*pair, rt.TestConfig(permutations=600), rng=stream), stream.random()
+
+    grid.run("test/B600/150x150", helped,
+             lambda k, out: (_report(grid, k, out[0]), grid.put(f"{k}/next", out[1])))
     # Graph b embeds on a helper thread when its eigh fits 2 MiB (up to 228
     # vertices): equal sizes under and over it, and unequal sizes with graph
     # b over it, and under it, smaller or larger; on one CPU and on two.
@@ -251,21 +265,23 @@ def grid_sampler(grid, rt):
 
 def grid_null(grid, rt):
     """Permutation nulls around the panel boundaries, for a pool under and
-    over 64 rows, and one whose draw takes five blocks of rounds (240 rounds
-    each at 50 rows), with the stream's next draw."""
+    over 64 rows, and, with the stream's next draw, one whose draw takes
+    five blocks of rounds (240 rounds each at 50 rows) and one of 300 rows
+    whose second panel runs on the helper."""
     for (n, m), b in product(((7, 13), (30, 40), (150, 250)),
                              (255, 256, 511, 512, 1023, 1024, 2047, 2049, 10000)):
         pooled = rt.substream(18, n).random((n + m, 2)) / np.sqrt(2.0)
         grid.run(f"null/{n}x{m}/B{b}", lambda: rt.permutation_null(
             pooled, n, m, rt.GaussianKernel(0.5), b, rt.substream(19, b)), grid.put)
 
-    def blocks():
-        rng = rt.substream(19, 50)
-        pooled = rt.substream(18, 50).random((50, 2)) / np.sqrt(2.0)
-        return rt.permutation_null(pooled, 20, 30, rt.GaussianKernel(0.5), 1000, rng), rng.random()
+    def drawn(n, m, b):
+        rng = rt.substream(19, n + m)
+        pooled = rt.substream(18, n + m).random((n + m, 2)) / np.sqrt(2.0)
+        return rt.permutation_null(pooled, n, m, rt.GaussianKernel(0.5), b, rng), rng.random()
 
-    grid.run("null/20x30/B1000", blocks,
-             lambda key, out: (grid.put(key, out[0]), grid.put(f"{key}/next", out[1])))
+    for n, m, b in ((20, 30, 1000), (100, 200, 600)):
+        grid.run(f"null/{n}x{m}/B{b}", lambda: drawn(n, m, b),
+                 lambda key, out: (grid.put(key, out[0]), grid.put(f"{key}/next", out[1])))
     # Pools of 383 rows (one row block of the quadratic form), 384 (two of
     # 192), 576 (three) and 1600 (seven, then 256 rows), each two panels.
     for n, m in ((100, 283), (100, 284), (176, 400), (400, 1200)):
@@ -292,6 +308,7 @@ def grid_sbm(grid, rt):
         "not-psd": [[0.1, 0.5], [0.5, 0.1]],
         "asymmetric": [[0.5, 0.2], [0.3, 0.5]],
         "out-of-range": [[1.5, 0.2], [0.2, 0.5]],
+        "asymmetric-out-of-range": [[1.5, 0.2], [0.3, 0.5]],
         "not-square": [[0.5, 0.2, 0.1]],
     }
     for name, b in structured.items():
@@ -448,6 +465,7 @@ def grid_io(grid, rt, graphs, workdir):
         "matrix/label-comma": lambda: io.write_matrix_csv(np.eye(2), path, labels=["a,b", "c"]),
         "matrix/label-newline": lambda: io.write_matrix_csv(np.eye(2), path, labels=["a\nb", "c"]),
         "matrix/label-space": lambda: io.write_matrix_csv(np.eye(2), path, labels=[" a", "c"]),
+        "matrix/label-count": lambda: io.write_matrix_csv(np.eye(3), path, labels=["a", "b"]),
         "table": lambda: io.write_table_csv(path, ("a", "b", "c", "d"),
                                             [[1, 0.1, True, "x"], [np.int64(2), np.float64(1e-7),
                                                                    np.bool_(False), None]],
@@ -458,6 +476,10 @@ def grid_io(grid, rt, graphs, workdir):
         if os.path.exists(path):
             grid.run(f"io/{key}/read-matrix", lambda: io.read_matrix_csv(path), grid.put)
             os.remove(path)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("# labels: a,b\n1,0,0\n0,1,0\n0,0,1\n")
+    grid.run("io/read-matrix/label-count", lambda: io.read_matrix_csv(path), grid.put)
+    os.remove(path)
     bad = {"no-header": "0 1\n", "bad-count": "# vertices: x\n", "loop": "# vertices: 2\n1 1\n",
            "range": "# vertices: 2\n0 2\n", "tokens": "# vertices: 2\n0 1 2\n", "empty": "",
            "ok": "# vertices: 3\n\n0 1\n# note\n1 0\n",
@@ -881,6 +903,12 @@ def grid_errors(grid, rt):
     }.items():
         cases[f"latent/{name}"] = lambda build=build: rt.sample_latent(build(), 3, rt.substream(0))
     cases["latent/sbm-nan"] = lambda: rt.sbm_to_latent([[nan, 0.2], [0.2, 0.5]], [0.5, 0.5])
+    for name, b in (("diagonal", [[inf, 0.2], [0.2, 0.5]]), ("off-diagonal", [[0.5, inf], [inf, 0.5]])):
+        def refused(b=b):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # inf - inf in a symmetry check warns
+                return rt.sbm_to_latent(b, [0.5, 0.5])
+        cases[f"latent/sbm-inf-{name}"] = refused
     for name, rng in (("None", None), ("RandomState", np.random.RandomState(0))):
         cases[f"rng/latent-{name}"] = lambda rng=rng: rt.sample_latent(
             rt.UniformBox([0.0], [0.5]), 3, rng)
