@@ -7,7 +7,6 @@ evaluated in any order (or in parallel) with bit-identical results.
 """
 
 import configparser
-import contextvars
 from dataclasses import dataclass, field, fields
 from itertools import product
 
@@ -17,6 +16,7 @@ from . import io as _io
 from . import mmd, streams
 from .embed import _descending_frame, ase, check_dimension, second_moment_rotation
 from .model import (
+    LatentDistribution,
     UniformBox,
     as_graph,
     check_sparsity,
@@ -71,7 +71,8 @@ def uniform_box_pair(epsilon, f_upper=1.0 / np.sqrt(2.0), g_upper=1.0 / np.sqrt(
 class ExperimentConfig:
     """Grid specification for a power study.
 
-    ``pairs`` holds ``(sweep_label, F, G)`` triples; ``n_grid`` the first
+    ``pairs`` holds ``(sweep_label, F, G)`` triples, F and G each a
+    :class:`~rdpgtest.model.LatentDistribution`; ``n_grid`` the first
     sample sizes (``m`` defaults to ``n`` unless ``m_grid`` is given, one
     entry per ``n_grid`` entry). When ``oracle_arm`` is set, each replicate
     also runs the test on the true latent positions for side-by-side
@@ -97,6 +98,10 @@ class ExperimentConfig:
         if not self.pairs or not self.n_grid:
             raise ValueError("pairs and n_grid must be nonempty")
         object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
+        for i, pair in enumerate(self.pairs):
+            if len(pair) != 3 or not all(isinstance(p, LatentDistribution) for p in pair[1:]):
+                raise ValueError(f"pairs[{i}] must be a (label, F, G) triple of LatentDistributions,"
+                                 f" got types {tuple(type(p).__name__ for p in pair)}")
         object.__setattr__(self, "n_grid", tuple(self.n_grid))
         if self.m_grid is not None:
             object.__setattr__(self, "m_grid", tuple(self.m_grid))
@@ -305,15 +310,15 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
 
     The calling thread embeds the graphs in order; as soon as graph ``h``
     is embedded, its cross-block sums with every earlier graph
-    (:func:`_cross_column`) go to the one-thread
-    :func:`rdpgtest.streams.helper`, which sums them, under the caller's
-    ``np.errstate``, while LAPACK embeds the next graph (``eigh`` releases
-    the interpreter lock). After the last embedding the calling thread
-    computes the within-graph sums, then sums itself each column the
-    helper has not started. Each block is summed whole on one thread and
-    the statistics are formed, floored and checked in row order, so no
-    value or error depends on which thread summed a block. The helper's
-    blocks cost peak memory: about 1.5 MB for graphs of 300 vertices.
+    (:func:`_cross_column`) are queued on the call's helper
+    (:func:`rdpgtest.streams.helper`), which sums them while LAPACK embeds
+    the next graph (``eigh`` releases the interpreter lock). After the last
+    embedding the calling thread computes the within-graph sums, then sums
+    itself each column the helper has not started. Each block is summed
+    whole on one thread and the statistics are formed, floored and checked
+    in row order, so no value or error depends on which thread summed a
+    block. The helper's blocks cost peak memory: about 1.5 MB for graphs of
+    300 vertices.
 
     Parameters
     ----------
@@ -335,7 +340,7 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
     mmd.fixed_bandwidth(spec)
     count = len(graphs)
     embeddings, cross = [], np.zeros((count, count))
-    with streams.helper() as pool:
+    with streams.helper() as helper:
         queued = []
         for idx, graph in enumerate(graphs):
             try:
@@ -343,9 +348,7 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
                 mmd.check_sizes(len(embeddings[-1]), len(embeddings[-1]))
             except Exception as exc:
                 raise ValueError(f"graph {idx}: {exc}") from exc
-            # the caller's context, so the helper keeps its np.errstate
-            queued.append((idx, pool.submit(contextvars.copy_context().run, _cross_column,
-                                            spec, embeddings, cross, idx)))
+            queued.append((idx, helper.submit(_cross_column, spec, embeddings, cross, idx)))
         within = [mmd.off_diagonal_sum(mmd.gram(spec, e, e)) for e in embeddings]
         for h, future in reversed(queued):
             if future.cancel():
@@ -366,9 +369,10 @@ def pairwise_dissimilarity(graphs, d, spec, floor=True, labels=None):
 
 def _cross_column(spec, embeddings, cross, h):
     """The cross-block sums of embedding ``h`` with each earlier one, into
-    ``cross[g, h]`` for ``g < h``."""
+    ``cross[g, h]`` for ``g < h``: the bits of ``gram(...).sum()``, through
+    no traced name, as the helper may run it."""
     for g in range(h):
-        cross[g, h] = mmd._cross_sum(spec, embeddings[g], embeddings[h])
+        cross[g, h] = spec.pairwise(embeddings[g], embeddings[h]).sum()
 
 
 @dataclass(eq=False)

@@ -211,16 +211,6 @@ def gram(spec, a, b):
     return spec.pairwise(a, b)
 
 
-def _cross_sum(spec, a, b):
-    """Sum of the kernel matrix between the ``(n, d)`` float arrays ``a``
-    and ``b`` of one width: the bits of ``gram(spec, a, b).sum()``, with
-    no check. :func:`rdpgtest.harness.pairwise_dissimilarity` sums its
-    cross blocks here, on a helper thread when it has one; it calls no
-    public name, so a tracer that wraps :func:`gram` sees only the calling
-    thread."""
-    return spec.pairwise(a, b).sum()
-
-
 def check_widths(a, b):
     """The one width rule of two point sets: rows of one dimension."""
     if a.shape[1] != b.shape[1]:

@@ -5,9 +5,12 @@ replicate_index)``) identifies a statistically independent generator.
 Work units keyed by distinct paths can therefore run in any order, or in
 parallel, and still produce bit-identical results.
 It also holds three shared rules: check_count, check_generator, as_points,
-and the one helper thread of a call, helper.
+and the one owner of a call's helper thread, helper.
 """
 
+import contextvars
+import threading
+from collections import namedtuple
 from contextlib import contextmanager
 
 import numpy as np
@@ -38,17 +41,25 @@ def check_count(value, name, minimum=1):
     return int(value)
 
 
+Helper = namedtuple("Helper", "submit stop")
+
+
 @contextmanager
 def helper():
-    """A one-thread pool, whose thread starts at the first submit, so a
-    call that submits nothing starts none. Leaving the block, by an error
-    too, cancels the work still queued and joins the thread."""
+    """The one helper thread of a call, as ``Helper(submit, stop)``:
+    ``submit(fn, *args)`` queues ``fn(*args)``, run in a copy of the
+    caller's context (under its ``np.errstate``), and returns its future;
+    the thread starts at the first submit. Leaving the block, by an error
+    too, sets the event ``stop``, then cancels the jobs still queued and
+    joins the thread."""
     from concurrent.futures import ThreadPoolExecutor  # here: import rdpgtest loads no concurrent
 
-    pool = ThreadPoolExecutor(max_workers=1)
+    pool, stop = ThreadPoolExecutor(max_workers=1), threading.Event()
     try:
-        yield pool
+        yield Helper(lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args),
+                     stop)
     finally:
+        stop.set()
         pool.shutdown(cancel_futures=True)
 
 

@@ -24,9 +24,7 @@ by the one rule README lists for it. The variants are:
 """
 
 import json
-import threading
 from collections.abc import Sequence
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -187,20 +185,22 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     statistic is recorded. The kernel matrix of the pool is computed once,
     after every permutation is drawn, and each round then only
     re-aggregates its entries: :func:`_drawn` and :func:`_null_from_gram`
-    tell how, and when a helper thread takes half the panels. Beside that
-    matrix the working memory is O(N·512) plus N·B/8 bytes for the draws
+    tell how, and when the call's helper draws and takes half the panels.
+    Beside that matrix the working memory is O(N·512) plus N·B/8 bytes for the draws
     (N = n + m, B = ``permutations``). Deterministic given ``rng``; the
     values and ``rng``'s end state are the same bits at a fixed BLAS thread
     count, on any number of cores. :func:`two_sample_test` draws the same
-    null, in the same order. ``rng`` must be a ``numpy.random.Generator``
-    and ``spec`` a fixed bandwidth (``mmd.fixed_bandwidth``), both checked
-    before the draw.
+    null, in the same order. ``pooled`` must be finite, ``rng`` a
+    ``numpy.random.Generator`` and ``spec`` a fixed bandwidth
+    (``mmd.fixed_bandwidth``), all checked before the draw.
 
     Returns
     -------
     (permutations,) ndarray
     """
     pooled = as_points(pooled, "pooled")
+    if not np.isfinite(pooled).all():
+        raise ValueError("pooled must be finite")
     total = pooled.shape[0]
     mmd.check_sizes(check_count(n, "n"), check_count(m, "m"))
     if n + m != total:
@@ -208,7 +208,8 @@ def permutation_null(pooled, n, m, spec, permutations, rng):
     check_count(permutations, "permutations")
     check_generator(rng)
     mmd.fixed_bandwidth(spec)
-    with _drawn(n, m, permutations, rng) as draw:
+    with streams.helper() as helper:
+        draw = _drawn(n, m, permutations, rng, helper)
         return _null_from_gram(mmd.gram(spec, pooled, pooled), n, m, permutations, draw)
 
 
@@ -272,38 +273,28 @@ def _draw(drawn, n, permutations, rng, stop=None):
         drawn[:, start // 8:-(-(start + width) // 8)] = np.packbits(mask, axis=1)
 
 
-@contextmanager
-def _drawn(n, m, permutations, rng, pool=None):
+def _drawn(n, m, permutations, rng, helper):
     """The one way into the null: every permutation is drawn into
-    :func:`_packed` bits, in order, as the block is entered. When the
-    panels split (:func:`_splits`), the draw is queued on the one-thread
-    ``pool`` (:func:`rdpgtest.streams.helper`, opened here when none is
-    passed), which later takes half the panels, while the block goes on
-    with ``(drawn, pool, future)``; otherwise the draw runs at once on the
-    calling thread, no thread starts and the block gets ``(drawn, None,
-    None)``. Leaving the block by an exception sets the draw's ``stop``,
-    so it ends within one block of rounds, and a pool opened here is
-    joined before the block is left; ``rng``'s end state after an error is
-    unspecified."""
+    :func:`_packed` bits, in order, before any kernel block. When the
+    panels split (:func:`_splits`), the draw is queued on the call's
+    ``helper`` (:func:`rdpgtest.streams.helper`), polling its ``stop``, and
+    ``(drawn, helper, future)`` is returned at once: the helper later takes
+    half the panels. Otherwise the draw runs on the calling thread, and
+    ``(drawn, None, None)`` is returned. An error that leaves the
+    caller's helper block sets ``stop``, so the draw ends within one block
+    of rounds; ``rng``'s end state after an error is unspecified."""
     drawn = _packed(n + m, permutations)
     if not _splits(n + m, permutations):
         _draw(drawn, n, permutations, rng)
-        yield drawn, None, None
-        return
-    stop = threading.Event()
-    with streams.helper() if pool is None else nullcontext(pool) as pool:
-        try:
-            yield drawn, pool, pool.submit(_draw, drawn, n, permutations, rng, stop)
-        except BaseException:
-            stop.set()
-            raise
+        return drawn, None, None
+    return drawn, helper, helper.submit(_draw, drawn, n, permutations, rng, helper.stop)
 
 
 def _null_from_gram(k, n, m, permutations, draw):
     """:func:`permutation_null` on the pooled kernel matrix ``k`` and the
-    ``draw`` of :func:`_drawn`, entered before ``k`` was built: the
+    ``draw`` of :func:`_drawn`, called before ``k`` was built: the
     permutations were drawn then on the calling thread, or, when the
-    panels split, are drawn on the pool while the caller builds ``k``
+    panels split, are drawn on the helper while the caller builds ``k``
     (and, in :func:`two_sample_test`, embeds a graph). That draw is waited
     for, and its exception raised, before the first panel.
 
@@ -315,16 +306,16 @@ def _null_from_gram(k, n, m, permutations, draw):
     gram takes under 10^6 multiply-adds (OpenBLAS's small-matrix kernel),
     so a panel takes at least ``_PANEL_MADDS``.
 
-    With no pool (``(drawn, None, None)``) the calling thread runs
+    With no helper (``(drawn, None, None)``) the calling thread runs
     :func:`_panels` over all P panels; with one, over the first ⌈P/2⌉ while
-    the pool's thread runs the rest, each on scratch allocated here (on the
+    the helper runs the rest, each on scratch allocated here (on the
     helper it raised a 1600-row test's peak RSS by 4 MB; a spare slot with
-    no pool took power_grid's heap past glibc's trim threshold, so each
+    no helper took power_grid's heap past glibc's trim threshold, so each
     call faulted its pages anew). Each panel runs whole on one thread, so
-    the values are the bits of the path with no pool, whatever the core
+    the values are the bits of the path with no helper, whatever the core
     count, and at one BLAS thread those of the block formula over all
     rounds at once. The random stream is not touched."""
-    drawn, pool, future = draw
+    drawn, helper, future = draw
     if future is not None:
         future.result()
     total = n + m
@@ -334,12 +325,12 @@ def _null_from_gram(k, n, m, permutations, draw):
 
     quad, diag_x, lin = out = np.zeros((3, permutations))
     cuts = _layout(total, permutations)
-    split = len(cuts) - 1 if pool is None else len(cuts) // 2
+    split = len(cuts) - 1 if helper is None else len(cuts) // 2
     last = cuts[-1] - cuts[-2]
     scratch = [(np.empty(total * last), np.empty(min(total, 2 * _BLOCK - 1) * last),
-                np.empty((2, last))) for _ in range(1 + (pool is not None))]
+                np.empty((2, last))) for _ in range(1 + (helper is not None))]
     args = k, drawn, diag, row_sums, out
-    helped = pool and pool.submit(_panels, *args, cuts[split:], scratch[-1])
+    helped = helper and helper.submit(_panels, *args, cuts[split:], scratch[-1])
     _panels(*args, cuts[:split + 1], scratch[0])
     if helped:
         helped.result()
@@ -542,16 +533,16 @@ def two_sample_test(graph_a, graph_b, config, rng=None):
     check_dimension(config.d, m)
     mmd.check_sizes(n, m)
     rng = substream(config.seed) if rng is None else check_generator(rng)
-    with streams.helper() as pool:
+    with streams.helper() as helper:
         overlap = 40 * m**2 <= _HELPER_EIGH_BYTES
-        embedded = pool.submit(_spectral, graph_b, config.d) if overlap else None
-        with _drawn(n, m, config.permutations, rng, pool) as draw:
-            px, info_x = _embed(graph_a, config, config.sparsity_x)
-            py, info_y = _embed(graph_b, config, config.sparsity_y, embedded)
-            info = {f"{key}_x": value for key, value in info_x.items()}
-            info.update((f"{key}_y", value) for key, value in info_y.items())
-            maps = _Reflections(config.d) if config.align_reflections else np.eye(config.d)[None]
-            return _calibrate(px, py, maps, config, info, draw)
+        embedded = helper.submit(_spectral, graph_b, config.d) if overlap else None
+        draw = _drawn(n, m, config.permutations, rng, helper)
+        px, info_x = _embed(graph_a, config, config.sparsity_x)
+        py, info_y = _embed(graph_b, config, config.sparsity_y, embedded)
+        info = {f"{key}_x": value for key, value in info_x.items()}
+        info.update((f"{key}_y", value) for key, value in info_y.items())
+        maps = _Reflections(config.d) if config.align_reflections else np.eye(config.d)[None]
+        return _calibrate(px, py, maps, config, info, draw)
 
 
 def two_sample_point_test(x, y, config, rng=None):
@@ -574,5 +565,6 @@ def two_sample_point_test(x, y, config, rng=None):
     n, m = px.shape[0], py.shape[0]
     mmd.check_sizes(n, m)
     mmd.check_widths(px, py)
-    with _drawn(n, m, config.permutations, rng) as draw:
+    with streams.helper() as helper:
+        draw = _drawn(n, m, config.permutations, rng, helper)
         return _calibrate(px, py, np.eye(px.shape[1])[None], config, {}, draw)

@@ -173,6 +173,24 @@ class TestPowerExperiment:
                              test=None, master_seed=0)
         assert str(info.value) == "test must be a TestConfig, got None"
 
+    @pytest.mark.parametrize("bad, types", [
+        (lambda f, g: (0.0, f), "('float', 'PointMassMixture')"),
+        (lambda f, g: (0.0, f, "G"), "('float', 'PointMassMixture', 'str')"),
+        (lambda f, g: (0.0, f, g, 1), "('float', 'PointMassMixture', 'PointMassMixture', 'int')"),
+    ], ids=["two-items", "g-a-string", "four-items"])
+    def test_malformed_pair_is_refused_when_built(self, tmp_path, bad, types):
+        # Each built, then ran and flushed the good first pair's cell
+        # before failing in the second one's unpacking or sampling.
+        f, g = two_block_pair(0.0)
+        out = tmp_path / "power.csv"
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(pairs=[(0.0, f, g), bad(f, g)], n_grid=[10], replicates=1,
+                             test=TestConfig(permutations=5), master_seed=0,
+                             output_path=str(out))
+        assert str(info.value) == (
+            f"pairs[1] must be a (label, F, G) triple of LatentDistributions, got types {types}")
+        assert not out.exists()
+
     def test_checks_hold_for_the_config_lifetime(self):
         # Assigned replicates = 0 ended in a ZeroDivisionError, and an
         # assigned test = None got round the constructor's check.

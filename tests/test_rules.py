@@ -197,7 +197,7 @@ def _matrix_csv(tmp_path, monkeypatch):
 
 def _power_lines(tmp_path, monkeypatch):
     table = PowerTable([PowerCell(2, 2, 0.0, 3, 1, TENTH, TENTH)])
-    config = ExperimentConfig(pairs=[("x", None, None)], n_grid=[2], replicates=3,
+    config = ExperimentConfig(pairs=[("x", *two_block_pair(0.0))], n_grid=[2], replicates=3,
                               test=TestConfig(), master_seed=0)
     monkeypatch.setattr(cli.harness, "load_power_config", lambda path: config)
     monkeypatch.setattr(cli.harness, "run_power_experiment", lambda config: table)

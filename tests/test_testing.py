@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager, nullcontext
@@ -13,7 +14,7 @@ import pytest
 from scipy.stats import kstest
 
 import rdpgtest
-from rdpgtest import mmd, testing
+from rdpgtest import mmd, streams, testing
 from rdpgtest.embed import ase
 from rdpgtest.errors import DegenerateRowError, InsufficientSampleError, ModelError
 from rdpgtest.harness import pairwise_dissimilarity, two_block_pair, uniform_box_pair
@@ -57,8 +58,9 @@ def _graph_pair(f, g, n, m, rng):
 
 def _drawn_null(k, n, m, permutations, rng):
     """The null of the pooled kernel matrix ``k`` by the package's one path:
-    ``_drawn``, then ``_null_from_gram``."""
-    with testing._drawn(n, m, permutations, rng) as draw:
+    ``_drawn``, then ``_null_from_gram``, on one helper."""
+    with streams.helper() as helper:
+        draw = testing._drawn(n, m, permutations, rng, helper)
         return testing._null_from_gram(k, n, m, permutations, draw)
 
 
@@ -73,7 +75,9 @@ def _serial_null(k, n, m, permutations, rng):
 def _calibrated(px, py, maps, config):
     """``_calibrate`` over the candidate ``maps`` with the permutations of
     ``config.seed`` drawn first."""
-    with testing._drawn(len(px), len(py), config.permutations, substream(config.seed)) as draw:
+    with streams.helper() as helper:
+        draw = testing._drawn(len(px), len(py), config.permutations, substream(config.seed),
+                              helper)
         return _calibrate(px, py, maps, config, {}, draw)
 
 
@@ -186,6 +190,24 @@ class TestPermutationNull:
         with pytest.raises(ValueError, match="^sigma = median needs the pooled rows"):
             permutation_null(random_cloud(600, 2, substream(79)), 150, 450, GaussianKernel(None),
                              600, substream(80))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_pooled_rows_are_refused_before_the_draw(self, monkeypatch, entry):
+        # A nan entry gave a null of nan values with no error; an infinite
+        # one warned of an invalid subtraction first.
+        def refuse(*args):
+            raise AssertionError("built a kernel block of non-finite rows")
+
+        monkeypatch.setattr(mmd, "gram", refuse)
+        pooled = random_cloud(10, 2, substream(81))
+        pooled[3, 1] = entry
+        rng = substream(82)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                permutation_null(pooled, 5, 5, SPEC, 5, rng)
+        assert str(info.value) == "pooled must be finite"
+        assert rng.random() == substream(82).random()
 
 
 # (N, n, B) around the blocks of ``_draw``: 6144 rounds at N = 2, 1752 at
@@ -607,7 +629,7 @@ class TestPanelledNull:
             started.append(thread := thread_class(*args, **kwargs))
             return thread
 
-        monkeypatch.setattr(testing.threading, "Thread", counted)
+        monkeypatch.setattr(threading, "Thread", counted)
         pooled = random_cloud(n + m, 2, substream(140))
         k = gram(SPEC, pooled, pooled)
         null = _drawn_null(k, n, m, permutations, substream(141))
@@ -752,6 +774,42 @@ class TestDrawWhileEmbedding:
         graphs = _graph_pair(*two_block_pair(0.0), n, m, substream(155))
         two_sample_test(*graphs, TestConfig(permutations=permutations, seed=156))
         assert len(started) == threads and not any(t.is_alive() for t in started)
+
+
+class TestHelper:
+    """``streams.helper`` alone starts, stops and joins a call's helper
+    thread: each job runs in the submitter's context, and leaving the
+    block sets the stop event, then cancels the queued jobs and joins."""
+
+    @pytest.mark.parametrize("state", ["raise", "ignore"])
+    def test_a_job_runs_under_the_callers_errstate(self, started, state):
+        with np.errstate(over=state, divide=state), streams.helper() as helper:
+            seen = helper.submit(np.geterr).result()
+        assert seen["over"] == seen["divide"] == state
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_an_error_sets_stop_before_the_join_and_cancels_a_queued_job(self, started):
+        running, stopped, ran, jobs = threading.Event(), [], [], []
+
+        def first(stop):
+            running.set()
+            stopped.append(stop.wait(timeout=30))
+            deadline = time.monotonic() + 30  # hold the thread until the second job is cancelled
+            while not jobs[1].cancelled() and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+        with pytest.raises(RuntimeError, match="^left by an error$"):
+            with streams.helper() as helper:
+                jobs += [helper.submit(first, helper.stop), helper.submit(ran.append, 1)]
+                assert running.wait(timeout=30)
+                raise RuntimeError("left by an error")
+        assert stopped == [True] and jobs[0].done() and jobs[1].cancelled() and ran == []
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_an_unused_helper_starts_no_thread(self, started):
+        with streams.helper() as helper:
+            assert not helper.stop.is_set()
+        assert helper.stop.is_set() and started == []
 
 
 def _isolated(graph):

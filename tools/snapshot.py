@@ -33,7 +33,9 @@ difference. The grid records:
   streams that are not a ``numpy.random.Generator`` (also where the
   sampler draws), non-finite latent-family parameters, an assignment to
   a field of a built ``ExperimentConfig``, a grid list changed after it
-  was built and a write into a built ``Graph``;
+  was built, a write into a built ``Graph``, non-finite pooled rows of
+  the null and a power study's pair that is not a ``(label, F, G)``
+  triple of latent distributions;
 - the shape rule of an array of points at each entry point, NaN latent
   positions;
 - the repr of each error raised.
@@ -793,6 +795,7 @@ def grid_points(grid, rt, workdir):
 
 def grid_errors(grid, rt):
     path = np.eye(4, k=1, dtype=int) + np.eye(4, k=-1, dtype=int)
+    good = ("x", *rt.two_block_pair(0.0))
     cases = {
         "config/variant": lambda: rt.TestConfig(variant="x"),
         "config/permutations": lambda: rt.TestConfig(permutations=0),
@@ -837,33 +840,33 @@ def grid_errors(grid, rt):
         "model/n": lambda: rt.sample_latent(rt.UniformBox([0.0], [0.5]), 0, rt.substream(0)),
         "moment/n": lambda: rt.check_moment_assumption(np.ones((1, 2))),
         "experiment/replicates": lambda: rt.ExperimentConfig(
-            pairs=[("x", None, None)], n_grid=[10], replicates=0, test=rt.TestConfig(),
+            pairs=[good], n_grid=[10], replicates=0, test=rt.TestConfig(),
             master_seed=0),
         "experiment/replicates-float": lambda: rt.ExperimentConfig(
-            pairs=[("x", None, None)], n_grid=[10], replicates=2.5, test=rt.TestConfig(),
+            pairs=[good], n_grid=[10], replicates=2.5, test=rt.TestConfig(),
             master_seed=0),
         "experiment/n-float": lambda: rt.ExperimentConfig(
-            pairs=[("x", None, None)], n_grid=[10.5], replicates=1, test=rt.TestConfig(),
+            pairs=[good], n_grid=[10.5], replicates=1, test=rt.TestConfig(),
             master_seed=0),
         "wcompare/replicates": lambda: rt.w_comparison_experiment(
             *rt.two_block_pair(0.0), 20, 2, rt.GaussianKernel(), 0, 0),
         "experiment/seed": lambda: rt.ExperimentConfig(
-            pairs=[("x", None, None)], n_grid=[10], replicates=1, test=rt.TestConfig(),
+            pairs=[good], n_grid=[10], replicates=1, test=rt.TestConfig(),
             master_seed=-1),
         "experiment/sizes": lambda: rt.ExperimentConfig(
-            pairs=[("x", None, None)], n_grid=[10, 1], replicates=1, test=rt.TestConfig(),
+            pairs=[good], n_grid=[10, 1], replicates=1, test=rt.TestConfig(),
             master_seed=0),
         "experiment/m-sizes": lambda: rt.ExperimentConfig(
-            pairs=[("x", None, None)], n_grid=[10], m_grid=[1], replicates=1,
+            pairs=[good], n_grid=[10], m_grid=[1], replicates=1,
             test=rt.TestConfig(d=1), master_seed=0),
         "experiment/assign": lambda: setattr(rt.ExperimentConfig(
-            pairs=[("x", None, None)], n_grid=[10], replicates=1, test=rt.TestConfig(),
+            pairs=[good], n_grid=[10], replicates=1, test=rt.TestConfig(),
             master_seed=0), "replicates", 0),
         "wcompare/sizes": lambda: rt.w_comparison_experiment(
             *rt.two_block_pair(0.0), 20, 2, rt.GaussianKernel(), 1, 0, m=1),
         "sparsity/preprocess": lambda: rt.preprocess(np.ones((3, 2)), "sparse", sparsity=0),
         "sparsity/experiment": lambda: rt.ExperimentConfig(
-            pairs=[("x", None, None)], n_grid=[10], replicates=1, test=rt.TestConfig(),
+            pairs=[good], n_grid=[10], replicates=1, test=rt.TestConfig(),
             master_seed=0, sparsity=0),
         "sparsity/edge-prob": lambda: rt.edge_prob_matrix([[0.5]], 1.5),
         "median/u": lambda: rt.u_statistic(rt.GaussianKernel(None), [[0.0], [1.0]], [[0.5], [2.0]]),
@@ -903,6 +906,24 @@ def grid_errors(grid, rt):
     }.items():
         cases[f"latent/{name}"] = lambda build=build: rt.sample_latent(build(), 3, rt.substream(0))
     cases["latent/sbm-nan"] = lambda: rt.sbm_to_latent([[nan, 0.2], [0.2, 0.5]], [0.5, 0.5])
+    # Non-finite pooled rows of the null alone, under warnings as errors
+    # (an infinite row warned of an invalid subtraction).
+    for name, entry in (("nan", nan), ("inf", inf), ("-inf", -inf)):
+        def null(entry=entry):
+            pooled = rt.substream(24).random((10, 2)) / np.sqrt(2.0)
+            pooled[3, 1] = entry
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return rt.permutation_null(pooled, 5, 5, rt.GaussianKernel(0.5), 5,
+                                           rt.substream(25))
+        cases[f"null/pooled-{name}"] = null
+    # A malformed second pair of a power study, after a good first one.
+    _, f, g = good
+    for name, pair in (("two-items", (0.0, f)), ("g-str", (0.0, f, "G")),
+                       ("four-items", (0.0, f, g, 1))):
+        cases[f"experiment/pair-{name}"] = lambda pair=pair: rt.ExperimentConfig(
+            pairs=[good, pair], n_grid=[10], replicates=1,
+            test=rt.TestConfig(permutations=5), master_seed=0)
     for name, b in (("diagonal", [[inf, 0.2], [0.2, 0.5]]), ("off-diagonal", [[0.5, inf], [inf, 0.5]])):
         def refused(b=b):
             with warnings.catch_warnings():
