@@ -6,7 +6,6 @@ path ``(master_seed, grid_index, replicate_index)``, so grid cells can be
 evaluated in any order (or in parallel) with bit-identical results.
 """
 
-import configparser
 from dataclasses import dataclass, field, fields
 from itertools import product
 
@@ -97,11 +96,16 @@ class ExperimentConfig:
         check_count(self.replicates, "replicates")
         if not self.pairs or not self.n_grid:
             raise ValueError("pairs and n_grid must be nonempty")
-        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
-        for i, pair in enumerate(self.pairs):
-            if len(pair) != 3 or not all(isinstance(p, LatentDistribution) for p in pair[1:]):
+        pairs = tuple(self.pairs)
+        for i, pair in enumerate(pairs):
+            listed = isinstance(pair, (tuple, list))  # tuple('abc') would read as a triple
+            if not listed or len(pair) != 3 or not all(
+                    isinstance(p, LatentDistribution) for p in pair[1:]):
+                got = (f"types {tuple(type(p).__name__ for p in pair)}" if listed
+                       else f"type {type(pair).__name__!r}")
                 raise ValueError(f"pairs[{i}] must be a (label, F, G) triple of LatentDistributions,"
-                                 f" got types {tuple(type(p).__name__ for p in pair)}")
+                                 f" got {got}")
+        object.__setattr__(self, "pairs", tuple(map(tuple, pairs)))
         object.__setattr__(self, "n_grid", tuple(self.n_grid))
         if self.m_grid is not None:
             object.__setattr__(self, "m_grid", tuple(self.m_grid))
@@ -466,126 +470,3 @@ def knn_classify(dissimilarity, labels, k, folds=10, seed=0):
         seed=seed,
         n_items=n,
     )
-
-
-def _boolean(value):
-    text = str(value).strip().lower()
-    if text not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError(f"expected true/false, yes/no, on/off or 1/0, got {value!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[text]
-
-
-_TEST_KEYS = dict(
-    variant=str, d=int, permutations=int, b=int, alpha_level=float, seed=int,
-    sparsity_x=float, sparsity_y=float, eps_floor=float, align_reflections=_boolean,
-)
-
-
-def build_test_config(params):
-    """:class:`TestConfig` from a mapping keyed like the INI ``[test]``
-    section (``b`` wins over ``permutations``; the kernel keys are those of
-    :func:`rdpgtest.mmd.kernel_from_params`), with values given as strings
-    or numbers. Absent or None keys keep the defaults; others are ignored."""
-    return _test_config(_io._converted(params, _TEST_KEYS), params)
-
-
-def _test_config(fields, kernel_params):
-    """:class:`TestConfig` from converted ``fields`` and the kernel keys of ``kernel_params``."""
-    if "b" in fields:
-        fields["permutations"] = fields.pop("b")
-    kernel = mmd.kernel_from_params(kernel_params)
-    if kernel is not None:
-        fields["kernel"] = kernel
-    return TestConfig(**fields)
-
-
-_FAMILIES = {
-    "two_block": (two_block_pair, {"base": float, "cross": float, "weights": _io._parse_vector}),
-    "uniform_box": (uniform_box_pair, {"f_upper": float, "g_upper": float, "dim": int}),
-    "custom": (None, {}),
-}
-
-
-def _family(experiment):
-    """Pair function (None for ``custom``) and parameter keys of the family."""
-    family = experiment.get("family", "custom").strip()
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {tuple(_FAMILIES)}, got {family!r}")
-    return _FAMILIES[family]
-
-
-def _numbers(convert):
-    """Converter of a whitespace-separated list of ``convert`` values."""
-    return lambda text: [convert(t) for t in text.split()]
-
-
-def _read_experiment(path, sweep, keys, test_keys):
-    """Converted ``[experiment]`` values, seeded test configuration and ``pairs(values)``
-    of a file: the ``(label, F, G)`` triples of the family at each swept value.
-    ``[experiment]`` holds ``n`` and may hold ``family``, ``seed``, ``replicates``,
-    ``output``, the family's keys and ``keys``, a map from each loader key (``n``, ``m``
-    and the ``sweep`` key among them) to its converter; the ``custom`` family (one fixed
-    pair) takes no ``sweep`` key. Its ``sparsity`` fills in ``[test]`` sparsities left
-    out. ``[test]`` holds the kernel keys and ``test_keys``, the loader's keys of
-    ``_TEST_KEYS``. ``[F]`` and ``[G]`` are required for ``custom`` and unknown otherwise."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(path)
-    experiment = parser["experiment"] if parser.has_section("experiment") else {}
-    pair, family_keys = _family(experiment)
-    needed = ("experiment",) + (("F", "G") if pair is None else ())
-    _io._check_keys(parser.sections(), {"test", *needed}, needed, what="section")
-    own = {"seed": int, "replicates": int, "output": str.strip, **keys}
-    unswept = {sweep} if pair is None else set()
-    _io._check_keys(experiment, {"family", *own, *family_keys} - unswept, ("n",))
-    test = parser["test"] if parser.has_section("test") else {}
-    _io._check_keys(test, {*test_keys, *mmd.KERNEL_KEYS})
-    values = _io._converted(experiment, own)
-    fields = {f"sparsity_{s}": values["sparsity"] for s in "xy" if "sparsity" in values}
-    fields.update(_io._converted(test, _TEST_KEYS))
-    if "seed" in values:
-        fields["seed"] = values["seed"]
-
-    def pairs(sweep_values):
-        if pair is None:
-            return [("custom", *map(_io.parse_distribution, (parser["F"], parser["G"])))]
-        family_params = _io._converted(experiment, family_keys)
-        return [(eps, *pair(eps, **family_params)) for eps in sweep_values]
-
-    return values, _test_config(fields, test), pairs
-
-
-def load_power_config(path):
-    """Read a power-study configuration file (INI format, see README)."""
-    keys = {"n": _numbers(int), "m": _numbers(int), "sweep": _numbers(float),
-            "oracle_arm": _boolean, "sparsity": float}
-    values, test_cfg, pairs = _read_experiment(path, "sweep", keys, _TEST_KEYS.keys() - {"seed"})
-    return ExperimentConfig(
-        pairs=pairs(values.get("sweep", [0.0])),
-        n_grid=values["n"],
-        m_grid=values.get("m") or None,
-        replicates=values.get("replicates", 100),
-        test=test_cfg,
-        master_seed=test_cfg.seed,
-        output_path=values.get("output") or None,
-        **{key: values[key] for key in ("oracle_arm", "sparsity") if key in values},
-    )
-
-
-def load_wcompare_config(path):
-    """Read an alignment-comparison configuration file (INI format)."""
-    keys = {"n": int, "m": int, "epsilon": float, "surrogate_size": int}
-    values, test_cfg, pairs = _read_experiment(path, "epsilon", keys, {"d"})
-    _, f, g = pairs([values.get("epsilon", 0.0)])[0]
-    return {
-        "f_dist": f,
-        "g_dist": g,
-        "n": values["n"],
-        "m": values.get("m", values["n"]),
-        "d": test_cfg.d,
-        "spec": mmd.fixed_bandwidth(test_cfg.kernel),
-        "replicates": values.get("replicates", 100),
-        "master_seed": test_cfg.seed,
-        "output": values.get("output") or None,
-        **{key: values[key] for key in ("surrogate_size",) if key in values},
-    }

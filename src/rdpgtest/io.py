@@ -1,4 +1,4 @@
-"""File formats: edge lists, full-precision CSV tables, config sections.
+"""File formats: edge lists, full-precision CSV tables, manifests and labels.
 
 Graphs travel as line-oriented edge lists::
 
@@ -17,15 +17,7 @@ import warnings
 import numpy as np
 
 from .errors import EdgeListFormatError
-from .model import (
-    DegreeCorrected,
-    DirichletLatent,
-    Graph,
-    LogitNormalMixture,
-    PointMassMixture,
-    UniformBox,
-    as_graph,
-)
+from .model import Graph, as_graph
 from .streams import as_points
 
 __all__ = ["read_edge_list", "write_edge_list"]
@@ -176,20 +168,23 @@ _LABELS = "# labels:"
 
 def write_matrix_csv(matrix, path, labels=None):
     """Write a numeric matrix in full precision, optionally tagged with row labels.
-    A label with a comma, a line break or surrounding whitespace would not read back,
-    and labels must be one per row, so either is refused before the file is opened."""
+    An empty matrix, a label with a comma, a line break or surrounding whitespace
+    would not read back, and labels must be one per row, so each is refused before
+    the file is opened."""
     labels = None if labels is None else [str(label) for label in labels]
     for label in labels or ():
         if "," in label or label != label.strip() or len(label.splitlines()) > 1:
             raise ValueError(
                 f"matrix label {label!r} has a comma, a line break or surrounding whitespace")
-    rows = as_points(matrix, "matrix").tolist()
+    rows = as_points(matrix, "matrix")
+    if not rows.size:
+        raise ValueError(f"matrix must have a row and a column, got shape {rows.shape}")
     if labels is not None and len(labels) != len(rows):
         raise ValueError(f"{len(labels)} labels for {len(rows)} rows")
     with open(path, "w", encoding="utf-8") as handle:
         if labels is not None:
             handle.write(_LABELS + " " + ",".join(labels) + "\n")
-        for row in rows:
+        for row in rows.tolist():
             handle.write(",".join(map(_fmt, row)) + "\n")
 
 
@@ -246,86 +241,3 @@ def read_manifest(path):
             paths.append(entry.strip() if comma else text)
             labels.append(label.strip() if comma else None)
     return paths, (labels if labels and labels[0] is not None else None)
-
-
-def _parse_vector(text):
-    return np.array([float(t) for t in text.replace(",", " ").split()])
-
-
-def _parse_matrix(text):
-    return np.array([_parse_vector(row) for row in text.split(";")])
-
-
-def _where(section):
-    return f" in [{section.name}]" if hasattr(section, "name") else ""
-
-
-def _check_keys(section, known, required=(), what="key"):
-    """Reject a ``what`` of ``section`` outside ``known`` or a missing ``required`` one."""
-    where = _where(section)
-    for key in required:
-        if key not in section:
-            raise ValueError(f"missing {what} {key!r}{where}")
-    for key in section:
-        if key not in known:
-            raise ValueError(f"unknown {what} {key!r}{where}")
-
-
-def _converted(section, converters):
-    """``{key: convert(section[key])}`` for each key of ``converters`` given and not None;
-    a value that does not convert is refused with its key (and section)."""
-    out = {}
-    for key, convert in converters.items():
-        if section.get(key) is not None:
-            try:
-                out[key] = convert(section[key])
-            except ValueError as exc:
-                raise ValueError(f"bad value for key {key!r}{_where(section)}: {exc}") from None
-    return out
-
-
-def _parse_stack(text):
-    return np.array([_parse_matrix(block) for block in text.split("|")])
-
-
-def _degree_corrected(atoms, weights, **theta):
-    return DegreeCorrected(PointMassMixture(atoms, weights), **theta)
-
-
-# Per distribution kind: its constructor and the parser of each key it reads.
-_KINDS = {
-    "point_mass_mixture": (PointMassMixture, {"atoms": _parse_matrix, "weights": _parse_vector}),
-    "dirichlet": (DirichletLatent, {"concentration": _parse_vector}),
-    "uniform_box": (UniformBox, {"lower": _parse_vector, "upper": _parse_vector}),
-    "logit_normal_mixture": (
-        LogitNormalMixture,
-        {"means": _parse_matrix, "covs": _parse_stack, "weights": _parse_vector, "scale": float},
-    ),
-    "degree_corrected": (
-        _degree_corrected,
-        {"atoms": _parse_matrix, "weights": _parse_vector, "theta_low": float, "theta_high": float},
-    ),
-}
-_OPTIONAL = ("scale", "theta_low", "theta_high")  # their constructors have defaults
-
-
-def parse_distribution(section):
-    """Build a latent distribution from a key-value config section.
-
-    ``section`` is any mapping of strings (for example a ``configparser``
-    section). The key ``kind`` selects the variant; vectors are whitespace
-    or comma separated, matrix rows are separated by ``;`` and stacked
-    matrices by ``|``::
-
-        kind = point_mass_mixture
-        atoms = 0.59 0.39 ; 0.59 -0.39
-        weights = 0.4 0.6
-
-    A key that ``kind`` does not read is an error, and so is a missing one.
-    """
-    kind = section.get("kind", "").strip()
-    if kind not in _KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    build, parsers = _KINDS[kind]
-    _check_keys(section, {"kind", *parsers}, [key for key in parsers if key not in _OPTIONAL])
-    return build(**_converted(section, parsers))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSampleError
-from .io import _converted
 from .streams import as_points
 
 __all__ = [
@@ -169,38 +168,6 @@ def fixed_bandwidth(kernel):
     if isinstance(kernel, GaussianKernel) and kernel.sigma is None:
         raise ValueError("sigma = median needs the pooled rows of one test; give a number")
     return kernel
-
-
-KERNEL_KEYS = ("kernel", "sigma", "c", "beta", "q")
-
-_KERNELS = {
-    GaussianKernel.name: (GaussianKernel, {"sigma": "sigma"}),
-    "imq": (InverseMultiquadricKernel, {"c": "c", "beta": "beta"}),
-    InverseMultiquadricKernel.name: (InverseMultiquadricKernel, {"c": "c", "beta": "beta"}),
-    EnergyKernel.name: (EnergyKernel, {"q": "exponent"}),
-}
-
-
-def kernel_from_params(params):
-    """Kernel named by ``params["kernel"]``, gaussian if absent: ``gaussian``
-    (``sigma``: a number or ``median``), ``imq`` or ``inverse_multiquadric``
-    (``c``, ``beta``) or ``energy`` (``q``), from a mapping of numbers or
-    strings. Absent or None keys keep the kernel's defaults; None if all are.
-    A parameter of another kernel is an error."""
-    given = {key: str(params[key]).strip() for key in KERNEL_KEYS if params.get(key) is not None}
-    if not given:
-        return None
-    name = given.pop("kernel", GaussianKernel.name)
-    if name not in _KERNELS:
-        raise ValueError(f"unknown kernel {name!r}")
-    kernel, fields = _KERNELS[name]
-    for key in given:
-        if key not in fields:
-            raise ValueError(f"the {name} kernel does not take {key!r}")
-    if given.get("sigma") == "median":
-        return GaussianKernel(None)
-    values = _converted(params, dict.fromkeys(given, float))
-    return kernel(**{fields[key]: value for key, value in values.items()})
 
 
 def gram(spec, a, b):

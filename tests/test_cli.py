@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from rdpgtest import cli
-from rdpgtest.cli import main
-from rdpgtest.harness import load_power_config, two_block_pair
+from rdpgtest.cli import load_power_config, main
+from rdpgtest.harness import two_block_pair
 from rdpgtest.embed import ase
 from rdpgtest.io import read_edge_list, read_matrix_csv, write_edge_list
 from rdpgtest.mmd import EnergyKernel, GaussianKernel, InverseMultiquadricKernel

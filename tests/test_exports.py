@@ -1,6 +1,7 @@
 """Every public name that the package and its modules declare resolves, and
 the package runs on numpy alone."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -66,7 +67,8 @@ IMPORT = "import rdpgtest, threading; print('threads', threading.active_count())
 def test_package_loads_no_scipy(argv):
     # scipy is only a test oracle; -X importtime lists every module a fresh
     # interpreter imports. The import starts no thread and no thread pool:
-    # the null starts its helper thread only when it runs.
+    # the null starts its helper thread only when it runs. configparser
+    # comes with the command line, which reads all parameter text.
     src = str(Path(rdpgtest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
@@ -78,3 +80,48 @@ def test_package_loads_no_scipy(argv):
     assert [name for name in imported if name.split(".")[0] in ("scipy", "concurrent")] == []
     if argv[1] == IMPORT:
         assert result.stdout.split() == ["threads", "1"]
+        assert "configparser" not in imported
+
+
+# The package modules each module imports at module level. io (data files)
+# and mmd (kernels and statistics) import neither each other: the text of
+# the parameters, INI files and kernel keys included, is read in cli alone.
+LAYERS = {
+    "__init__": {"embed", "harness", "io", "mmd", "model", "streams", "testing"},
+    "__main__": {"cli"},
+    "cli": {"embed", "harness", "io", "mmd", "model", "testing"},
+    "embed": {"streams"},
+    "errors": set(),
+    "harness": {"embed", "io", "mmd", "model", "streams", "testing"},
+    "io": {"errors", "model", "streams"},
+    "mmd": {"errors", "streams"},
+    "model": {"embed", "errors", "streams"},
+    "streams": set(),
+    "testing": {"embed", "errors", "io", "mmd", "model", "streams"},
+}
+# Imports inside a function, each to break a cycle: model imports embed.
+DEFERRED = {"embed": {"model"}}
+
+
+def _imports(tree):
+    """``(module level, deferred, standard)``: the package modules imported
+    at module level and inside functions, and the other top-level names."""
+    top = set(tree.body)
+    package, deferred, other = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = {node.module} if node.module else {alias.name for alias in node.names}
+            (package if node in top else deferred).update(names)
+        elif isinstance(node, ast.Import):
+            other.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            other.add(node.module.split(".")[0])
+    return package, deferred, other
+
+
+def test_each_module_imports_the_layers_listed_for_it():
+    src = Path(rdpgtest.__file__).resolve().parent
+    found = {path.stem: _imports(ast.parse(path.read_text())) for path in src.glob("*.py")}
+    assert {name: package for name, (package, _, _) in found.items()} == LAYERS
+    assert {name: deferred for name, (_, deferred, _) in found.items() if deferred} == DEFERRED
+    assert [name for name, (_, _, other) in found.items() if "configparser" in other] == ["cli"]

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from rdpgtest import harness, mmd, testing
+from rdpgtest.cli import build_test_config
 from rdpgtest.embed import ase, second_moment_rotation
 from rdpgtest.harness import (
     DissimilarityMatrix,
     ExperimentConfig,
     WComparison,
-    build_test_config,
     knn_classify,
     pairwise_dissimilarity,
     run_power_experiment,
@@ -190,6 +190,19 @@ class TestPowerExperiment:
         assert str(info.value) == (
             f"pairs[1] must be a (label, F, G) triple of LatentDistributions, got types {types}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad, name", [
+        (5, "int"), (None, "NoneType"), ("abc", "str"),
+    ], ids=["int", "None", "str"])
+    def test_pair_that_is_not_a_tuple_or_list_is_refused_by_type(self, bad, name):
+        # An int or None failed in tuple() with a TypeError naming neither
+        # pairs nor the entry, and "abc" was read as the triple ('a', 'b', 'c').
+        f, g = two_block_pair(0.0)
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(pairs=[(0.0, f, g), bad], n_grid=[10], replicates=1,
+                             test=TestConfig(permutations=5), master_seed=0)
+        assert str(info.value) == (
+            f"pairs[1] must be a (label, F, G) triple of LatentDistributions, got type '{name}'")
 
     def test_checks_hold_for_the_config_lifetime(self):
         # Assigned replicates = 0 ended in a ZeroDivisionError, and an

@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 
 from rdpgtest import io
 from rdpgtest.errors import EdgeListFormatError, ModelError
-from rdpgtest.harness import (
-    load_power_config,
-    load_wcompare_config,
-    run_power_experiment,
-    two_block_pair,
-    uniform_box_pair,
-)
+from rdpgtest.cli import load_power_config, load_wcompare_config, parse_distribution
+from rdpgtest.harness import run_power_experiment, two_block_pair, uniform_box_pair
 from rdpgtest.io import (
-    parse_distribution,
     read_edge_list,
     read_labels,
     read_manifest,
@@ -372,6 +366,19 @@ class TestCsv:
         with pytest.raises(ValueError) as info:
             write_matrix_csv(np.eye(3), path, labels=["a", "b"])
         assert str(info.value) == "2 labels for 3 rows"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("matrix, labels, shape", [
+        (np.zeros((0, 2)), [], "(0, 2)"), (np.zeros((0, 2)), None, "(0, 2)"),
+        (np.zeros((2, 0)), None, "(2, 0)"),
+    ], ids=["no-rows-labelled", "no-rows", "no-columns"])
+    def test_an_empty_matrix_is_refused_before_the_file_is_opened(self, tmp_path, matrix, labels,
+                                                                   shape):
+        # No rows wrote a file that read back refused (labelled) or as shape (0,).
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError) as info:
+            write_matrix_csv(matrix, path, labels=labels)
+        assert str(info.value) == f"matrix must have a row and a column, got shape {shape}"
         assert not path.exists()
 
     def test_a_file_whose_labels_do_not_match_the_rows_is_refused(self, tmp_path):

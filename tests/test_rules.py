@@ -199,14 +199,14 @@ def _power_lines(tmp_path, monkeypatch):
     table = PowerTable([PowerCell(2, 2, 0.0, 3, 1, TENTH, TENTH)])
     config = ExperimentConfig(pairs=[("x", *two_block_pair(0.0))], n_grid=[2], replicates=3,
                               test=TestConfig(), master_seed=0)
-    monkeypatch.setattr(cli.harness, "load_power_config", lambda path: config)
+    monkeypatch.setattr(cli, "load_power_config", lambda path: config)
     monkeypatch.setattr(cli.harness, "run_power_experiment", lambda config: table)
     return cli._cmd_simulate_power(cli.build_parser().parse_args(["simulate-power", "p.ini"]))
 
 
 def _wcompare_lines(tmp_path, monkeypatch):
     result = WComparison(np.array([TENTH]), np.array([-TENTH]), np.eye(2), 2, 2)
-    monkeypatch.setattr(cli.harness, "load_wcompare_config", lambda path: {"output": None})
+    monkeypatch.setattr(cli, "load_wcompare_config", lambda path: {"output": None})
     monkeypatch.setattr(cli.harness, "w_comparison_experiment", lambda **cfg: result)
     output = tmp_path / "w.csv"
     argv = ["w-compare", "w.ini", "--output", str(output)]
@@ -279,7 +279,7 @@ def _size_ini(tmp_path, n, m):
     path = tmp_path / "power.ini"
     path.write_text(f"[experiment]\nfamily = two_block\nn = 30 {n}\nm = 30 {m}\nreplicates = 1\n"
                     f"output = {tmp_path / 'power.csv'}\n")
-    return harness.run_power_experiment(harness.load_power_config(path))
+    return harness.run_power_experiment(cli.load_power_config(path))
 
 
 SIZE_CASES = {

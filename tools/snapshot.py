@@ -27,18 +27,21 @@ difference. The grid records:
 - the input rules: edge-list reader branches, array graphs that are not
   adjacencies, sample and study sizes, replicate counts and every other
   count, extreme and median bandwidths, INI keys and values, seeds, integer
-  options, matrix labels and their count, written and read, infinite
-  block probabilities, sparsity factors at every entry point, point
+  options, matrix labels and their count, written and read, empty
+  matrices written, infinite block probabilities, sparsity factors at every entry point, point
   clouds of two widths, the ``eps_floor`` bound, non-finite statistics,
   streams that are not a ``numpy.random.Generator`` (also where the
   sampler draws), non-finite latent-family parameters, an assignment to
   a field of a built ``ExperimentConfig``, a grid list changed after it
   was built, a write into a built ``Graph``, non-finite pooled rows of
   the null and a power study's pair that is not a ``(label, F, G)``
-  triple of latent distributions;
+  triple of latent distributions, or not a tuple or list;
 - the shape rule of an array of points at each entry point, NaN latent
   positions;
 - the repr of each error raised.
+
+The parameter-text readers are looked up in ``cli``, or in ``harness``
+and ``io`` on a tree that keeps them there.
 
 Floats are kept by ``repr`` (exact for float64) and arrays by a hash of
 their bytes with shape and dtype, so equal keys mean bit-identical
@@ -372,8 +375,14 @@ def _file(path):
         return handle.read()
 
 
+def _reader(name, old_home):
+    """The parameter-text reader ``name``: from ``cli`` where the tree has it
+    there, else from ``old_home``, the module that held it before."""
+    cli = sys.modules["rdpgtest.cli"]
+    return getattr(cli, name, None) or getattr(sys.modules[f"rdpgtest.{old_home}"], name)
+
+
 def grid_harness(grid, rt, graphs, workdir):
-    harness = sys.modules["rdpgtest.harness"]
     f2, g2 = rt.two_block_pair(0.2)
     configs = {
         "two-block": rt.ExperimentConfig(
@@ -447,7 +456,8 @@ def grid_harness(grid, rt, graphs, workdir):
     for params in ({}, {"kernel": "imq", "c": "2"}, {"sigma": "median", "b": 50, "d": "3"},
                    {"kernel": "energy", "sigma": "1"}, {"variant": "nope"}, {"kernel": "x"}):
         grid.run(f"build_test_config/{sorted(params.items())}",
-                 lambda: harness.build_test_config(params), lambda k, c: grid.put(k, repr(c)))
+                 lambda: _reader("build_test_config", "harness")(params),
+                 lambda k, c: grid.put(k, repr(c)))
 
 
 def grid_io(grid, rt, graphs, workdir):
@@ -468,6 +478,9 @@ def grid_io(grid, rt, graphs, workdir):
         "matrix/label-newline": lambda: io.write_matrix_csv(np.eye(2), path, labels=["a\nb", "c"]),
         "matrix/label-space": lambda: io.write_matrix_csv(np.eye(2), path, labels=[" a", "c"]),
         "matrix/label-count": lambda: io.write_matrix_csv(np.eye(3), path, labels=["a", "b"]),
+        "matrix/no-rows-labelled": lambda: io.write_matrix_csv(np.zeros((0, 2)), path, labels=[]),
+        "matrix/no-rows": lambda: io.write_matrix_csv(np.zeros((0, 2)), path),
+        "matrix/no-columns": lambda: io.write_matrix_csv(np.zeros((2, 0)), path),
         "table": lambda: io.write_table_csv(path, ("a", "b", "c", "d"),
                                             [[1, 0.1, True, "x"], [np.int64(2), np.float64(1e-7),
                                                                    np.bool_(False), None]],
@@ -528,7 +541,7 @@ def grid_io(grid, rt, graphs, workdir):
         "mystery": {"kind": "mystery"},
     }
     for name, section in dists.items():
-        grid.run(f"io/dist/{name}", lambda: io.parse_distribution(section),
+        grid.run(f"io/dist/{name}", lambda: _reader("parse_distribution", "io")(section),
                  lambda k, dist: grid.put(k, dist.sample(3, rt.substream(1))))
 
 
@@ -920,7 +933,7 @@ def grid_errors(grid, rt):
     # A malformed second pair of a power study, after a good first one.
     _, f, g = good
     for name, pair in (("two-items", (0.0, f)), ("g-str", (0.0, f, "G")),
-                       ("four-items", (0.0, f, g, 1))):
+                       ("four-items", (0.0, f, g, 1)), ("int", 5), ("None", None), ("str", "abc")):
         cases[f"experiment/pair-{name}"] = lambda pair=pair: rt.ExperimentConfig(
             pairs=[good, pair], n_grid=[10], replicates=1,
             test=rt.TestConfig(permutations=5), master_seed=0)
